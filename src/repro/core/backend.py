@@ -10,9 +10,13 @@ that model:
   cycle, exactly the per-stage read/write contract that
   ``backend-contract.json`` is extracted from;
 * the **fast** backend (:mod:`repro.core.fastsim`) executes the same
-  contract with a specialized cycle loop: a memoized warm-state
-  snapshot, hoisted component state, precomputed opclass tables and an
-  event-driven scheduler that skips provably-inert cycles.
+  contract with a specialized cycle loop: hoisted component state,
+  precomputed opclass tables and an event-driven scheduler that skips
+  provably-inert cycles.
+
+Both start from the same functional warm-up, restored from the
+engine-independent warm-state cache (:mod:`repro.core.warmstate`)
+when an identical one already ran in this process.
 
 Every backend must be *observationally equivalent* on
 :class:`~repro.core.pipeline.SimulationResult`: the differential suite
@@ -64,8 +68,8 @@ class ReferenceBackend(SimBackend):
 
 
 class FastBackend(SimBackend):
-    """Specialized cycle loop with warm-state memoization and
-    event-driven idle-cycle skipping (see :mod:`repro.core.fastsim`)."""
+    """Specialized cycle loop with event-driven idle-cycle skipping
+    (see :mod:`repro.core.fastsim`)."""
 
     name = "fast"
 

@@ -2,33 +2,25 @@
 
 Executes exactly the per-stage contract of ``SMTPipeline.run`` (the
 reference interpreter; see ``backend-contract.json``) but restructured
-for throughput.  Three mechanisms carry the speedup:
+for throughput.  It starts from the same functional warm-up as the
+reference engine, including the engine-independent warm-state snapshot
+reuse of :mod:`repro.core.warmstate`, so the two engines differ only
+in the cycle loop.  Two mechanisms carry its speed:
 
-1. **Warm-state snapshot memoization.**  The functional warm-up
-   (:meth:`SMTPipeline._functional_warmup`) replays up to 100K
-   instructions per thread through the branch predictor, caches and
-   TLBs before a single timed cycle runs, and dominates short runs.
-   Its outcome is a pure function of (programs, machine config, seed,
-   warm-up length), so the post-warm-up component state (thread
-   contexts, memory hierarchy, branch predictor) is deep-copied into a
-   per-process cache and restored on repeat runs.  Config objects and
-   programs are shared (not copied) via the deepcopy memo; the cache
-   keeps strong references to the programs so its ``id()``-based key
-   cannot alias.
-
-2. **A monolithic specialized cycle loop.**  The reference loop pays a
+1. **A monolithic specialized cycle loop.**  The reference loop pays a
    method call plus dozens of attribute loads per stage per cycle; the
    fast loop inlines the stage bodies with component state hoisted to
    locals and the per-``OpClass`` predicates/latencies precomputed
-   into flat struct-of-arrays tables (``_IS_MEM``/``_IS_CONTROL``/
-   latency), indexed by the opclass ordinal instead of property calls.
+   into flat struct-of-arrays tables (``OP_IS_MEM``/``OP_IS_CONTROL``
+   from :mod:`repro.isa.instruction`, plus a latency table), indexed
+   by the opclass ordinal instead of property calls.
    Selection runs on the issue queue's incrementally sorted tag arrays
    (the same age-ordered structure the reference scheduler uses), so
    no per-cycle sorting happens anywhere in the loop.  Rare paths
    (branch recovery, squash, flush, interval close) call the reference
    methods — single implementation, no drift.
 
-3. **Event-driven idle-cycle skipping.**  When the machine is provably
+2. **Event-driven idle-cycle skipping.**  When the machine is provably
    inert — no writeback wheel entry due, no committable ROB head, no
    ready instruction, no dispatchable or fetchable thread — whole
    cycle ranges are accounted in closed form (the per-cycle statistics
@@ -51,79 +43,26 @@ per-stage ``bus.stage`` stamps, no per-commit/squash event emission).
 
 from __future__ import annotations
 
-import copy
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.core.functional_units import op_latency
+from repro.core.warmstate import warm_start
 from repro.frontend.fetch_policy import RoundRobinPolicy
-from repro.isa.instruction import DynInst, DynState, OpClass
+from repro.isa.instruction import (
+    N_OPCLASSES,
+    OP_IS_CONTROL,
+    OP_IS_MEM,
+    DynInst,
+    DynState,
+    OpClass,
+)
 from repro.reliability.avf import Structure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.pipeline import SimulationResult, SMTPipeline
 
 _GET_TAG = attrgetter("tag")
-
-#: Struct-of-arrays opclass tables, indexed by the OpClass ordinal —
-#: replaces per-instruction ``is_mem``/``is_control`` property calls in
-#: the hot loop with a flat list load.
-_N_OPS = max(OpClass) + 1
-_IS_MEM = [False] * _N_OPS
-_IS_CONTROL = [False] * _N_OPS
-for _op in OpClass:
-    _IS_MEM[_op] = _op.is_mem
-    _IS_CONTROL[_op] = _op.is_control
-
-
-# ----------------------------------------------------------------------
-# Warm-state snapshot cache
-# ----------------------------------------------------------------------
-#: key -> (strong program refs, deep-copied (contexts, mem, bp)).
-_WARM_SNAPSHOTS: dict[tuple[Any, ...], tuple[Any, Any]] = {}
-
-
-def reset_warm_cache() -> None:
-    """Drop all memoized warm states (tests / memory pressure)."""
-    _WARM_SNAPSHOTS.clear()  # lint: disable=fork-safety
-
-
-def _shared_roots(pipe: "SMTPipeline") -> list[Any]:
-    """Objects shared (not copied) between the snapshot and every
-    restored pipeline: immutable-by-convention configs and programs."""
-    m = pipe.machine
-    roots: list[Any] = [m, m.l1i, m.l1d, m.l2, m.itlb, m.dtlb, m.branch_predictor]
-    roots.extend(pipe.programs)
-    return roots
-
-
-def _clone_state(state: Any, roots: list[Any]) -> Any:
-    memo: dict[int, Any] = {id(obj): obj for obj in roots}
-    return copy.deepcopy(state, memo)
-
-
-def warm_start(pipe: "SMTPipeline") -> None:
-    """Functionally warm ``pipe`` up, restoring a memoized snapshot when
-    an identical warm-up has already been computed in this process."""
-    sim = pipe.sim
-    if sim.bp_warmup_instructions <= 0:
-        return
-    key = (
-        tuple(id(p) for p in pipe.programs),
-        repr(pipe.machine),
-        sim.seed,
-        sim.bp_warmup_instructions,
-    )
-    roots = _shared_roots(pipe)
-    entry = _WARM_SNAPSHOTS.get(key)
-    if entry is None:
-        pipe._functional_warmup()
-        state = (pipe.contexts, pipe.mem, pipe.bp)
-        # The tuple of programs keeps them alive: the id()-based key
-        # stays unambiguous only while the keyed objects are.
-        _WARM_SNAPSHOTS[key] = (tuple(pipe.programs), _clone_state(state, roots))  # lint: disable=fork-safety
-    else:
-        pipe.contexts, pipe.mem, pipe.bp = _clone_state(entry[1], roots)
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +97,7 @@ def _cycle_loop(pipe: "SMTPipeline") -> int:
     n = machine.num_threads
 
     # Per-opclass latency table for the non-memory else-branch of issue.
-    lat_table = [0] * _N_OPS
+    lat_table = [0] * N_OPCLASSES
     for opc in OpClass:
         lat_table[opc] = op_latency(machine, opc)
 
@@ -239,8 +178,8 @@ def _cycle_loop(pipe: "SMTPipeline") -> int:
     op_store = OpClass.STORE
     op_branch = OpClass.BRANCH
     op_prefetch = OpClass.PREFETCH
-    is_mem_tab = _IS_MEM
-    is_control_tab = _IS_CONTROL
+    is_mem_tab = OP_IS_MEM
+    is_control_tab = OP_IS_CONTROL
 
     # Loop-local accumulators (synced back on exit / interval close).
     total_committed = pipe.total_committed

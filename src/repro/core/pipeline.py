@@ -34,9 +34,10 @@ from repro.core.lsq import LoadStoreQueue
 from repro.core.rename import RenameTable
 from repro.core.rob import ReorderBuffer
 from repro.core.scheduler import IssueScheduler, make_scheduler
+from repro.core.warmstate import warm_start
 from repro.frontend.branch_predictor import BranchPredictor
 from repro.frontend.fetch_policy import FetchPolicy, FlushPolicy, make_fetch_policy
-from repro.isa.instruction import DynInst, DynState, OpClass
+from repro.isa.instruction import OP_IS_CONTROL, OP_IS_MEM, DynInst, DynState, OpClass
 from repro.isa.program import SyntheticProgram, ThreadContext
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.reliability.ace import ACEAnalyzer
@@ -58,6 +59,7 @@ from repro.telemetry.topics import (
     TOPIC_INTERVAL_CLOSE,
     TOPIC_RELIABILITY_DIVERGENCE,
     TOPIC_SQUASH,
+    TOPIC_WARMUP_PROGRESS,
 )
 
 #: Max threads fetched per cycle (ICOUNT.2.8-style front end).
@@ -836,40 +838,78 @@ class SMTPipeline:
         predictor, caches and TLBs before timing begins — SimPoint
         semantics: the detailed simulation *continues from* the
         fast-forwarded point (the timed region is preceded, not
-        pre-touched, by the warm-up region)."""
+        pre-touched, by the warm-up region).
+
+        One ``warmup.progress`` event per finished thread keeps
+        heartbeat subscribers fed through a warm-up that can outlast a
+        stall threshold."""
         n_insts = self.sim.bp_warmup_instructions
         if n_insts <= 0:
             return
-        iline_shift = self._iline_shift
-        for t, program in enumerate(self.programs):
-            ctx = self.contexts[t]  # advanced in place: timing continues here
-            last_line = -1
-            for _ in range(n_insts):
-                st = ctx.peek()
-                line = st.pc >> iline_shift
-                if line != last_line:
-                    self.mem.access_instr(st.pc, t)
-                    last_line = line
-                op = st.opclass
-                if op.is_mem:
-                    addr = ctx.mem_address(st, ctx.stream_pos)
-                    self.mem.access_data(addr, t, is_write=(op == OpClass.STORE))
-                if op.is_control:
-                    taken, target = ctx.resolve_control(st)
-                    if op == OpClass.BRANCH:
-                        pred, idx = self.bp.predict_direction(st.pc, t)
-                        self.bp.update_direction(st.pc, t, taken, pred, idx)
-                        if taken:
-                            self.bp.btb_update(st.pc, st.taken_block)
-                    elif op == OpClass.CALL:
-                        self.bp.ras_push(t, st.fall_block if st.fall_block >= 0 else 0)
-                    elif op == OpClass.RET:
-                        self.bp.ras_pop(t)
-                    ctx.advance_control(st, taken, target)
-                else:
-                    ctx.advance()
+        bus = self.bus if self.telemetry else None
+        n_threads = len(self.programs)
+        for t in range(n_threads):
+            self._warm_thread(t, n_insts)
+            if bus is not None and bus.wants(TOPIC_WARMUP_PROGRESS):
+                bus.cycle = 0  # before the first timed cycle
+                bus.emit(
+                    TOPIC_WARMUP_PROGRESS,
+                    thread=t,
+                    threads=n_threads,
+                    instructions=n_insts,
+                )
         self.bp.reset_stats()  # warm-up predictions don't count
         self.mem.reset_stats()  # warm-up accesses don't count
+
+    def _warm_thread(self, t: int, n_insts: int) -> None:
+        """Replay ``n_insts`` of thread ``t``'s correct path; the thread
+        context advances in place, so timing continues from there."""
+        ctx = self.contexts[t]
+        peek = ctx.peek
+        mem_address = ctx.mem_address
+        resolve_control = ctx.resolve_control
+        advance_control = ctx.advance_control
+        advance = ctx.advance
+        access_instr = self.mem.access_instr
+        access_data = self.mem.access_data
+        bp = self.bp
+        predict_direction = bp.predict_direction
+        update_direction = bp.update_direction
+        btb_update = bp.btb_update
+        ras_push = bp.ras_push
+        ras_pop = bp.ras_pop
+        is_mem = OP_IS_MEM
+        is_control = OP_IS_CONTROL
+        op_store = OpClass.STORE
+        op_branch = OpClass.BRANCH
+        op_call = OpClass.CALL
+        op_ret = OpClass.RET
+        iline_shift = self._iline_shift
+        last_line = -1
+        for _ in range(n_insts):
+            st = peek()
+            pc = st.pc
+            line = pc >> iline_shift
+            if line != last_line:
+                access_instr(pc, t)
+                last_line = line
+            op = st.opclass
+            if is_mem[op]:
+                access_data(mem_address(st, ctx.stream_pos), t, op == op_store)
+            if is_control[op]:
+                taken, target = resolve_control(st)
+                if op == op_branch:
+                    pred, idx = predict_direction(pc, t)
+                    update_direction(pc, t, taken, pred, idx)
+                    if taken:
+                        btb_update(pc, st.taken_block)
+                elif op == op_call:
+                    ras_push(t, st.fall_block if st.fall_block >= 0 else 0)
+                elif op == op_ret:
+                    ras_pop(t)
+                advance_control(st, taken, target)
+            else:
+                advance()
 
     def _refresh_want_flags(self) -> None:
         """Re-read the hot-topic subscription flags (cached against
@@ -894,7 +934,7 @@ class SMTPipeline:
         """
         if self._backend is not None:
             return self._backend.run(self)
-        self._functional_warmup()
+        warm_start(self)
         max_cycles = self.sim.max_cycles
         max_insts = self.sim.max_instructions
         warm_marked = False

@@ -43,6 +43,7 @@ from repro.telemetry.relay import (
 from repro.telemetry.topics import (
     TOPIC_INTERVAL_CLOSE,
     TOPIC_RELIABILITY_ESTIMATE,
+    TOPIC_WARMUP_PROGRESS,
     TOPIC_WORKER_HEALTH,
 )
 
@@ -114,8 +115,18 @@ class HeartbeatEmitter:
         self._cycles = 0
 
     def attach(self, bus: EventBus) -> Subscription:
-        """Drive throttled beats from the pipeline's interval closes."""
-        return bus.subscribe(TOPIC_INTERVAL_CLOSE, self.on_interval)
+        """Drive throttled beats from the pipeline's interval closes and
+        from its functional warm-up, which runs for seconds before the
+        first interval closes."""
+        return bus.subscribe(
+            (TOPIC_INTERVAL_CLOSE, TOPIC_WARMUP_PROGRESS), self._on_event
+        )
+
+    def _on_event(self, event: Any) -> None:
+        if event.topic == TOPIC_WARMUP_PROGRESS.name:
+            self.on_warmup(event)
+        else:
+            self.on_interval(event)
 
     # ------------------------------------------------------------------
     def point_started(self, point: str) -> None:
@@ -151,6 +162,19 @@ class HeartbeatEmitter:
         self._last_cycle_t = now
         self._last_beat = now
         self._send(BEAT_TICK, now, rate)
+
+    def on_warmup(self, event: Any) -> None:
+        """A liveness-only beat: no cycle of this simulation has run
+        yet, so the cycle-rate base restarts here and the first
+        interval's rate excludes the warm-up."""
+        now = self._clock()
+        self._cycles = 0
+        self._last_cycle = 0
+        self._last_cycle_t = now
+        if now - self._last_beat < self._interval_s:
+            return
+        self._last_beat = now
+        self._send(BEAT_TICK, now, 0.0)
 
     # ------------------------------------------------------------------
     def _send(self, kind: str, now: float, rate: float) -> None:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.config import MachineConfig, ReliabilityConfig, SimulationConfig
 from repro.core.pipeline import SMTPipeline, SimulationResult
+from repro.core.warmstate import reset_warm_states
 from repro.isa.generator import ProgramGenerator
 from repro.isa.personalities import get_personality
 from repro.reliability.dvm import DVMController
@@ -141,7 +142,9 @@ def ambient_bus():
 
 
 def clear_caches() -> None:
-    """Drop all memoized programs and results (tests use this)."""
+    """Drop all memoized programs, results and warm states (tests use
+    this), so the next run starts from a cold functional warm-up."""
+    reset_warm_states()
     _PROGRAMS.clear()
     _RESULTS.clear()
     _SINGLE_IPC.clear()

@@ -51,6 +51,17 @@ class OpClass(enum.IntEnum):
         return self in (OpClass.FALU, OpClass.FMULT, OpClass.FDIV, OpClass.FSQRT)
 
 
+#: Struct-of-arrays opclass predicates, indexed by the OpClass ordinal:
+#: hot loops (functional warm-up, the fast engine's cycle loop) replace
+#: per-instruction ``is_mem``/``is_control`` property calls with a flat
+#: tuple load.
+N_OPCLASSES = max(OpClass) + 1
+OP_IS_MEM: tuple[bool, ...] = tuple(OpClass(i).is_mem for i in range(N_OPCLASSES))
+OP_IS_CONTROL: tuple[bool, ...] = tuple(
+    OpClass(i).is_control for i in range(N_OPCLASSES)
+)
+
+
 class MemPattern(enum.IntEnum):
     """Address-stream shape of a static memory instruction."""
 

@@ -50,6 +50,17 @@ STAGE_ORDER: tuple[str, ...] = (
 )
 
 # ----------------------------------------------------------------------
+# Functional warm-up
+# ----------------------------------------------------------------------
+TOPIC_WARMUP_PROGRESS = _topic(
+    "warmup.progress",
+    ("thread", "threads", "instructions"),
+    "the functional warm-up finished one thread (thread of threads, "
+    "instructions replayed per thread); lets heartbeats cover the "
+    "multi-second warm-up that precedes the first interval close",
+)
+
+# ----------------------------------------------------------------------
 # Interval bookkeeping
 # ----------------------------------------------------------------------
 TOPIC_INTERVAL_CLOSE = _topic(

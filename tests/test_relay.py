@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.core.pipeline import SMTPipeline
 from repro.harness import parallel as parallel_mod
 from repro.harness.health import (
     STATE_IDLE,
@@ -23,6 +24,7 @@ from repro.telemetry.topics import (
     TOPIC_HARNESS_POINT,
     TOPIC_INTERVAL_CLOSE,
     TOPIC_RELIABILITY_ESTIMATE,
+    TOPIC_WARMUP_PROGRESS,
     TOPIC_WORKER_HEALTH,
 )
 
@@ -232,6 +234,32 @@ class TestHeartbeat:
         assert all(rate >= 0.0 for rate in rates)
 
 
+    def test_warmup_progress_beats_before_the_first_interval(self):
+        # The functional warm-up runs for seconds before any interval
+        # closes; its per-thread progress must beat, and the first
+        # interval's rate must not count warm-up time.
+        q = queue_mod.Queue()
+        relay = WorkerRelay(q, batch_size=64)
+        clock = [0.0]
+        hb = HeartbeatEmitter(relay, interval_s=0.25, clock=lambda: clock[0])
+        bus = EventBus()
+        hb.attach(bus)
+        hb.point_started("p")
+        clock[0] += 1.0
+        bus.emit(TOPIC_WARMUP_PROGRESS, thread=0, threads=1, instructions=100)
+        clock[0] += 0.5
+        _emit_intervals(bus, 1)  # end_cycle 400, 0.5 s after the warm-up
+        hb.point_finished()
+        beats = []
+        while not q.empty():
+            kind, _pid, _seq, _dropped, body = q.get_nowait()
+            if kind == MSG_HEALTH:
+                beats.append(body)
+        assert [b["kind"] for b in beats] == ["start", "beat", "beat", "end"]
+        assert beats[1]["cycles"] == 0 and beats[1]["cycles_per_sec"] == 0.0
+        assert beats[2]["cycles_per_sec"] == pytest.approx(400 / 0.5)
+
+
 class TestHealthMonitor:
     def _monitor(self, bus=None, stall_after_s=1.0):
         return HealthMonitor(
@@ -438,3 +466,30 @@ class TestStallDisposition:
         assert statuses.count("stalled") == 2
         assert statuses.count("retry") == 1
         assert statuses.count("skipped") == 1
+
+    def test_slow_warmup_is_not_stalled(self, monkeypatch, tmp_path):
+        # A functional warm-up that outlasts stall_after_s: every thread
+        # takes 0.5 s longer, so the whole warm-up runs past 2 s before
+        # the first interval closes.  Its per-thread progress events
+        # must keep the worker's heartbeat alive.
+        warm_thread = SMTPipeline._warm_thread
+
+        def slow_warm_thread(self, t, n_insts):
+            time.sleep(0.5)
+            warm_thread(self, t, n_insts)
+
+        monkeypatch.setattr(SMTPipeline, "_warm_thread", slow_warm_thread)
+        clear_caches()  # forked workers must not inherit a warm state
+        bus = EventBus()
+        statuses = []
+        bus.subscribe(
+            TOPIC_HARNESS_POINT, lambda e: statuses.append(e.payload["status"])
+        )
+        run = parallel_sweep(
+            "CPU-A", TINY, {"scheduler": ["oldest"]},
+            jobs=2, checkpoint=str(tmp_path / "slow-warmup.jsonl"), bus=bus,
+            retries=0, backoff=0.0, timeout=None,
+            monitor=MonitorConfig(heartbeat_s=0.05, stall_after_s=2.0),
+        )
+        assert run.skipped == []
+        assert statuses == ["done"]

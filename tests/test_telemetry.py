@@ -34,6 +34,7 @@ from repro.telemetry.topics import (
     TOPIC_DVM_TRIGGER,
     TOPIC_INTERVAL_CLOSE,
     TOPIC_IQL_CAP,
+    TOPIC_WARMUP_PROGRESS,
 )
 from repro.workloads import get_mix
 
@@ -554,6 +555,10 @@ def test_property_stage_order_and_interval_monotonicity(seed, cycles):
     interval_indices = []
     for cycle, stage, topic, payload in seen:
         if stage == "":
+            if topic == TOPIC_WARMUP_PROGRESS.name:
+                # The functional warm-up runs before the cycle loop.
+                assert last_cycle == -1, "warm-up progress inside the loop"
+                continue
             # Emitted outside the cycle loop (end-of-run resolution /
             # divergence events); exempt from within-cycle stage order.
             assert topic.startswith("reliability.") or topic == "interval.close"
