@@ -160,6 +160,14 @@ def cmd_timeline(args) -> int:
         title = f"decision timeline ({args.input})"
         profile = None
     else:
+        if args.backend != "reference" and not args.no_self_profile:
+            print(
+                f"the per-stage self-profile runs only on the reference engine; "
+                f"--backend {args.backend} records no stage laps (use "
+                "--backend reference, or --no-self-profile)",
+                file=sys.stderr,
+            )
+            return 2
         scale = _scale_from_args(args)
         res, recorder, profile = run_recorded(
             args.mix,

@@ -46,16 +46,15 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from repro.core.functional_units import op_latency
 from repro.core.warmstate import warm_start
 from repro.frontend.fetch_policy import RoundRobinPolicy
 from repro.isa.instruction import (
-    N_OPCLASSES,
     OP_IS_CONTROL,
     OP_IS_MEM,
     DynInst,
     DynState,
     OpClass,
+    op_latency_table,
 )
 from repro.reliability.avf import Structure
 
@@ -97,9 +96,7 @@ def _cycle_loop(pipe: "SMTPipeline") -> int:
     n = machine.num_threads
 
     # Per-opclass latency table for the non-memory else-branch of issue.
-    lat_table = [0] * N_OPCLASSES
-    for opc in OpClass:
-        lat_table[opc] = op_latency(machine, opc)
+    lat_table = pipe._op_latency
 
     # Machine scalars.
     commit_width = machine.commit_width

@@ -10,7 +10,7 @@ latency from the cache hierarchy instead).
 from __future__ import annotations
 
 from repro.config import MachineConfig
-from repro.isa.instruction import OpClass
+from repro.isa.instruction import N_OPCLASSES, OP_LATENCY_FIELD, OpClass
 
 
 class FUKind:
@@ -39,6 +39,8 @@ _OP_TO_FU = {
     OpClass.FDIV: FUKind.FMULT,
     OpClass.FSQRT: FUKind.FMULT,
 }
+#: FU pool of each opclass, indexed by the OpClass ordinal.
+_OP_FU: tuple[int, ...] = tuple(_OP_TO_FU[OpClass(i)] for i in range(N_OPCLASSES))
 
 
 class FunctionalUnitPool:
@@ -62,7 +64,7 @@ class FunctionalUnitPool:
 
     def try_issue(self, opclass: OpClass) -> bool:
         """Reserve a unit slot for this cycle; False if the pool is dry."""
-        kind = _OP_TO_FU[opclass]
+        kind = _OP_FU[opclass]
         if self._used[kind] >= self._limits[kind]:
             return False
         self._used[kind] += 1
@@ -70,7 +72,7 @@ class FunctionalUnitPool:
         return True
 
     def available(self, opclass: OpClass) -> int:
-        kind = _OP_TO_FU[opclass]
+        kind = _OP_FU[opclass]
         return self._limits[kind] - self._used[kind]
 
     @property
@@ -79,17 +81,6 @@ class FunctionalUnitPool:
 
 
 def op_latency(machine: MachineConfig, opclass: OpClass) -> int:
-    """Fixed execution latency of non-memory operations."""
-    if opclass == OpClass.IMULT:
-        return machine.lat_int_mult
-    if opclass == OpClass.IDIV:
-        return machine.lat_int_div
-    if opclass == OpClass.FALU:
-        return machine.lat_fp_alu
-    if opclass == OpClass.FMULT:
-        return machine.lat_fp_mult
-    if opclass == OpClass.FDIV:
-        return machine.lat_fp_div
-    if opclass == OpClass.FSQRT:
-        return machine.lat_fp_sqrt
-    return machine.lat_int_alu
+    """Fixed execution latency of non-memory operations (per-instruction
+    code indexes :func:`~repro.isa.instruction.op_latency_table` instead)."""
+    return int(getattr(machine, OP_LATENCY_FIELD[opclass]))

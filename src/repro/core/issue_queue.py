@@ -22,6 +22,8 @@ from typing import Callable, Iterator
 
 from repro.isa.instruction import DynInst, DynState
 
+_DISPATCHED = DynState.DISPATCHED
+
 
 class IQInvariantError(RuntimeError):
     """An IQ bookkeeping invariant was violated by the caller.
@@ -163,15 +165,20 @@ class IssueQueue:
         The caller must have resolved ``inst.src_tags`` against the
         rename table (leaving only tags of still-executing producers).
         """
-        if self.free_entries <= 0:
+        if len(self.waiting) + len(self.ready) >= self.capacity:
             raise RuntimeError("issue queue overflow")
-        inst.state = DynState.DISPATCHED
+        inst.state = _DISPATCHED
         inst.dispatch_cycle = cycle
         inst.iq_slot = self._free_slots.pop()
         if inst.src_tags:
             self.waiting[inst.tag] = inst
+            consumers = self._consumers
             for t in inst.src_tags:
-                self._consumers.setdefault(t, []).append(inst)
+                lst = consumers.get(t)
+                if lst is None:
+                    consumers[t] = [inst]
+                else:
+                    lst.append(inst)
         else:
             inst.ready_cycle = cycle
             self.ready[inst.tag] = inst
@@ -188,7 +195,7 @@ class IssueQueue:
         if not consumers:
             return
         for inst in consumers:
-            if inst.state != DynState.DISPATCHED:
+            if inst.state != _DISPATCHED:
                 continue  # squashed or already issued
             try:
                 inst.src_tags.remove(tag)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from repro.isa.instruction import DynInst, OpClass
 
+_STORE = OpClass.STORE
+
 
 class LoadStoreQueue:
     """LSQ of one hardware thread (unified loads + stores)."""
@@ -36,7 +38,7 @@ class LoadStoreQueue:
         return len(self.entries) >= self.capacity
 
     def push(self, inst: DynInst) -> None:
-        if self.full:
+        if len(self.entries) >= self.capacity:
             raise RuntimeError(f"LSQ of thread {self.thread} overflow")
         self.entries[inst.tag] = inst
 
@@ -53,7 +55,7 @@ class LoadStoreQueue:
         """Remove at commit (or squash)."""
         if self.entries.pop(inst.tag, None) is None:
             return
-        if inst.opclass == OpClass.STORE and inst.mem_addr >= 0:
+        if inst.static.opclass == _STORE and inst.mem_addr >= 0:
             line = inst.mem_addr >> 3
             cnt = self._store_addrs.get(line, 0)
             if cnt <= 1:

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.config import MachineConfig, SimulationConfig
 from repro.core.backend import SimBackend, resolve_backend
-from repro.core.functional_units import FunctionalUnitPool, op_latency
+from repro.core.functional_units import FunctionalUnitPool
 from repro.core.issue_queue import IssueQueue
 from repro.core.lsq import LoadStoreQueue
 from repro.core.rename import RenameTable
@@ -37,7 +38,14 @@ from repro.core.scheduler import IssueScheduler, make_scheduler
 from repro.core.warmstate import warm_start
 from repro.frontend.branch_predictor import BranchPredictor
 from repro.frontend.fetch_policy import FetchPolicy, FlushPolicy, make_fetch_policy
-from repro.isa.instruction import OP_IS_CONTROL, OP_IS_MEM, DynInst, DynState, OpClass
+from repro.isa.instruction import (
+    OP_IS_CONTROL,
+    OP_IS_MEM,
+    DynInst,
+    DynState,
+    OpClass,
+    op_latency_table,
+)
 from repro.isa.program import SyntheticProgram, ThreadContext
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.reliability.ace import ACEAnalyzer
@@ -64,6 +72,24 @@ from repro.telemetry.topics import (
 
 #: Max threads fetched per cycle (ICOUNT.2.8-style front end).
 _FETCH_THREADS_PER_CYCLE = 2
+
+# Enum members used per instruction, bound once: a module constant
+# loads in ~20 ns, an ``OpClass.X`` attribute lookup in ~200 ns.
+_DISPATCHED = DynState.DISPATCHED
+_ISSUED = DynState.ISSUED
+_COMPLETED = DynState.COMPLETED
+_SQUASHED = DynState.SQUASHED
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_PREFETCH = OpClass.PREFETCH
+_BRANCH = OpClass.BRANCH
+_JUMP = OpClass.JUMP
+_CALL = OpClass.CALL
+_RET = OpClass.RET
+_IQ = Structure.IQ
+_ROB = Structure.ROB
+
+_GET_TAG = attrgetter("tag")
 
 
 @dataclass
@@ -234,6 +260,12 @@ class SMTPipeline:
         self._backend = resolve_backend(
             backend if backend is not None else self.sim.backend
         )
+        if profiler is not None and self._backend is not None:
+            raise ValueError(
+                f"stage profiling runs only on the reference engine: the "
+                f"{self._backend.name!r} backend records no stage laps; "
+                "pass backend='reference' or drop the profiler"
+            )
         n = self.machine.num_threads
         rel = self.sim.reliability
 
@@ -244,6 +276,7 @@ class SMTPipeline:
         self.mem = MemoryHierarchy(self.machine)
         self.bp = BranchPredictor(self.machine.branch_predictor, n)
         self.fus = FunctionalUnitPool(self.machine)
+        self._op_latency = op_latency_table(self.machine)
         self.scheduler = (
             make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
         )
@@ -257,7 +290,7 @@ class SMTPipeline:
         )
         self.dispatch_policy = dispatch_policy or UnlimitedDispatch(self.machine.iq_size)
         self.dvm = dvm
-        if dvm_structure not in (Structure.IQ, Structure.ROB):
+        if dvm_structure not in (_IQ, _ROB):
             raise ValueError("DVM can govern the IQ or the ROB")
         self.dvm_structure = dvm_structure
 
@@ -334,9 +367,7 @@ class SMTPipeline:
         if telemetry:
             if self.dvm is not None:
                 self.dvm.bus = self.bus
-                self.dvm.structure = (
-                    "rob" if dvm_structure == Structure.ROB else "iq"
-                )
+                self.dvm.structure = "rob" if dvm_structure == _ROB else "iq"
             self.dispatch_policy.bus = self.bus
             self.base_fetch_policy.bus = self.bus
             self._flush_policy.bus = self.bus
@@ -383,9 +414,9 @@ class SMTPipeline:
     # ==================================================================
     def _commit(self) -> None:
         budget = self.machine.commit_width
-        n = self.num_threads
-        start = self.cycle % n
+        n = self.machine.num_threads
         cycle = self.cycle
+        start = cycle % n
         emit_commit = self._want_commit
         bus = self.bus
         for i in range(n):
@@ -393,23 +424,24 @@ class SMTPipeline:
             rob = self.robs[t]
             while budget > 0:
                 head = rob.head()
-                if head is None or head.state != DynState.COMPLETED:
+                if head is None or head.state != _COMPLETED:
                     break
                 rob.commit_head()
                 head.commit_cycle = cycle
                 self.rob_pred_ace_bits -= self.avf.rob_bits_pred(head)
-                op = head.opclass
-                if op.is_mem:
+                st = head.static
+                op = st.opclass
+                if OP_IS_MEM[op]:
                     self.lsqs[t].remove(head)
-                    if op == OpClass.STORE and head.mem_addr >= 0:
+                    if op == _STORE and head.mem_addr >= 0:
                         self.mem.access_data(head.mem_addr, t, is_write=True)
-                elif op == OpClass.BRANCH:
+                elif op == _BRANCH:
                     self.bp.update_direction(
-                        head.pc, t, head.actual_taken, head.pred_taken,
+                        st.pc, t, head.actual_taken, head.pred_taken,
                         idx=head.bp_index if head.bp_index >= 0 else None,
                     )
                     if head.actual_taken:
-                        self.bp.btb_update(head.pc, head.static.taken_block)
+                        self.bp.btb_update(st.pc, st.taken_block)
                 self.committed_per_thread[t] += 1
                 self.total_committed += 1
                 self._int_committed += 1
@@ -420,18 +452,19 @@ class SMTPipeline:
                 budget -= 1
 
     def _writeback(self) -> None:
-        events = self._wheel.pop(self.cycle, None)
+        cycle = self.cycle
+        events = self._wheel.pop(cycle, None)
         if not events:
             return
-        events.sort(key=lambda i: i.tag)  # resolve older branches first
+        events.sort(key=_GET_TAG)  # resolve older branches first
         policy = self.active_fetch_policy()
         for inst in events:
-            if inst.state == DynState.SQUASHED:
+            if inst.state == _SQUASHED:
                 continue
-            inst.state = DynState.COMPLETED
-            inst.complete_cycle = self.cycle
-            self.iq.wakeup(inst.tag, self.cycle)
-            if inst.opclass == OpClass.LOAD:
+            inst.state = _COMPLETED
+            inst.complete_cycle = cycle
+            self.iq.wakeup(inst.tag, cycle)
+            if inst.static.opclass == _LOAD:
                 t = inst.thread
                 if inst.l1_miss:
                     self._outstanding_l1d[t] -= 1
@@ -440,7 +473,7 @@ class SMTPipeline:
                     if self._outstanding_l2[t] == 0:
                         policy.on_l2_return(self, t)
                 policy.on_load_left(self, inst)
-            if inst.mispredicted and inst.state != DynState.SQUASHED:
+            if inst.mispredicted and inst.state != _SQUASHED:
                 self._recover_branch(inst)
 
     def _recover_branch(self, branch: DynInst) -> None:
@@ -464,17 +497,18 @@ class SMTPipeline:
         fq = self.fetch_q[tid]
         while fq and fq[-1].tag > after_tag:
             inst = fq.pop()
-            inst.state = DynState.SQUASHED
+            inst.state = _SQUASHED
             squashed.append(inst)
         for inst in self.iq.squash_thread(tid, after_tag):
-            inst.state = DynState.SQUASHED
+            inst.state = _SQUASHED
             inst.iq_leave_cycle = self.cycle
             squashed.append(inst)
         # ROB walk (young-first) covers every dispatched instruction:
         # rename unwind, in-flight-load bookkeeping, consumer cleanup.
         for inst in self.robs[tid].squash_after(after_tag):
-            if inst.state == DynState.ISSUED:
-                if inst.opclass == OpClass.LOAD:
+            state = inst.state
+            if state == _ISSUED:
+                if inst.static.opclass == _LOAD:
                     if inst.l1_miss:
                         self._outstanding_l1d[tid] -= 1
                     if inst.l2_miss:
@@ -483,17 +517,17 @@ class SMTPipeline:
                             policy.on_l2_return(self, tid)
                     policy.on_load_left(self, inst)
                 self.iq.drop_consumers(inst.tag)
-            elif inst.state == DynState.COMPLETED:
+            elif state == _COMPLETED:
                 self.iq.drop_consumers(inst.tag)
-            elif inst.state == DynState.DISPATCHED and inst.opclass == OpClass.LOAD:
+            elif state == _DISPATCHED and inst.static.opclass == _LOAD:
                 # Never issued, but PDG counted it at dispatch: release
                 # its predicted-miss slot or the thread gates forever.
                 policy.on_load_left(self, inst)
             # Every ROB-resident entry carried ROB counter bits.
             self.rob_pred_ace_bits -= self.avf.rob_bits_pred(inst)
             self.rename[tid].unwind(inst)
-            if inst.state != DynState.SQUASHED:
-                inst.state = DynState.SQUASHED
+            if inst.state != _SQUASHED:
+                inst.state = _SQUASHED
                 squashed.append(inst)
         self.lsqs[tid].squash_after(after_tag)
         self.total_squashed += len(squashed)
@@ -507,7 +541,7 @@ class SMTPipeline:
         squashed = self._squash_thread(tid, after_tag)
         if not squashed:
             return
-        oldest = min(squashed, key=lambda i: i.tag)
+        oldest = min(squashed, key=_GET_TAG)
         assert oldest.checkpoint is not None  # set at fetch for every inst
         self.contexts[tid].restore(oldest.checkpoint)
         self._last_fetch_line[tid] = -1
@@ -525,9 +559,9 @@ class SMTPipeline:
             issued = 0
             try_issue = self.fus.try_issue
             for inst in self.scheduler.ready_order(self.iq):
-                if inst.state != DynState.DISPATCHED:
+                if inst.state != _DISPATCHED:
                     continue
-                if not try_issue(inst.opclass):
+                if not try_issue(inst.static.opclass):
                     continue
                 self._issue_one(inst)
                 issued += 1
@@ -541,14 +575,15 @@ class SMTPipeline:
     def _issue_one(self, inst: DynInst) -> None:
         cycle = self.cycle
         self.iq.remove_issued(inst)
-        inst.state = DynState.ISSUED
+        inst.state = _ISSUED
         inst.issue_cycle = cycle
         inst.iq_leave_cycle = cycle
         t = inst.thread
-        op = inst.opclass
-        policy = self.active_fetch_policy()
-        if op == OpClass.LOAD:
-            addr = self.contexts[t].mem_address(inst.static, inst.stream_pos)
+        st = inst.static
+        op = st.opclass
+        if op == _LOAD:
+            policy = self.active_fetch_policy()
+            addr = self.contexts[t].mem_address(st, inst.stream_pos)
             inst.mem_addr = addr
             if self.lsqs[t].can_forward(addr):
                 latency = 1
@@ -565,20 +600,26 @@ class SMTPipeline:
                     if self.dvm is not None:
                         self.dvm.on_l2_miss()
                 policy.on_load_resolved(self, inst, res.l1_miss)
-        elif op == OpClass.PREFETCH:
-            addr = self.contexts[t].mem_address(inst.static, inst.stream_pos)
+        elif op == _PREFETCH:
+            addr = self.contexts[t].mem_address(st, inst.stream_pos)
             inst.mem_addr = addr
             self.mem.access_data(addr, t)  # warms the caches, non-blocking
             latency = 1
-        elif op == OpClass.STORE:
-            addr = self.contexts[t].mem_address(inst.static, inst.stream_pos)
+        elif op == _STORE:
+            addr = self.contexts[t].mem_address(st, inst.stream_pos)
             inst.mem_addr = addr
             self.lsqs[t].note_store_address(inst)
             latency = 1  # address generation; data written at commit
         else:
-            latency = op_latency(self.machine, op)
+            latency = self._op_latency[op]
         inst.exec_latency = latency
-        self._wheel.setdefault(cycle + latency, []).append(inst)
+        wheel = self._wheel
+        due = cycle + latency
+        events = wheel.get(due)
+        if events is None:
+            wheel[due] = [inst]
+        else:
+            events.append(inst)
 
     def _dispatch(self) -> None:
         budget = self.machine.decode_width
@@ -586,10 +627,17 @@ class SMTPipeline:
         dvm = self.dvm
         if dvm is not None:
             self._update_dvm_restore()
-        # ICOUNT-ordered dispatch.
-        order = sorted(range(self.num_threads), key=lambda t: (self.in_flight(t), t))
-        for t in order:
-            fq = self.fetch_q[t]
+        iq = self.iq
+        iq_waiting = iq.waiting
+        iq_ready = iq.ready
+        iq_capacity = iq.capacity
+        fetch_q = self.fetch_q
+        per_thread = iq.per_thread
+        cycle = self.cycle
+        # ICOUNT-ordered dispatch (in_flight(t), then thread id).
+        order = sorted([(len(fetch_q[t]) + per_thread[t], t) for t in range(len(fetch_q))])
+        for _, t in order:
+            fq = fetch_q[t]
             if not fq:
                 continue
             if dvm is not None:
@@ -610,14 +658,18 @@ class SMTPipeline:
             rob = self.robs[t]
             lsq = self.lsqs[t]
             rename = self.rename[t]
+            rob_entries = rob.entries
+            rob_capacity = rob.capacity
             while budget > 0 and fq:
-                if len(self.iq) >= iql or self.iq.free_entries <= 0:
+                occupancy = len(iq_waiting) + len(iq_ready)
+                if occupancy >= iql or occupancy >= iq_capacity:
                     return  # the shared IQ is the limit: nobody dispatches
                 inst = fq[0]
-                if rob.full:
+                if len(rob_entries) >= rob_capacity:
                     break
-                is_mem = inst.opclass.is_mem
-                if is_mem and lsq.full:
+                op = inst.static.opclass
+                is_mem = OP_IS_MEM[op]
+                if is_mem and len(lsq.entries) >= lsq.capacity:
                     break
                 fq.popleft()
                 rename.resolve_sources(inst)
@@ -626,8 +678,8 @@ class SMTPipeline:
                 self.rob_pred_ace_bits += self.avf.rob_bits_pred(inst)
                 if is_mem:
                     lsq.push(inst)
-                self.iq.insert(inst, self.cycle)
-                if inst.opclass == OpClass.LOAD:
+                iq.insert(inst, cycle)
+                if op == _LOAD:
                     self.active_fetch_policy().on_load_dispatch(self, inst)
                 budget -= 1
 
@@ -661,8 +713,12 @@ class SMTPipeline:
         allowed = policy.select(self)
         budget = self.machine.fetch_width
         fq_cap = self.machine.fetch_queue_size
+        l1i_latency = self.machine.l1i.latency
+        iline_shift = self._iline_shift
+        last_fetch_line = self._last_fetch_line
         threads_used = 0
         cycle = self.cycle
+        next_tag = self._next_tag
         for t in allowed:
             if budget <= 0 or threads_used >= _FETCH_THREADS_PER_CYCLE:
                 break
@@ -676,25 +732,25 @@ class SMTPipeline:
             taken_budget = 2  # fetch through up to two taken transfers
             while budget > 0 and len(fq) < fq_cap:
                 st = ctx.peek()
-                line = st.pc >> self._iline_shift
-                if line != self._last_fetch_line[t]:
+                line = st.pc >> iline_shift
+                if line != last_fetch_line[t]:
                     res = self.mem.access_instr(st.pc, t)
-                    self._last_fetch_line[t] = line
-                    if res.latency > self.machine.l1i.latency:
+                    last_fetch_line[t] = line
+                    if res.latency > l1i_latency:
                         self.fetch_stall_until[t] = cycle + res.latency
                         break
                 inst = DynInst(
-                    tag=self._next_tag,
+                    tag=next_tag,
                     thread=t,
                     static=st,
                     stream_pos=ctx.stream_pos,
+                    fetch_cycle=cycle,
+                    ace_pred=st.ace_hint,
+                    checkpoint=ctx.checkpoint(),
                 )
-                self._next_tag += 1
-                inst.fetch_cycle = cycle
-                inst.ace_pred = st.ace_hint
-                inst.checkpoint = ctx.checkpoint()
+                next_tag += 1
                 took_transfer = False
-                if st.opclass.is_control:
+                if OP_IS_CONTROL[st.opclass]:
                     took_transfer = self._fetch_control(inst, ctx, t)
                 else:
                     ctx.advance()
@@ -704,6 +760,7 @@ class SMTPipeline:
                     taken_budget -= 1
                     if taken_budget <= 0:
                         break
+        self._next_tag = next_tag
 
     def _fetch_control(self, inst: DynInst, ctx: ThreadContext, t: int) -> bool:
         """Predict and speculatively follow a control instruction.
@@ -714,7 +771,7 @@ class SMTPipeline:
         actual_taken, actual_target = ctx.resolve_control(st)
         inst.actual_taken = actual_taken
         inst.actual_target = actual_target
-        if op == OpClass.BRANCH:
+        if op == _BRANCH:
             pred_taken, inst.bp_index = self.bp.predict_direction(st.pc, t)
             # Direct branches: the target is available from decode, so a
             # BTB miss costs target-prediction stats but not direction
@@ -722,9 +779,9 @@ class SMTPipeline:
             # direct).  The BTB is still exercised for its statistics.
             self.bp.btb_lookup(st.pc)
             pred_target = st.taken_block if pred_taken else st.fall_block
-        elif op in (OpClass.JUMP, OpClass.CALL):
+        elif op == _JUMP or op == _CALL:
             pred_taken, pred_target = True, st.taken_block
-            if op == OpClass.CALL:
+            if op == _CALL:
                 ret_block = st.fall_block
                 self.bp.ras_push(t, ret_block if ret_block >= 0 else 0)
         else:  # RET
@@ -750,12 +807,13 @@ class SMTPipeline:
         cycle = self.cycle
         rel = self.sim.reliability
         iq = self.iq
-        rql = iq.ready_count
+        rql = len(iq.ready)
+        wql = len(iq.waiting)
         self._int_rql_sum += rql
-        self._int_wql_sum += iq.waiting_count
+        self._int_wql_sum += wql
         self._int_online_bit_cycles += iq.pred_ace_bits
         self._int_online_rob_bit_cycles += self.rob_pred_ace_bits
-        if self.dvm_structure == Structure.ROB:
+        if self.dvm_structure == _ROB:
             self._sample_bit_cycles += self.rob_pred_ace_bits
         else:
             self._sample_bit_cycles += iq.pred_ace_bits
@@ -766,7 +824,7 @@ class SMTPipeline:
 
         dvm = self.dvm
         if dvm is not None and cycle % rel.dvm_ratio_period == 0:
-            dvm.recompute_ratio_gate(iq.waiting_count, iq.ready_count)
+            dvm.recompute_ratio_gate(wql, rql)
         if (cycle + 1) % self._sample_period == 0:
             est = self._sample_bit_cycles / (
                 self._sample_cycles * self.avf.capacity_bits(self.dvm_structure)
@@ -790,7 +848,7 @@ class SMTPipeline:
             l2_misses=l2_now - self._int_l2_base,
         )
         self.dispatch_policy.on_interval(snap)
-        capacity = self.avf.capacity_bits(Structure.IQ)
+        capacity = self.avf.capacity_bits(_IQ)
         rec = IntervalRecord(
             index=len(self.intervals),
             end_cycle=self.cycle + 1,
@@ -804,7 +862,7 @@ class SMTPipeline:
             iq_limit=self.dispatch_policy.iq_limit,
             online_rob_estimate=(
                 self._int_online_rob_bit_cycles
-                / (cycles * self.avf.capacity_bits(Structure.ROB))
+                / (cycles * self.avf.capacity_bits(_ROB))
             ),
         )
         self.intervals.append(rec)
@@ -880,10 +938,10 @@ class SMTPipeline:
         ras_pop = bp.ras_pop
         is_mem = OP_IS_MEM
         is_control = OP_IS_CONTROL
-        op_store = OpClass.STORE
-        op_branch = OpClass.BRANCH
-        op_call = OpClass.CALL
-        op_ret = OpClass.RET
+        op_store = _STORE
+        op_branch = _BRANCH
+        op_call = _CALL
+        op_ret = _RET
         iline_shift = self._iline_shift
         last_line = -1
         for _ in range(n_insts):
@@ -1018,14 +1076,14 @@ class SMTPipeline:
         bus = self.bus if self.telemetry else None
         if bus is None or not bus.wants(TOPIC_RELIABILITY_DIVERGENCE):
             return
-        for structure, name in ((Structure.IQ, "iq"), (Structure.ROB, "rob")):
+        for structure, name in ((_IQ, "iq"), (_ROB, "rob")):
             oracle = self.avf.interval_avf(structure)
             for i, rec in enumerate(self.intervals):
                 if i >= len(oracle):
                     break
                 online = (
                     rec.online_avf_estimate
-                    if structure is Structure.IQ
+                    if structure is _IQ
                     else rec.online_rob_estimate
                 )
                 bus.emit(
@@ -1094,8 +1152,8 @@ class SMTPipeline:
             warm_committed=sum(warm_pt),
             warm_per_thread_committed=warm_pt,
             intervals=self.intervals,
-            iq_interval_avf=self.avf.interval_avf(Structure.IQ),
-            rob_interval_avf=self.avf.interval_avf(Structure.ROB),
+            iq_interval_avf=self.avf.interval_avf(_IQ),
+            rob_interval_avf=self.avf.interval_avf(_ROB),
             overall_avf={s: self.avf.overall_avf(s) for s in Structure},
             squashed=self.total_squashed,
             flushes=self.flush_count,

@@ -17,6 +17,7 @@ from repro.isa.instruction import DynInst, DynState
 
 #: Producer states whose results are already available to consumers.
 _DONE = (DynState.COMPLETED, DynState.COMMITTED)
+_SQUASHED = DynState.SQUASHED
 
 
 class RenameTable:
@@ -32,10 +33,11 @@ class RenameTable:
         """Fill ``inst.src_tags`` with the tags of still-pending
         producers of its architectural sources."""
         pending: list[int] = []
+        rmap = self._map
         for reg in inst.static.srcs:
-            producer = self._map.get(reg)
+            producer = rmap.get(reg)
             if producer is not None and producer.state not in _DONE:
-                if producer.state == DynState.SQUASHED:
+                if producer.state == _SQUASHED:
                     continue  # stale mapping; treat as available
                 tag = producer.tag
                 if tag not in pending:
@@ -45,9 +47,11 @@ class RenameTable:
     def set_dest(self, inst: DynInst) -> None:
         """Record ``inst`` as the youngest producer of its destination,
         remembering the previous producer for squash repair."""
-        if inst.static.dest >= 0:
-            inst.prev_producer = self._map.get(inst.static.dest)
-            self._map[inst.static.dest] = inst
+        dest = inst.static.dest
+        if dest >= 0:
+            rmap = self._map
+            inst.prev_producer = rmap.get(dest)
+            rmap[dest] = inst
 
     def unwind(self, inst: DynInst) -> None:
         """Undo ``set_dest`` for a squashed instruction.

@@ -12,6 +12,8 @@ from collections import deque
 
 from repro.isa.instruction import DynInst, DynState
 
+_COMMITTED = DynState.COMMITTED
+
 
 class ReorderBuffer:
     """In-order retirement buffer of one hardware thread."""
@@ -37,7 +39,7 @@ class ReorderBuffer:
         return len(self.entries) >= self.capacity
 
     def push(self, inst: DynInst) -> None:
-        if self.full:
+        if len(self.entries) >= self.capacity:
             raise RuntimeError(f"ROB of thread {self.thread} overflow")
         self.entries.append(inst)
 
@@ -47,7 +49,7 @@ class ReorderBuffer:
     def commit_head(self) -> DynInst:
         """Retire the completed head entry."""
         inst = self.entries.popleft()
-        inst.state = DynState.COMMITTED
+        inst.state = _COMMITTED
         return inst
 
     def squash_after(self, after_tag: int) -> list[DynInst]:

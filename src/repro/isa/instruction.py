@@ -17,6 +17,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.config import MachineConfig
 
 
 class OpClass(enum.IntEnum):
@@ -40,26 +44,58 @@ class OpClass(enum.IntEnum):
 
     @property
     def is_mem(self) -> bool:
-        return self in (OpClass.LOAD, OpClass.STORE, OpClass.PREFETCH)
+        return self in MEM_OPS
 
     @property
     def is_control(self) -> bool:
-        return self in (OpClass.BRANCH, OpClass.JUMP, OpClass.CALL, OpClass.RET)
+        return self in CONTROL_OPS
 
     @property
     def is_fp(self) -> bool:
-        return self in (OpClass.FALU, OpClass.FMULT, OpClass.FDIV, OpClass.FSQRT)
+        return self in FP_OPS
 
+
+MEM_OPS: frozenset[OpClass] = frozenset(
+    {OpClass.LOAD, OpClass.STORE, OpClass.PREFETCH}
+)
+CONTROL_OPS: frozenset[OpClass] = frozenset(
+    {OpClass.BRANCH, OpClass.JUMP, OpClass.CALL, OpClass.RET}
+)
+FP_OPS: frozenset[OpClass] = frozenset(
+    {OpClass.FALU, OpClass.FMULT, OpClass.FDIV, OpClass.FSQRT}
+)
 
 #: Struct-of-arrays opclass predicates, indexed by the OpClass ordinal:
-#: hot loops (functional warm-up, the fast engine's cycle loop) replace
-#: per-instruction ``is_mem``/``is_control`` property calls with a flat
-#: tuple load.
+#: per-instruction code (the stage methods, functional warm-up, the
+#: fast engine's cycle loop) replaces ``is_mem``/``is_control``
+#: property calls with a flat tuple load.
 N_OPCLASSES = max(OpClass) + 1
-OP_IS_MEM: tuple[bool, ...] = tuple(OpClass(i).is_mem for i in range(N_OPCLASSES))
-OP_IS_CONTROL: tuple[bool, ...] = tuple(
-    OpClass(i).is_control for i in range(N_OPCLASSES)
+OP_IS_MEM: tuple[bool, ...] = tuple(i in MEM_OPS for i in range(N_OPCLASSES))
+OP_IS_CONTROL: tuple[bool, ...] = tuple(i in CONTROL_OPS for i in range(N_OPCLASSES))
+
+#: The ``MachineConfig`` latency field of each opclass, indexed by the
+#: OpClass ordinal (memory operations take their latency from the cache
+#: hierarchy; everything else not listed is single-cycle integer work).
+_OP_LATENCY_FIELD: dict[OpClass, str] = {
+    OpClass.IMULT: "lat_int_mult",
+    OpClass.IDIV: "lat_int_div",
+    OpClass.FALU: "lat_fp_alu",
+    OpClass.FMULT: "lat_fp_mult",
+    OpClass.FDIV: "lat_fp_div",
+    OpClass.FSQRT: "lat_fp_sqrt",
+}
+OP_LATENCY_FIELD: tuple[str, ...] = tuple(
+    _OP_LATENCY_FIELD.get(OpClass(i), "lat_int_alu") for i in range(N_OPCLASSES)
 )
+
+
+def op_latency_table(machine: "MachineConfig") -> tuple[int, ...]:
+    """Per-machine execution latency of every opclass, indexed by the
+    OpClass ordinal."""
+    return tuple(int(getattr(machine, name)) for name in OP_LATENCY_FIELD)
+
+
+_BRANCH = OpClass.BRANCH
 
 
 class MemPattern(enum.IntEnum):
@@ -138,9 +174,9 @@ class StaticInst:
     is_output: bool = False
 
     def __post_init__(self) -> None:
-        if self.opclass.is_mem and self.mem is None:
+        if self.opclass in MEM_OPS and self.mem is None:
             raise ValueError(f"memory instruction at pc={self.pc:#x} needs MemBehavior")
-        if self.opclass == OpClass.BRANCH and self.branch is None:
+        if self.opclass == _BRANCH and self.branch is None:
             raise ValueError(f"branch at pc={self.pc:#x} needs BranchBehavior")
 
     @property

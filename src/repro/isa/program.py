@@ -21,12 +21,20 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.isa.instruction import (
+    CONTROL_OPS,
     BranchBehavior,
     MemBehavior,
     MemPattern,
     OpClass,
     StaticInst,
 )
+
+_BRANCH = OpClass.BRANCH
+_JUMP = OpClass.JUMP
+_CALL = OpClass.CALL
+_RET = OpClass.RET
+_SEQUENTIAL = MemPattern.SEQUENTIAL
+_HOT = MemPattern.HOT
 
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 1.0 / (1 << 53)
@@ -68,13 +76,13 @@ class BasicBlock:
 
     @property
     def terminator(self) -> StaticInst | None:
-        if self.insts and self.insts[-1].opclass.is_control:
+        if self.insts and self.insts[-1].opclass in CONTROL_OPS:
             return self.insts[-1]
         return None
 
     def validate(self) -> None:
         for inst in self.insts[:-1]:
-            if inst.opclass.is_control:
+            if inst.opclass in CONTROL_OPS:
                 raise ValueError(
                     f"block {self.bid}: control instruction pc={inst.pc:#x} not at block end"
                 )
@@ -108,9 +116,9 @@ class SyntheticProgram:
             term = block.terminator
             targets: list[int] = []
             if term is not None:
-                if term.opclass in (OpClass.BRANCH,):
+                if term.opclass == _BRANCH:
                     targets = [term.taken_block, term.fall_block]
-                elif term.opclass in (OpClass.JUMP, OpClass.CALL):
+                elif term.opclass == _JUMP or term.opclass == _CALL:
                     targets = [term.taken_block]
                 # RET targets are dynamic (call stack)
             else:
@@ -138,7 +146,7 @@ class ThreadContext:
 
         st = ctx.peek()
         pos = ctx.stream_pos
-        if st.opclass.is_control:
+        if OP_IS_CONTROL[st.opclass]:
             taken, target = ctx.resolve_control(st)   # oracle outcome
             ctx.advance_control(st, followed_taken, followed_target)
         else:
@@ -194,12 +202,12 @@ class ThreadContext:
         """Oracle (taken, target block) of the control instruction at the
         current fetch point."""
         op = st.opclass
-        if op == OpClass.BRANCH:
+        if op == _BRANCH:
             taken = self.branch_taken(st, self.stream_pos)
             return taken, (st.taken_block if taken else st.fall_block)
-        if op in (OpClass.JUMP, OpClass.CALL):
+        if op == _JUMP or op == _CALL:
             return True, st.taken_block
-        if op == OpClass.RET:
+        if op == _RET:
             if self.call_stack:
                 return True, self.call_stack[-1]
             return True, self.program.entry  # underflow: restart program
@@ -208,12 +216,12 @@ class ThreadContext:
     def mem_address(self, st: StaticInst, stream_pos: int) -> int:
         """Actual effective address of a memory instruction instance."""
         mb: MemBehavior = st.mem  # type: ignore[assignment]
-        if mb.pattern == MemPattern.SEQUENTIAL:
+        if mb.pattern == _SEQUENTIAL:
             # Advance ~one stride per executed loop body (not per
             # instruction), so consecutive executions of this load walk
             # the array with spatial locality.
             offset = ((stream_pos >> mb.advance_shift) * mb.stride + (st.pc & 0xFF8)) % mb.footprint
-        elif mb.pattern == MemPattern.HOT:
+        elif mb.pattern == _HOT:
             span = max(mb.hot_size // 8, 1)
             offset = (mix64(st.pc, stream_pos, self.seed) % span) * 8
         else:  # RANDOM
@@ -267,7 +275,7 @@ class ThreadContext:
         self.stream_pos += 1
         self.fetched += 1
         op = st.opclass
-        if op == OpClass.CALL:
+        if op == _CALL:
             if len(self.call_stack) >= self.MAX_CALL_DEPTH:
                 self.call_stack.pop(0)
             # Return site: the CALL's own fall-through block.
@@ -275,7 +283,7 @@ class ThreadContext:
             if ret < 0:
                 ret = self.program.blocks[self.block].fall_block
             self.call_stack.append(ret if ret >= 0 else self.program.entry)
-        elif op == OpClass.RET:
+        elif op == _RET:
             if self.call_stack:
                 self.call_stack.pop()
         self.block = target

@@ -34,7 +34,10 @@ class CacheStats:
 class SetAssocCache:
     """A set-associative, true-LRU, write-allocate tag array."""
 
-    __slots__ = ("name", "config", "stats", "_sets", "_set_mask", "_line_shift")
+    __slots__ = (
+        "name", "config", "stats", "_sets", "_set_mask", "_line_shift", "_tag_shift",
+        "_assoc",
+    )
 
     def __init__(self, config: CacheConfig, name: str = "cache"):
         config.validate()
@@ -45,10 +48,12 @@ class SetAssocCache:
         self._sets: list[list[int]] = [[] for _ in range(num_sets)]
         self._set_mask = num_sets - 1
         self._line_shift = config.line_size.bit_length() - 1
+        self._tag_shift = self._set_mask.bit_length()
+        self._assoc = config.assoc
 
     def _index_tag(self, addr: int) -> tuple[int, int]:
         line = addr >> self._line_shift
-        return line & self._set_mask, line >> (self._set_mask.bit_length())
+        return line & self._set_mask, line >> self._tag_shift
 
     def lookup(self, addr: int) -> bool:
         """Probe without modifying replacement state (for tests and the
@@ -63,23 +68,23 @@ class SetAssocCache:
         assumed to complete; timing is charged by the hierarchy), which
         may evict the LRU line of the set.
         """
-        idx, tag = self._index_tag(addr)
-        way = self._sets[idx]
+        # _index_tag, inlined: this runs for every fetch line and
+        # memory operation.
+        line = addr >> self._line_shift
+        way = self._sets[line & self._set_mask]
+        tag = line >> self._tag_shift
         self.stats.accesses += 1
         if is_write:
             self.stats.writes += 1
-        try:
-            pos = way.index(tag)
-        except ValueError:
-            pos = -1
-        if pos >= 0:
+        if tag in way:
             self.stats.hits += 1
-            if pos:
-                way.insert(0, way.pop(pos))
+            if way[0] != tag:
+                way.remove(tag)
+                way.insert(0, tag)
             return True
         self.stats.misses += 1
         way.insert(0, tag)
-        if len(way) > self.config.assoc:
+        if len(way) > self._assoc:
             way.pop()
             self.stats.evictions += 1
         return False

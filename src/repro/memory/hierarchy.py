@@ -33,6 +33,22 @@ class AccessResult:
     tlb_miss: bool
 
 
+def _outcomes(
+    l1_latency: int, l2_latency: int, memory_latency: int, tlb_miss_latency: int
+) -> tuple[tuple[AccessResult, AccessResult], ...]:
+    """Every possible result of one access path, indexed by
+    ``[level][tlb missed]`` (level 0 = L1 hit, 1 = L2 hit, 2 = DRAM).
+    Latencies are fixed per machine and results are frozen, so each
+    access returns a shared instance instead of building one."""
+    return tuple(
+        tuple(
+            AccessResult(l1_latency + extra + penalty, level >= 1, level == 2, penalty > 0)
+            for penalty in (0, tlb_miss_latency)
+        )
+        for level, extra in enumerate((0, l2_latency, l2_latency + memory_latency))
+    )
+
+
 class MemoryHierarchy:
     """Shared L1I/L1D + unified L2 + DRAM, with ITLB/DTLB."""
 
@@ -44,7 +60,14 @@ class MemoryHierarchy:
         self.l2 = SetAssocCache(machine.l2, "L2")
         self.itlb = TLB(machine.itlb, "ITLB")
         self.dtlb = TLB(machine.dtlb, "DTLB")
-        self.memory_latency = machine.memory_latency
+        self._instr_outcomes = _outcomes(
+            machine.l1i.latency, machine.l2.latency, machine.memory_latency,
+            machine.itlb.miss_latency,
+        )
+        self._data_outcomes = _outcomes(
+            machine.l1d.latency, machine.l2.latency, machine.memory_latency,
+            machine.dtlb.miss_latency,
+        )
         # Running counters the fetch policies / Optimization 2 consume.
         self.l2_miss_count = 0
         self.l2_data_miss_count = 0
@@ -62,31 +85,27 @@ class MemoryHierarchy:
     def access_instr(self, addr: int, thread: int) -> AccessResult:
         """Instruction fetch access: ITLB + L1I + (L2 + DRAM)."""
         a = self.thread_addr(addr, thread)
-        tlb_penalty = self.itlb.access(a)
-        latency = self.machine.l1i.latency + tlb_penalty
+        tlb_missed = self.itlb.access(a) > 0
+        outcomes = self._instr_outcomes
         if self.l1i.access(a):
-            return AccessResult(latency, False, False, tlb_penalty > 0)
-        latency += self.machine.l2.latency
+            return outcomes[0][tlb_missed]
         if self.l2.access(a):
-            return AccessResult(latency, True, False, tlb_penalty > 0)
+            return outcomes[1][tlb_missed]
         self.l2_miss_count += 1
-        latency += self.memory_latency
-        return AccessResult(latency, True, True, tlb_penalty > 0)
+        return outcomes[2][tlb_missed]
 
     def access_data(self, addr: int, thread: int, is_write: bool = False) -> AccessResult:
         """Data access: DTLB + L1D + (L2 + DRAM)."""
         a = self.thread_addr(addr, thread)
-        tlb_penalty = self.dtlb.access(a)
-        latency = self.machine.l1d.latency + tlb_penalty
+        tlb_missed = self.dtlb.access(a) > 0
+        outcomes = self._data_outcomes
         if self.l1d.access(a, is_write):
-            return AccessResult(latency, False, False, tlb_penalty > 0)
-        latency += self.machine.l2.latency
+            return outcomes[0][tlb_missed]
         if self.l2.access(a, is_write):
-            return AccessResult(latency, True, False, tlb_penalty > 0)
+            return outcomes[1][tlb_missed]
         self.l2_miss_count += 1
         self.l2_data_miss_count += 1
-        latency += self.memory_latency
-        return AccessResult(latency, True, True, tlb_penalty > 0)
+        return outcomes[2][tlb_missed]
 
     def reset_stats(self) -> None:
         for c in (self.l1i, self.l1d, self.l2):

@@ -100,43 +100,63 @@ class _ThreadAnalyzer:
         self._owner = owner
 
     def commit(self, dyn: DynInst, cycle: int) -> None:
-        self.stats.committed += 1
+        stats = self.stats
+        stats.committed += 1
         rec = _Record(dyn, cycle)
         st = dyn.static
         op = st.opclass
+        never_ace = op in _NEVER_ACE
+        last_writer = self.last_writer
 
         # Link to producers (reads precede the write below in program
         # order, so self-reads link the previous instance).
-        if op not in _NEVER_ACE:
+        if not never_ace:
+            producers = rec.producers
             for reg in st.srcs:
-                producer = self.last_writer.get(reg)
+                producer = last_writer.get(reg)
                 if producer is not None:
-                    rec.producers.append(producer)
+                    producers.append(producer)
                     producer.last_read_cycle = cycle
 
         # Destination overwrite: the previous writer's register-file
         # lifetime ends here.
-        if st.dest >= 0:
-            old = self.last_writer.get(st.dest)
+        dest = st.dest
+        if dest >= 0:
+            old = last_writer.get(dest)
             if old is not None and self._rf_cb is not None:
                 self._rf_cb(old, cycle)
-            self.last_writer[st.dest] = rec
+            last_writer[dest] = rec
 
-        if op in _NEVER_ACE:
-            self._resolve(rec)
+        # Never-ACE ops and ACE roots resolve at commit (the fresh
+        # record is unresolved, so this is _resolve without its guard);
+        # everything else waits in the window.
+        if never_ace:
+            rec.resolved = True
+            dyn.ace = False
+            stats.unace += 1
+            if self._resolve_cb is not None:
+                self._resolve_cb(dyn)
         elif op in _ROOTS or st.is_output:
-            self._mark_ace(rec)
-            self._resolve(rec)
-        else:
-            pass  # waits in the window
+            rec.ace = True
+            if rec.producers:
+                self._mark_ace(rec.producers)
+                rec.producers = []  # already propagated; release references
+            rec.resolved = True
+            dyn.ace = True
+            stats.ace += 1
+            if self._resolve_cb is not None:
+                self._resolve_cb(dyn)
 
-        self.window.append(rec)
-        while len(self.window) > self.window_size:
-            self._resolve(self.window.popleft())
+        window = self.window
+        window.append(rec)
+        while len(window) > self.window_size:
+            old = window.popleft()
+            if not old.resolved:
+                self._resolve(old)
 
-    def _mark_ace(self, rec: _Record) -> None:
-        """Transitively mark ``rec`` and its producers ACE."""
-        stack = [rec]
+    def _mark_ace(self, stack: list[_Record]) -> None:
+        """Transitively mark the records on ``stack`` (consumed) and
+        their producers ACE."""
         while stack:
             r = stack.pop()
             if r.ace:

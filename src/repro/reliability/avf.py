@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.config import MachineConfig
-from repro.isa.instruction import DynInst, DynState, OpClass
+from repro.isa.instruction import OP_IS_MEM, DynInst, DynState, OpClass
 from repro.telemetry.bus import EventBus
 from repro.telemetry.topics import TOPIC_RELIABILITY_ATTRIBUTION, TOPIC_RELIABILITY_RF
 
@@ -121,6 +121,13 @@ class AVFBitLayout:
 
 
 _QUIET = frozenset({OpClass.NOP, OpClass.PREFETCH})
+_SQUASHED = DynState.SQUASHED
+# Plain-int structure indices for the per-instruction accumulators.
+_IQ = int(Structure.IQ)
+_ROB = int(Structure.ROB)
+_RF = int(Structure.RF)
+_FU = int(Structure.FU)
+_NO_BITS = (0, 0, 0)
 
 
 class AVFAccount:
@@ -148,9 +155,14 @@ class AVFAccount:
             Structure.RF: max(lay.rf_physical_regs, machine.num_threads * 64) * lay.rf_reg_bits,
             Structure.FU: n_fu * lay.fu_entry_bits,
         }
-        # bit-cycles, overall and per interval index.
-        self._acc = {s: 0 for s in Structure}
-        self._interval_acc: dict[Structure, dict[int, int]] = {s: {} for s in Structure}
+        # (IQ, ROB, FU) oracle bits of a quiet, an ACE and an un-ACE
+        # committed instruction.
+        self._bits_quiet = (lay.iq_nop, lay.rob_nop, 0)
+        self._bits_ace = (lay.iq_ace, lay.rob_ace, lay.fu_ace)
+        self._bits_unace = (lay.iq_unace, lay.rob_unace, lay.fu_unace)
+        # bit-cycles, overall and per interval index, indexed by Structure.
+        self._acc: list[int] = [0] * len(Structure)
+        self._interval_acc: list[dict[int, int]] = [{} for _ in Structure]
         self.total_cycles = 0
         # Optional event bus (the pipeline attaches its bus when
         # telemetry is on).  wants() is cached against bus.version so
@@ -160,96 +172,106 @@ class AVFAccount:
         self._want_attr = False
         self._want_rf = False
 
-    def _refresh_wants(self) -> None:
-        bus = self.bus
-        if bus is None:
-            self._want_attr = False
-            self._want_rf = False
-            return
-        if bus.version != self._bus_version:
-            self._bus_version = bus.version
-            self._want_attr = bus.wants(TOPIC_RELIABILITY_ATTRIBUTION)
-            self._want_rf = bus.wants(TOPIC_RELIABILITY_RF)
+    def _refresh_wants(self, bus: EventBus) -> None:
+        """Re-read the subscription flags (callers compare
+        ``bus.version`` first, so this runs once per change)."""
+        self._bus_version = bus.version
+        self._want_attr = bus.wants(TOPIC_RELIABILITY_ATTRIBUTION)
+        self._want_rf = bus.wants(TOPIC_RELIABILITY_RF)
 
     # ------------------------------------------------------------------
     # Bit classification
     # ------------------------------------------------------------------
+    def _oracle_bits(self, dyn: DynInst) -> tuple[int, int, int]:
+        """(IQ, ROB, FU) oracle ACE bits of a resolved instruction: a
+        squashed or unresolved one contributes nothing."""
+        ace = dyn.ace
+        if ace is None or dyn.state == _SQUASHED:
+            return _NO_BITS
+        if dyn.static.opclass in _QUIET:
+            return self._bits_quiet
+        return self._bits_ace if ace else self._bits_unace
+
     def iq_bits_oracle(self, dyn: DynInst) -> int:
-        if dyn.state == DynState.SQUASHED or dyn.ace is None:
-            return 0
-        if dyn.opclass in _QUIET:
-            return self.layout.iq_nop
-        return self.layout.iq_ace if dyn.ace else self.layout.iq_unace
+        return self._oracle_bits(dyn)[0]
+
+    def rob_bits_oracle(self, dyn: DynInst) -> int:
+        return self._oracle_bits(dyn)[1]
+
+    def fu_bits_oracle(self, dyn: DynInst) -> int:
+        return self._oracle_bits(dyn)[2]
 
     def iq_bits_pred(self, dyn: DynInst) -> int:
         """Predicted-ACE bits — what DVM's hardware counter sees."""
-        if dyn.opclass in _QUIET:
+        if dyn.static.opclass in _QUIET:
             return self.layout.iq_nop
         return self.layout.iq_ace if dyn.ace_pred else self.layout.iq_unace
 
     def rob_bits_pred(self, dyn: DynInst) -> int:
         """Predicted-ACE ROB bits (the ROB-DVM extension's counter)."""
-        if dyn.opclass in _QUIET:
+        if dyn.static.opclass in _QUIET:
             return self.layout.rob_nop
         return self.layout.rob_ace if dyn.ace_pred else self.layout.rob_unace
-
-    def rob_bits_oracle(self, dyn: DynInst) -> int:
-        if dyn.state == DynState.SQUASHED or dyn.ace is None:
-            return 0
-        if dyn.opclass in _QUIET:
-            return self.layout.rob_nop
-        return self.layout.rob_ace if dyn.ace else self.layout.rob_unace
-
-    def fu_bits_oracle(self, dyn: DynInst) -> int:
-        if dyn.state == DynState.SQUASHED or dyn.ace is None:
-            return 0
-        if dyn.opclass in _QUIET:
-            return 0
-        return self.layout.fu_ace if dyn.ace else self.layout.fu_unace
 
     # ------------------------------------------------------------------
     # Attribution
     # ------------------------------------------------------------------
-    def _add(self, structure: Structure, bit_cycles: int, last_resident_cycle: int) -> None:
-        if bit_cycles <= 0:
-            return
-        self._acc[structure] += bit_cycles
-        bucket = interval_bucket(last_resident_cycle, self.interval_cycles)
-        intervals = self._interval_acc[structure]
-        intervals[bucket] = intervals.get(bucket, 0) + bit_cycles
-
     def on_resolved(self, dyn: DynInst) -> None:
         """ACE-analyzer resolution callback: attribute all residencies of
         a committed instruction.
 
         Each residency is bucketed by its *last resident cycle* (leave
         cycle minus one), matching the cycle the online counters charged
-        — see the module docstring for the interval-edge rationale.
+        — see the module docstring.  Only positive bit-cycle counts are
+        added, and those imply a residency that started at cycle >= 0,
+        so the bucket is :func:`interval_bucket` without its clamp.
         """
+        iq_bits, rob_bits, fu_bits = self._oracle_bits(dyn)
+        acc = self._acc
+        interval_acc = self._interval_acc
+        interval = self.interval_cycles
         iq_bc = rob_bc = fu_bc = 0
-        if dyn.iq_leave_cycle >= 0 and dyn.dispatch_cycle >= 0:
-            res = dyn.iq_leave_cycle - dyn.dispatch_cycle
-            iq_bc = self.iq_bits_oracle(dyn) * res
-            self._add(Structure.IQ, iq_bc, dyn.iq_leave_cycle - 1)
-        if dyn.commit_cycle >= 0 and dyn.dispatch_cycle >= 0:
-            res = dyn.commit_cycle - dyn.dispatch_cycle
-            rob_bc = self.rob_bits_oracle(dyn) * res
-            self._add(Structure.ROB, rob_bc, dyn.commit_cycle - 1)
-        if dyn.issue_cycle >= 0:
+        dispatch = dyn.dispatch_cycle
+        if dispatch >= 0:
+            leave = dyn.iq_leave_cycle
+            if leave >= 0:
+                iq_bc = iq_bits * (leave - dispatch)
+                if iq_bc > 0:
+                    acc[_IQ] += iq_bc
+                    bucket = (leave - 1) // interval
+                    intervals = interval_acc[_IQ]
+                    intervals[bucket] = intervals.get(bucket, 0) + iq_bc
+            commit = dyn.commit_cycle
+            if commit >= 0:
+                rob_bc = rob_bits * (commit - dispatch)
+                if rob_bc > 0:
+                    acc[_ROB] += rob_bc
+                    bucket = (commit - 1) // interval
+                    intervals = interval_acc[_ROB]
+                    intervals[bucket] = intervals.get(bucket, 0) + rob_bc
+        issue = dyn.issue_cycle
+        if issue >= 0:
             # Memory operations occupy their load/store unit only for
             # address generation; the (pipelined) cache fill does not
             # hold operand latches in the FU.
-            res = 1 if dyn.opclass.is_mem else max(dyn.exec_latency, 1)
-            fu_bc = self.fu_bits_oracle(dyn) * res
-            self._add(Structure.FU, fu_bc, dyn.issue_cycle + res - 1)
-        self._refresh_wants()
+            res = 1 if OP_IS_MEM[dyn.static.opclass] else max(dyn.exec_latency, 1)
+            fu_bc = fu_bits * res
+            if fu_bc > 0:
+                acc[_FU] += fu_bc
+                bucket = (issue + res - 1) // interval
+                intervals = interval_acc[_FU]
+                intervals[bucket] = intervals.get(bucket, 0) + fu_bc
+        bus = self.bus
+        if bus is None:
+            return
+        if bus.version != self._bus_version:
+            self._refresh_wants(bus)
         if self._want_attr:
-            assert self.bus is not None
-            self.bus.emit(
+            bus.emit(
                 TOPIC_RELIABILITY_ATTRIBUTION,
                 thread=dyn.thread,
                 ace=bool(dyn.ace),
-                quiet=dyn.opclass in _QUIET,
+                quiet=dyn.static.opclass in _QUIET,
                 iq_slot=dyn.iq_slot,
                 iq_bit_cycles=iq_bc,
                 rob_bit_cycles=rob_bc,
@@ -267,14 +289,21 @@ class AVFAccount:
         its last read (the interval in which a strike would corrupt a
         consumed value).  Never-read values contribute nothing.
         """
-        if rec.last_read_cycle > rec.commit_cycle:
-            cycles = rec.last_read_cycle - rec.commit_cycle
-            bit_cycles = self.layout.rf_reg_bits * cycles
-            self._add(Structure.RF, bit_cycles, rec.last_read_cycle - 1)
-            self._refresh_wants()
+        last_read = rec.last_read_cycle
+        if last_read > rec.commit_cycle:
+            bit_cycles = self.layout.rf_reg_bits * (last_read - rec.commit_cycle)
+            if bit_cycles > 0:
+                self._acc[_RF] += bit_cycles
+                bucket = (last_read - 1) // self.interval_cycles
+                intervals = self._interval_acc[_RF]
+                intervals[bucket] = intervals.get(bucket, 0) + bit_cycles
+            bus = self.bus
+            if bus is None:
+                return
+            if bus.version != self._bus_version:
+                self._refresh_wants(bus)
             if self._want_rf:
-                assert self.bus is not None
-                self.bus.emit(
+                bus.emit(
                     TOPIC_RELIABILITY_RF,
                     thread=rec.dyn.thread,
                     commit_cycle=rec.commit_cycle,

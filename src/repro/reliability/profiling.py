@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.isa.instruction import DynInst, DynState, OpClass
+from repro.isa.instruction import OP_IS_CONTROL, DynInst, DynState
 from repro.isa.program import SyntheticProgram, ThreadContext
 from repro.reliability.ace import ACEAnalyzer
+
+_COMMITTED = DynState.COMMITTED
 
 
 @dataclass
@@ -80,28 +82,37 @@ def profile_program(
     if n_instructions <= 0:
         raise ValueError("n_instructions must be positive")
     result = ProfileResult(program_name=program.name, instructions=n_instructions)
+    ace_instances = result.ace_instances
+    unace_instances = result.unace_instances
+    pc_table = result.pc_table
 
     def on_resolve(dyn: DynInst) -> None:
-        pc = dyn.pc
+        pc = dyn.static.pc
         if dyn.ace:
-            result.ace_instances[pc] = result.ace_instances.get(pc, 0) + 1
-            result.pc_table[pc] = True
+            ace_instances[pc] = ace_instances.get(pc, 0) + 1
+            pc_table[pc] = True
         else:
-            result.unace_instances[pc] = result.unace_instances.get(pc, 0) + 1
-            result.pc_table.setdefault(pc, False)
+            unace_instances[pc] = unace_instances.get(pc, 0) + 1
+            pc_table.setdefault(pc, False)
 
     analyzer = ACEAnalyzer(num_threads=1, window_size=window, resolve_cb=on_resolve)
+    commit = analyzer.commit
     ctx = ThreadContext(program, seed=seed)
+    peek = ctx.peek
+    resolve_control = ctx.resolve_control
+    advance_control = ctx.advance_control
+    advance = ctx.advance
     for i in range(n_instructions):
-        st = ctx.peek()
-        dyn = DynInst(tag=i, thread=0, static=st, stream_pos=ctx.stream_pos)
-        dyn.state = DynState.COMMITTED
-        if st.opclass.is_control:
-            taken, target = ctx.resolve_control(st)
-            ctx.advance_control(st, taken, target)
+        st = peek()
+        dyn = DynInst(
+            tag=i, thread=0, static=st, stream_pos=ctx.stream_pos, state=_COMMITTED
+        )
+        if OP_IS_CONTROL[st.opclass]:
+            taken, target = resolve_control(st)
+            advance_control(st, taken, target)
         else:
-            ctx.advance()
-        analyzer.commit(dyn, cycle=i)
+            advance()
+        commit(dyn, i)
     analyzer.flush(final_cycle=n_instructions)
     return result
 

@@ -61,6 +61,13 @@ class TestCommands:
     def test_reproduce_unknown(self, capsys):
         assert main(["reproduce", "fig99"]) == 2
 
+    def test_timeline_self_profile_needs_reference_engine(self, capsys):
+        # The fast engine records no stage laps: refuse instead of
+        # printing a timeline with an empty self-profile.
+        assert main(["timeline", "--backend", "fast", "--cycles", "2000"]) == 2
+        err = capsys.readouterr().err
+        assert "reference engine" in err and "--no-self-profile" in err
+
 
 class TestReproduceCommand:
     def test_reproduce_with_stub(self, capsys, monkeypatch, tmp_path):

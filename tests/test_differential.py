@@ -196,6 +196,89 @@ class TestBackendParity:
 
 
 # ----------------------------------------------------------------------
+# Golden digests: parity only holds the two engines to each other, so a
+# drift in a component both share (ACE, AVF, IQ, rename) would pass it.
+# These pin the reference engine's results themselves.  A change meant
+# to alter simulated behaviour regenerates them with
+# ``result_digest(_run_backend("reference", ...))`` and says why.
+# ----------------------------------------------------------------------
+import dataclasses
+import hashlib
+import json
+
+
+def _canon(value):
+    """JSON-ready form of every compared field (provenance and the
+    metrics snapshot are ``compare=False`` and left out), canonicalised
+    like the end-to-end benchmark's result digests."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: _canon(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.compare
+        }
+    if isinstance(value, dict):
+        return {str(getattr(k, "name", k)): _canon(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canon(v) for v in value]
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    return value
+
+
+def result_digest(result):
+    return hashlib.sha256(
+        json.dumps(_canon(result), sort_keys=True).encode()
+    ).hexdigest()
+
+
+def _grid_id(mix, fetch_policy, scheduler, dvm_on):
+    return f"{mix}-{fetch_policy}-{scheduler}-{'dvm' if dvm_on else 'base'}"
+
+
+# The parity grid's profiles are unapplied (every ace_hint is ACE), so
+# VISA orders exactly like oldest-first and those rows share digests.
+_GOLDEN = {
+    "MEM-A-icount-oldest-base": "38ff5fa1d7e172d6f2a999e55a668c0a4fb5d5e914c358158aac2fb0a23b7e2c",
+    "MEM-A-icount-oldest-dvm": "a1be5f431638d16b5f96393372e42563164548ad2282dc29fbf5c69202a4d18b",
+    "MEM-A-icount-visa-base": "38ff5fa1d7e172d6f2a999e55a668c0a4fb5d5e914c358158aac2fb0a23b7e2c",
+    "MEM-A-icount-visa-dvm": "a1be5f431638d16b5f96393372e42563164548ad2282dc29fbf5c69202a4d18b",
+    "MEM-A-flush-oldest-base": "270f7473473ad369ac48e9a4b2f5a7712361822cfa614c0abde7b3e03b69a24b",
+    "MEM-A-flush-visa-dvm": "04ec7f7ae63e83f9eb0808946bd07c92ced308b5ed7e41620072b5f2c7a83b7d",
+    "MEM-A-stall-oldest-base": "054243ab4bfaa66f590d913d9e0b185146a5f02e3193895ea7a24cbc681bccfb",
+    "MEM-A-rr-oldest-base": "e002063655ba6e3732d92b1071eba8df9a7bf7f82deeab26f9016780497cb0bb",
+    "CPU-A-icount-oldest-base": "8abe9dab46df754fb742ed38a736edeec8de55f8ca0601b4912d511eb2c8fe04",
+    "CPU-A-icount-visa-dvm": "c748c6d8e5e24e84c21043d31c4eddcbbe0d2402e83a3ead1f5704d344f96f24",
+    "CPU-A-pdg-oldest-base": "a1a5752aa9feb6b8439213fade50a6ea93ee5f00264e07a1de88907465288d6a",
+    "CPU-A-rr-visa-base": "b9dfa2de9dd0a2b22465afbdb8e48812657d1fa81ff1a0fb239d394683e97322",
+}
+_GOLDEN_WARMUP_ZERO = "e706b5f0ca32d99bb2bd30bc49bfdc64f2c205e6a6d7194ef141e114ad471eeb"
+_GOLDEN_HISTOGRAM = "9ff0bd34622dd40127f2bfbb23ea0b64ebe169ad354e7cb625bae23601a129ff"
+
+
+class TestGoldenDigests:
+    def test_golden_covers_the_parity_grid(self):
+        assert set(_GOLDEN) == {_grid_id(*row) for row in _PARITY_GRID}
+
+    @pytest.mark.parametrize(
+        "mix,fetch_policy,scheduler,dvm_on", _PARITY_GRID,
+        ids=[_grid_id(*row) for row in _PARITY_GRID],
+    )
+    def test_reference_reproduces_golden(self, mix, fetch_policy, scheduler, dvm_on):
+        res = _run_backend("reference", mix, fetch_policy, scheduler, dvm_on)
+        assert result_digest(res) == _GOLDEN[_grid_id(mix, fetch_policy, scheduler, dvm_on)]
+
+    def test_warmup_zero_edge(self):
+        res = _run_backend("reference", "MEM-A", "icount", "oldest", False, warmup=0)
+        assert result_digest(res) == _GOLDEN_WARMUP_ZERO
+
+    def test_ready_queue_histograms(self):
+        res = _run_backend("reference", "MEM-A", "icount", "visa", True, hist=True)
+        assert res.ready_hist is not None
+        assert result_digest(res) == _GOLDEN_HISTOGRAM
+
+
+# ----------------------------------------------------------------------
 # Issue-bandwidth starvation regression (the bugfix this PR pins).
 # ----------------------------------------------------------------------
 def _fu_burst_program(n_fmult, n_ialu, name="fmult-burst"):

@@ -4,7 +4,14 @@ import pytest
 
 from repro.config import MachineConfig
 from repro.core.functional_units import FunctionalUnitPool, op_latency
-from repro.isa.instruction import OpClass
+from repro.core.pipeline import SMTPipeline
+from repro.isa.generator import generate_program
+from repro.isa.instruction import (
+    OP_IS_CONTROL,
+    OP_IS_MEM,
+    OpClass,
+    op_latency_table,
+)
 
 
 @pytest.fixture()
@@ -90,3 +97,63 @@ class TestLatencies:
             < op_latency(self.m, OpClass.IMULT)
             < op_latency(self.m, OpClass.IDIV)
         )
+
+
+#: Every opclass's latency field; memory and control classes fall back
+#: to the integer ALU latency (memory timing comes from the caches).
+_EXPECTED_LATENCY_FIELD = {
+    OpClass.IALU: "lat_int_alu",
+    OpClass.IMULT: "lat_int_mult",
+    OpClass.IDIV: "lat_int_div",
+    OpClass.FALU: "lat_fp_alu",
+    OpClass.FMULT: "lat_fp_mult",
+    OpClass.FDIV: "lat_fp_div",
+    OpClass.FSQRT: "lat_fp_sqrt",
+    OpClass.LOAD: "lat_int_alu",
+    OpClass.STORE: "lat_int_alu",
+    OpClass.BRANCH: "lat_int_alu",
+    OpClass.JUMP: "lat_int_alu",
+    OpClass.CALL: "lat_int_alu",
+    OpClass.RET: "lat_int_alu",
+    OpClass.NOP: "lat_int_alu",
+    OpClass.PREFETCH: "lat_int_alu",
+}
+
+_MACHINES = {
+    "default": MachineConfig(),
+    # Pairwise-distinct latencies, so a row pointing at the wrong field
+    # cannot agree by coincidence.
+    "distinct": MachineConfig(
+        lat_int_alu=2, lat_int_mult=5, lat_int_div=31, lat_fp_alu=3,
+        lat_fp_mult=7, lat_fp_div=17, lat_fp_sqrt=29,
+    ),
+}
+
+
+class TestOpclassTables:
+    """The ordinal-indexed tables per-instruction code reads must agree
+    with the enum predicates and ``op_latency`` they replace."""
+
+    def test_every_opclass_has_an_expected_latency(self):
+        assert set(_EXPECTED_LATENCY_FIELD) == set(OpClass)
+
+    @pytest.mark.parametrize("op", list(OpClass), ids=lambda op: op.name)
+    def test_predicate_tables_match_properties(self, op):
+        assert OP_IS_MEM[op] is op.is_mem
+        assert OP_IS_CONTROL[op] is op.is_control
+
+    @pytest.mark.parametrize("name", sorted(_MACHINES))
+    def test_latency_table_matches_op_latency(self, name):
+        m = _MACHINES[name]
+        m.validate()
+        table = op_latency_table(m)
+        assert len(table) == len(OpClass)
+        for op in OpClass:
+            expected = getattr(m, _EXPECTED_LATENCY_FIELD[op])
+            assert table[op] == op_latency(m, op) == expected, op.name
+
+    def test_pipeline_issues_with_its_machine_table(self):
+        m = _MACHINES["distinct"]
+        pipe = SMTPipeline([generate_program("gcc", seed=1)], machine=m)
+        assert pipe._op_latency == op_latency_table(pipe.machine)
+        assert pipe._op_latency[OpClass.FDIV] == 17
