@@ -3,9 +3,7 @@
 Importing this package registers every built-in rule; the registry does
 this lazily so ``import repro.analysis`` stays cheap.  Per-file
 (AST-only) rules come first; the rest are project-wide passes built
-on :mod:`repro.analysis.flow` — the dataflow passes, the backend
-state-contract pair (``state-contract-drift``,
-``escaped-state-write``) from :mod:`repro.analysis.effects`, and the
+on :mod:`repro.analysis.flow` — the dataflow passes and the
 performance/concurrency tier from :mod:`repro.analysis.perfmodel`
 (``hot-loop-alloc``, ``pickle-safety``, ``fork-safety``).
 """
@@ -21,10 +19,6 @@ from repro.analysis.checkers.nondet_iteration import NondetIterationChecker
 from repro.analysis.checkers.paper_fidelity import PaperFidelityChecker
 from repro.analysis.checkers.slots import SlotsCompletenessChecker
 from repro.analysis.checkers.stage_purity import StagePurityChecker
-from repro.analysis.checkers.state_contract import (
-    EscapedStateWriteChecker,
-    StateContractDriftChecker,
-)
 from repro.analysis.perfmodel.forksafety import (
     ForkSafetyChecker,
     PickleSafetyChecker,
@@ -37,8 +31,6 @@ __all__ = [
     "DeterminismChecker",
     "DimensionChecker",
     "EmitCoverageChecker",
-    "EscapedStateWriteChecker",
-    "StateContractDriftChecker",
     "EventSchemaChecker",
     "HiddenStateChecker",
     "NondetIterationChecker",

@@ -11,12 +11,6 @@ report (:mod:`repro.analysis.perfmodel`): hot-function ranking,
 vectorizability worklist, and — with ``--validate-spans trace.json`` —
 rank-correlation of the static model against measured perf spans.
 
-``python -m repro.lint contract`` dispatches to the backend-contract
-extractor (:mod:`repro.analysis.effects`): per-stage read/write sets,
-stage-ordering dependencies, per-thread vs shared state, and
-SoA-feasibility verdicts — ``--write-contract`` persists the canonical
-``backend-contract.json``, ``--diff`` gates on drift against it.
-
 ``--changed`` scopes the run to the files the git working tree touched
 plus their reverse import-dependent closure from the incremental
 cache — the fast pre-commit mode.
@@ -223,10 +217,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.analysis.perfmodel.cli import hotpaths_main
 
         return hotpaths_main(argv[1:])
-    if argv and argv[0] == "contract":
-        from repro.analysis.effects.cli import contract_main
-
-        return contract_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
 

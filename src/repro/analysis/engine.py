@@ -254,21 +254,9 @@ class LintEngine:
         # A project snapshot whose whole path->digest map matches skips
         # the ProjectContext build entirely; one changed file discards
         # it, re-running every project pass (transitive invalidation).
-        # Project checkers may declare non-Python inputs (e.g. the
-        # committed backend contract) via ``fingerprint_files``; their
-        # digests join the snapshot key so editing one invalidates it.
         project_cached: list[Diagnostic] | None = None
-        project_digests = dict(digests)
-        if need_project:
-            for checker in self.project_checkers:
-                for extra in getattr(checker, "fingerprint_files", ()):
-                    try:
-                        with open(extra, "rb") as fh:
-                            project_digests[extra] = source_digest(fh.read())
-                    except OSError:
-                        project_digests[extra] = "<missing>"
         if need_project and self.cache is not None:
-            project_cached = self.cache.lookup_project(project_digests)
+            project_cached = self.cache.lookup_project(digests)
         build_project = need_project and project_cached is None
 
         for path in files:
@@ -311,7 +299,7 @@ class LintEngine:
                     project_diags = self._run_project(contexts)
                     found.extend(project_diags)
                     if self.cache is not None:
-                        self.cache.store_project(project_digests, project_diags)
+                        self.cache.store_project(digests, project_diags)
         if self.cache is not None:
             self.cache.flush()
         return sorted(found, key=sort_key)

@@ -1,7 +1,7 @@
 """Loop-depth-weighted static cost model over the project call graph.
 
-The fast-backend work (ROADMAP item 1) needs to know *statically* which
-functions dominate per-cycle cost, before any profiler runs.  This
+Performance work needs to know *statically* which functions dominate
+per-cycle cost, before any profiler runs.  This
 module assigns every statement a nesting-weighted cost — a statement
 ``d`` loops deep costs ``LOOP_WEIGHT ** d`` — and propagates call
 frequency from the simulator's entry points through the call graph:

@@ -49,14 +49,7 @@ class ProjectChecker(BaseChecker):
     per-file dispatch loop can treat both kinds uniformly.  The engine
     still applies per-file suppression tables to every diagnostic a
     project pass emits, keyed on the diagnostic's path.
-
-    ``fingerprint_files``: extra non-Python input paths (relative to
-    the working directory) whose content the pass depends on; the
-    engine folds their digests into the project-snapshot cache key so
-    editing one invalidates the cached project diagnostics.
     """
-
-    fingerprint_files: tuple[str, ...] = ()
 
     def check(self, ctx: "FileContext") -> Iterator[Diagnostic]:
         return iter(())

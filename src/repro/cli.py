@@ -39,12 +39,11 @@ import argparse
 import json
 import sys
 
-from repro.core.backend import backend_names
 from repro.harness import experiments
 from repro.harness import parallel as parallel_mod
 from repro.harness.report import format_table, save_report
 from repro.harness.runner import BenchScale, mix_harmonic_ipc, run_recorded, run_sim
-from repro.harness.sweep import NAMED_METRICS
+from repro.harness.sweep import NAMED_METRICS, check_sweep_kwargs
 from repro.perf.cli import register_perf_cli
 from repro.reliability.cli import register_avf_cli
 from repro.telemetry.bus import EventBus
@@ -100,7 +99,6 @@ def cmd_run(args) -> int:
             dvm_target=_dvm_target(args, scale),
             profiled=not args.no_profile,
             profile_stages=False,
-            backend=args.backend,
         )
         n = recorder.to_jsonl(args.record, manifest=res.manifest)
         print(f"recorded {n} events to {args.record}")
@@ -113,7 +111,6 @@ def cmd_run(args) -> int:
             dispatch=args.dispatch,
             dvm_target=_dvm_target(args, scale),
             profiled=not args.no_profile,
-            backend=args.backend,
         )
     mix = MIXES[args.mix]
     print(f"mix {args.mix} ({', '.join(mix.benchmarks)})")
@@ -134,9 +131,7 @@ def cmd_run(args) -> int:
     print(f"  squashed (wrong path) {res.squashed}")
     print(f"  ACE fraction          {res.ace_fraction:.1%}")
     if args.dvm is not None:
-        base = run_sim(
-            args.mix, scale, fetch_policy=args.fetch_policy, backend=args.backend
-        )
+        base = run_sim(args.mix, scale, fetch_policy=args.fetch_policy)
         target = args.dvm * base.max_iq_avf
         print(f"  PVE @ {args.dvm}*MaxAVF     {res.pve(target):.1%} (baseline {base.pve(target):.1%})")
     return 0
@@ -145,12 +140,7 @@ def cmd_run(args) -> int:
 def _dvm_target(args, scale) -> float | None:
     if getattr(args, "dvm", None) is None:
         return None
-    base = run_sim(
-        args.mix,
-        scale,
-        fetch_policy=args.fetch_policy,
-        backend=getattr(args, "backend", "reference"),
-    )
+    base = run_sim(args.mix, scale, fetch_policy=args.fetch_policy)
     return args.dvm * base.max_online_estimate
 
 
@@ -160,14 +150,6 @@ def cmd_timeline(args) -> int:
         title = f"decision timeline ({args.input})"
         profile = None
     else:
-        if args.backend != "reference" and not args.no_self_profile:
-            print(
-                f"the per-stage self-profile runs only on the reference engine; "
-                f"--backend {args.backend} records no stage laps (use "
-                "--backend reference, or --no-self-profile)",
-                file=sys.stderr,
-            )
-            return 2
         scale = _scale_from_args(args)
         res, recorder, profile = run_recorded(
             args.mix,
@@ -177,7 +159,6 @@ def cmd_timeline(args) -> int:
             dispatch=args.dispatch,
             dvm_target=_dvm_target(args, scale),
             profile_stages=not args.no_self_profile,
-            backend=args.backend,
         )
         manifest, events = res.manifest, recorder.events
         dvm_part = "" if args.dvm is None else f", dvm={args.dvm}"
@@ -312,11 +293,11 @@ def cmd_sweep(args) -> int:
     fixed: dict = {}
     for spec in args.fixed or []:
         fixed.update(_parse_kwargs(spec))
-    if args.backend != "reference" and "backend" not in axes:
-        # Ride along as a plain run_sim kwarg; an explicit --fixed or
-        # backend=... axis wins.  Reference stays implicit so existing
-        # checkpoint signatures keep resuming.
-        fixed.setdefault("backend", args.backend)
+    try:
+        check_sweep_kwargs(axes, fixed, normalize_to)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     bus = EventBus()
     # Besides the engine's own harness.point stream, record whatever
@@ -474,7 +455,6 @@ def cmd_list(_args) -> int:
         print(f"  {name:6s} {', '.join(mix.benchmarks)}")
     print("\nfetch policies:  icount, stall, flush, dg, pdg, rr")
     print("schedulers:      oldest, visa")
-    print("backends:        " + ", ".join(backend_names()))
     print("dispatch:        none, opt1, opt1-linear, opt2")
     print("experiments:     " + ", ".join(sorted(_EXPERIMENTS)))
     return 0
@@ -496,8 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["opt1", "opt1-linear", "opt2"])
     p_run.add_argument("--dvm", type=float, default=None, metavar="FRAC",
                        help="enable DVM targeting FRAC * baseline MaxAVF")
-    p_run.add_argument("--backend", default="reference", choices=backend_names(),
-                       help="simulation engine (default: reference interpreter)")
     p_run.add_argument("--cycles", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--no-profile", action="store_true",
@@ -517,8 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["opt1", "opt1-linear", "opt2"])
     p_tl.add_argument("--dvm", type=float, default=None, metavar="FRAC",
                       help="enable DVM targeting FRAC * baseline MaxAVF")
-    p_tl.add_argument("--backend", default="reference", choices=backend_names(),
-                      help="simulation engine (default: reference interpreter)")
     p_tl.add_argument("--cycles", type=int, default=None)
     p_tl.add_argument("--seed", type=int, default=None)
     p_tl.add_argument("--input", metavar="PATH", default=None,
@@ -567,10 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="retry rounds before a failing point is skipped")
     p_sw.add_argument("--strict", action="store_true",
                       help="fail instead of skipping exhausted points")
-    p_sw.add_argument("--backend", default="reference", choices=backend_names(),
-                      help="simulation engine for every point (default: "
-                           "reference; also usable as --fixed backend=fast "
-                           "or as a backend=... axis)")
     p_sw.add_argument("--cycles", type=int, default=None)
     p_sw.add_argument("--seed", type=int, default=None)
     p_sw.add_argument("--quiet", action="store_true",

@@ -268,13 +268,6 @@ class SimulationConfig:
     reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
     collect_ready_queue_histogram: bool = False
     collect_interval_stats: bool = True
-    #: Default simulation engine: "reference" (the inline interpreter of
-    #: ``SMTPipeline.run``) or "fast" (the specialized cycle loop of
-    #: ``repro.core.fastsim``).  A ``backend=`` argument given directly
-    #: to ``SMTPipeline`` overrides this.  Kept as a plain string so the
-    #: bottom-layer config module needs no import from ``repro.core``;
-    #: ``make_backend`` re-validates against the live registry.
-    backend: str = "reference"
 
     def validate(self) -> None:
         if self.max_cycles <= 0:
@@ -287,8 +280,6 @@ class SimulationConfig:
             raise ValueError("bp_warmup_instructions must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.backend not in ("reference", "fast"):
-            raise ValueError('backend must be "reference" or "fast"')
         self.reliability.validate()
 
     @staticmethod

@@ -8,7 +8,7 @@ the fetch policy, scheduler, dispatch policy and DVM controller do not
 enter it.  So the post-warm-up component state (thread contexts,
 memory hierarchy, branch predictor) is deep-copied into a per-process
 cache the first time a state is computed and restored on every later
-run that needs it, whichever engine executes the run.
+run that needs it.
 
 Config objects and programs are shared (not copied) through the
 deepcopy memo; the cache keeps strong references to the programs so

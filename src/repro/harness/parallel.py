@@ -999,6 +999,7 @@ def parallel_sweep(
     normalization happen at merge time, so any extractor works under
     any start method.
     """
+    sweep_mod.check_sweep_kwargs(axes, fixed, normalize_to)
     metrics = dict(metrics or sweep_mod.DEFAULT_METRICS)
     points = []  # (kwargs, merged, key) in grid order
     for kwargs in sweep_mod.grid_points(axes):

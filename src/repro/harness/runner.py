@@ -235,7 +235,6 @@ def run_sim(
     profiled: bool = True,
     collect_hist: bool = False,
     use_cache: bool = True,
-    backend: str = "reference",
 ) -> SimulationResult:
     """Run (or fetch from cache) one simulation data point."""
     # locals() at function entry is exactly the parameter set, so a
@@ -265,7 +264,6 @@ def run_sim(
         dispatch_policy=_make_dispatch(dispatch, scale, machine),
         dvm=dvm,
         bus=_AMBIENT_BUS,
-        backend=backend,
     )
     result = pipe.run()
     if key is not None:
@@ -289,7 +287,6 @@ def run_recorded(
     profile_stages: bool = True,
     profiler: StageProfiler | None = None,
     event_limit: int = 200_000,
-    backend: str = "reference",
 ) -> tuple[SimulationResult, TimelineRecorder, StageProfile | None]:
     """One uncached simulation with a decision timeline attached.
 
@@ -319,7 +316,6 @@ def run_recorded(
         dispatch_policy=_make_dispatch(dispatch, scale, machine),
         dvm=dvm,
         profiler=profiler,
-        backend=backend,
     )
     recorder = TimelineRecorder(pipe.bus, limit=event_limit)
     with recorder:
@@ -340,7 +336,6 @@ def run_observed(
     profiled: bool = True,
     event_limit: int = 200_000,
     record: bool = False,
-    backend: str = "reference",
 ) -> tuple[SimulationResult, "ReliabilityObserver", TimelineRecorder | None]:
     """One uncached simulation with a reliability observer attached.
 
@@ -375,7 +370,6 @@ def run_observed(
         scheduler=scheduler,
         dispatch_policy=_make_dispatch(dispatch, scale, machine),
         dvm=dvm,
-        backend=backend,
     )
     observer = ReliabilityObserver.for_pipeline(pipe)
     recorder = None

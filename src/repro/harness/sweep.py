@@ -19,6 +19,7 @@ guarantees ``--jobs N`` output is byte-identical to a serial sweep.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import warnings
 from collections.abc import Callable, Mapping, Sequence
@@ -49,6 +50,35 @@ _DEFAULT_METRICS: dict[str, Callable[[SimulationResult], float]] = {
 
 #: Public alias; ``repro.harness.parallel`` shares the default set.
 DEFAULT_METRICS = _DEFAULT_METRICS
+
+
+#: Keyword parameters of ``run_sim``: the only names an axis, a fixed
+#: kwarg or a ``normalize_to`` baseline may set.
+_RUN_SIM_KWARGS = frozenset(
+    name
+    for name, param in inspect.signature(run_sim).parameters.items()
+    if param.kind is inspect.Parameter.KEYWORD_ONLY
+)
+
+
+def check_sweep_kwargs(
+    axes: Mapping[str, Sequence],
+    fixed: Mapping,
+    normalize_to: Mapping | None = None,
+) -> None:
+    """Reject sweep keys ``run_sim`` does not accept, before any point runs.
+
+    An unknown key would otherwise surface as a ``TypeError`` inside
+    every point, be retried and skipped, and leave an empty table.
+    """
+    unknown = sorted(
+        (set(axes) | set(fixed) | set(normalize_to or ())) - _RUN_SIM_KWARGS
+    )
+    if unknown:
+        raise ValueError(
+            f"unknown run_sim kwarg(s) {unknown}; valid keys: "
+            f"{sorted(_RUN_SIM_KWARGS)}"
+        )
 
 
 def grid_points(axes: Mapping[str, Sequence]) -> list[dict]:
@@ -131,6 +161,7 @@ def sweep(
     metric normalizes to NaN with a :class:`RuntimeWarning` (it cannot
     masquerade as a perfect reduction).
     """
+    check_sweep_kwargs(axes, fixed, normalize_to)
     metrics = dict(metrics or _DEFAULT_METRICS)
     points = grid_points(axes)
     baseline_raw = None

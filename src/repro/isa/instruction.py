@@ -66,9 +66,9 @@ FP_OPS: frozenset[OpClass] = frozenset(
 )
 
 #: Struct-of-arrays opclass predicates, indexed by the OpClass ordinal:
-#: per-instruction code (the stage methods, functional warm-up, the
-#: fast engine's cycle loop) replaces ``is_mem``/``is_control``
-#: property calls with a flat tuple load.
+#: per-instruction code (the stage methods, functional warm-up)
+#: replaces ``is_mem``/``is_control`` property calls with a flat tuple
+#: load.
 N_OPCLASSES = max(OpClass) + 1
 OP_IS_MEM: tuple[bool, ...] = tuple(i in MEM_OPS for i in range(N_OPCLASSES))
 OP_IS_CONTROL: tuple[bool, ...] = tuple(i in CONTROL_OPS for i in range(N_OPCLASSES))

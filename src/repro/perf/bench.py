@@ -3,10 +3,10 @@
 The cases cover the paths every perf-sensitive PR touches: the bare
 pipeline cycle loop, issue/select scheduling, the DVM controller's
 interval-rate decision path, the interval resource allocator, a
-warm-cache lint run, backend-contract extraction, and the parallel
-harness engine.  Each case's ``make`` factory builds *all* state
-up front and returns a closure whose body is only the hot path, so the
-timed region measures the code under test and nothing else.  Inputs
+warm-cache lint run, and the parallel harness engine.  Each case's
+``make`` factory builds *all* state up front and returns a closure
+whose body is only the hot path, so the timed region measures the code
+under test and nothing else.  Inputs
 are fixed by :data:`PERF_SCALE` (or an explicit scale) and seeded
 generators, so two runs of a case execute the identical work — the
 wall-clock is the only nondeterminism, and min-of-N strips most of it.
@@ -75,44 +75,34 @@ class BenchResult:
 # ----------------------------------------------------------------------
 # Cases
 # ----------------------------------------------------------------------
-def _make_cycle_loop(mix_name: str, backend: str | None):
-    """Factory-of-factories for the backend-comparison pipeline cases.
+def _make_cycle_loop(mix_name: str):
+    """Factory-of-factories for the whole-pipeline cases.
 
-    Both backends run the identical configuration end to end
-    (``SMTPipeline.run`` wall time, telemetry off).  The untimed first
-    call populates the warm-state snapshot cache, which every engine
-    shares (keyed by program identity, which ``get_programs`` pins), so
-    the timed repeats of either backend measure the steady-state cost a
-    sweep pays per run: snapshot restore plus the cycle loop.  The
-    ratio between a reference case and its same-mix fast counterpart is
-    therefore the fast *loop*'s speedup (hoisting plus idle skip) and
-    excludes warm-state reuse, which both sides get.
+    Each case runs one configuration end to end (``SMTPipeline.run``
+    wall time, telemetry off).  The untimed first call populates the
+    warm-state snapshot cache (keyed by program identity, which
+    ``get_programs`` pins), so the timed repeats measure the
+    steady-state cost a sweep pays per run: snapshot restore plus the
+    cycle loop.
     """
 
     def make(scale: BenchScale) -> Callable[[], None]:
         programs = get_programs(mix_name, scale)
         machine = MachineConfig(num_threads=len(get_mix(mix_name).benchmarks))
         sim = scale.sim_config()
-        kwargs = {} if backend is None else {"backend": backend}
 
         def run() -> None:
-            SMTPipeline(
-                programs, machine=machine, sim=sim, telemetry=False, **kwargs
-            ).run()
+            SMTPipeline(programs, machine=machine, sim=sim, telemetry=False).run()
 
         return run
 
     return make
 
 
-#: CPU-bound mix: little idle time, so the fast/reference ratio here is
-#: the hoisted loop itself.
-_make_pipeline_cycle_loop = _make_cycle_loop(_BENCH_MIX, None)
-_make_fast_cycle_loop = _make_cycle_loop(_BENCH_MIX, "fast")
-#: Memory-bound mix: long L2-miss shadows let the fast engine's
-#: event-driven idle skip run closed-form, on top of the hoisted loop.
-_make_mem_cycle_loop = _make_cycle_loop("MEM-A", None)
-_make_fast_mem_cycle_loop = _make_cycle_loop("MEM-A", "fast")
+#: CPU-bound mix: little idle time in the loop.
+_make_pipeline_cycle_loop = _make_cycle_loop(_BENCH_MIX)
+#: Memory-bound mix: long L2-miss shadows.
+_make_mem_cycle_loop = _make_cycle_loop("MEM-A")
 
 
 def _make_issue_select(scale: BenchScale) -> Callable[[], None]:
@@ -207,30 +197,6 @@ def _make_lint_warm(scale: BenchScale) -> Callable[[], None]:
     return run
 
 
-def _make_contract_extract(scale: BenchScale) -> Callable[[], None]:
-    """Backend-contract extraction over the core package.
-
-    Parses ``repro.core`` once up front; the timed region is the
-    effect-analysis pipeline itself — local extraction, the
-    interprocedural fold from ``run``, stage discovery, partitioning
-    and SoA verdicts — the cost every ``repro lint contract`` run and
-    ``state-contract-drift`` project pass pays.
-    """
-    from repro.analysis.effects.analyze import PipelineContract
-    from repro.analysis.effects.contract import build_contract, render_contract
-    from repro.analysis.perfmodel.cli import build_project
-
-    import repro
-
-    target = os.path.join(os.path.dirname(os.path.abspath(repro.__file__)), "core")
-    project = build_project([target])
-
-    def run() -> None:
-        render_contract(build_contract(PipelineContract(project)))
-
-    return run
-
-
 def _make_parallel_sweep(scale: BenchScale) -> Callable[[], None]:
     """Harness-engine orchestration + checkpoint IO over a warm grid.
 
@@ -314,19 +280,9 @@ BENCH_CASES: tuple[BenchCase, ...] = (
         _make_pipeline_cycle_loop,
     ),
     BenchCase(
-        "fast_cycle_loop",
-        "same MIX-A simulation on the fast backend (warm-state restore + hoisted loop)",
-        _make_fast_cycle_loop,
-    ),
-    BenchCase(
         "mem_cycle_loop",
         "bare MEM-A simulation (telemetry off), warm-state restore + reference loop",
         _make_mem_cycle_loop,
-    ),
-    BenchCase(
-        "fast_mem_cycle_loop",
-        "same MEM-A simulation on the fast backend (warm-state restore + hoisted loop + idle skip)",
-        _make_fast_mem_cycle_loop,
     ),
     BenchCase(
         "issue_select",
@@ -347,11 +303,6 @@ BENCH_CASES: tuple[BenchCase, ...] = (
         "lint_warm",
         "warm-cache repro.lint per-file run (telemetry package)",
         _make_lint_warm,
-    ),
-    BenchCase(
-        "contract_extract",
-        "backend-contract extraction (effect fold + verdicts) over repro.core",
-        _make_contract_extract,
     ),
     BenchCase(
         "parallel_sweep",

@@ -1,9 +1,9 @@
 """Zero-subscriber telemetry overhead smoke check.
 
 The event bus is designed so that a pipeline with telemetry enabled but
-*no subscribers* pays only per-cycle stamping (a handful of attribute
-stores plus one version compare) versus the bare ``telemetry=False``
-loop.  This module measures that gap on a small workload and fails when
+*no subscribers* pays only per-cycle stamping (the run loop's
+per-stage hook, which stores ``bus.stage``, plus one version compare)
+versus the bare ``telemetry=False`` loop.  This module measures that gap on a small workload and fails when
 it exceeds a threshold (default 5%), so a hot-path regression in the
 instrumentation is caught by CI instead of silently taxing every
 experiment.

@@ -61,12 +61,16 @@ class TestCommands:
     def test_reproduce_unknown(self, capsys):
         assert main(["reproduce", "fig99"]) == 2
 
-    def test_timeline_self_profile_needs_reference_engine(self, capsys):
-        # The fast engine records no stage laps: refuse instead of
-        # printing a timeline with an empty self-profile.
-        assert main(["timeline", "--backend", "fast", "--cycles", "2000"]) == 2
+    @pytest.mark.parametrize(
+        "spec",
+        [["--axis", "bogus=1,2"], ["--axis", "scheduler=oldest", "--fixed", "backend=fast"]],
+        ids=["axis", "fixed"],
+    )
+    def test_sweep_unknown_kwarg_is_usage_error(self, capsys, spec):
+        argv = ["sweep", "--mix", "CPU-A", "--cycles", "1500", "--no-checkpoint", *spec]
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "reference engine" in err and "--no-self-profile" in err
+        assert "unknown run_sim kwarg" in err and "scheduler" in err
 
 
 class TestReproduceCommand:

@@ -109,16 +109,15 @@ def test_pipeline_fuzz_invariants(seed, benchmark, n_threads):
 
 
 # ----------------------------------------------------------------------
-# Backend parity: the fast engine must be observationally equivalent
-# to the reference interpreter on SimulationResult.
+# Shared configuration of the golden-digest runs.
 # ----------------------------------------------------------------------
-import numpy as np
 import pytest
 
-from repro.core.backend import backend_names
 from repro.isa.instruction import DynInst, DynState, OpClass, StaticInst
 from repro.isa.program import BasicBlock, SyntheticProgram
 from repro.reliability.dvm import DVMController
+from repro.telemetry.bus import EventBus
+from repro.telemetry.profiler import StageProfiler
 from repro.workloads import get_mix
 
 
@@ -131,7 +130,7 @@ def _parity_sim(hist=False, warmup=300, cycles=1_500):
     )
 
 
-def _run_backend(backend, mix, fetch_policy, scheduler, dvm_on, **sim_kw):
+def _run(mix, fetch_policy, scheduler, dvm_on, pipe_kw=None, **sim_kw):
     # Fresh program objects per run: results are a pure function of the
     # seed, so sharing is unnecessary and isolation is total.
     programs = get_mix(mix).programs(seed=7)
@@ -139,13 +138,12 @@ def _run_backend(backend, mix, fetch_policy, scheduler, dvm_on, **sim_kw):
     dvm = DVMController(0.05, config=sim.reliability) if dvm_on else None
     return SMTPipeline(
         programs, sim=sim, fetch_policy=fetch_policy,
-        scheduler=scheduler, dvm=dvm, backend=backend,
+        scheduler=scheduler, dvm=dvm, **(pipe_kw or {}),
     ).run()
 
 
 # One row per figure family: fig5 sweeps fetch policies, fig8 the VISA
-# scheduler, fig9/10 DVM; MEM-A exercises the idle-skip path, CPU-A the
-# dense-issue path.
+# scheduler, fig9/10 DVM; MEM-A is memory-bound, CPU-A issue-dense.
 _PARITY_GRID = [
     ("MEM-A", "icount", "oldest", False),
     ("MEM-A", "icount", "oldest", True),
@@ -162,45 +160,10 @@ _PARITY_GRID = [
 ]
 
 
-class TestBackendParity:
-    @pytest.mark.parametrize(
-        "mix,fetch_policy,scheduler,dvm_on", _PARITY_GRID,
-        ids=[f"{m}-{f}-{s}-{'dvm' if d else 'base'}" for m, f, s, d in _PARITY_GRID],
-    )
-    def test_results_identical(self, mix, fetch_policy, scheduler, dvm_on):
-        ref = _run_backend("reference", mix, fetch_policy, scheduler, dvm_on)
-        fast = _run_backend("fast", mix, fetch_policy, scheduler, dvm_on)
-        assert ref == fast
-
-    def test_registry_reference_is_first(self):
-        names = backend_names()
-        assert names[0] == "reference" and "fast" in names
-
-    def test_warmup_zero_edge(self):
-        ref = _run_backend("reference", "MEM-A", "icount", "oldest", False, warmup=0)
-        fast = _run_backend("fast", "MEM-A", "icount", "oldest", False, warmup=0)
-        assert ref == fast
-
-    def test_ready_queue_histograms_identical(self):
-        # SimulationResult.__eq__ is ambiguous with numpy histogram
-        # fields, so the histogram run compares arrays explicitly and
-        # the scalar metrics by hand.
-        ref = _run_backend("reference", "MEM-A", "icount", "visa", True, hist=True)
-        fast = _run_backend("fast", "MEM-A", "icount", "visa", True, hist=True)
-        assert np.array_equal(ref.ready_hist, fast.ready_hist)
-        assert np.array_equal(ref.ready_hist_ace, fast.ready_hist_ace)
-        assert (ref.committed, ref.cycles, ref.iq_avf, ref.rob_avf) == (
-            fast.committed, fast.cycles, fast.iq_avf, fast.rob_avf
-        )
-        assert ref.intervals == fast.intervals
-
-
 # ----------------------------------------------------------------------
-# Golden digests: parity only holds the two engines to each other, so a
-# drift in a component both share (ACE, AVF, IQ, rename) would pass it.
-# These pin the reference engine's results themselves.  A change meant
-# to alter simulated behaviour regenerates them with
-# ``result_digest(_run_backend("reference", ...))`` and says why.
+# Golden digests pin the pipeline's results.  A change meant to alter
+# simulated behaviour regenerates them with ``result_digest(_run(...))``
+# and says why.
 # ----------------------------------------------------------------------
 import dataclasses
 import hashlib
@@ -265,15 +228,37 @@ class TestGoldenDigests:
         ids=[_grid_id(*row) for row in _PARITY_GRID],
     )
     def test_reference_reproduces_golden(self, mix, fetch_policy, scheduler, dvm_on):
-        res = _run_backend("reference", mix, fetch_policy, scheduler, dvm_on)
+        res = _run(mix, fetch_policy, scheduler, dvm_on)
         assert result_digest(res) == _GOLDEN[_grid_id(mix, fetch_policy, scheduler, dvm_on)]
 
+    @pytest.mark.parametrize("mode", ["bare", "bus", "profiler"])
+    def test_hook_modes_reproduce_golden(self, mode):
+        """The run loop's per-stage hook runs only with a bus or a
+        profiler attached; neither may change the result."""
+        bus = EventBus()
+        events = []
+        if mode == "bare":
+            pipe_kw = {"telemetry": False}
+        elif mode == "bus":
+            bus.subscribe_all(events.append)
+            pipe_kw = {"bus": bus}
+        else:
+            profiler = StageProfiler()
+            pipe_kw = {"profiler": profiler}
+        res = _run("MEM-A", "icount", "visa", True, pipe_kw=pipe_kw)
+        assert result_digest(res) == _GOLDEN["MEM-A-icount-visa-dvm"]
+        if mode == "bus":
+            assert events and bus.stage == ""
+            assert {e.stage for e in events} >= {"commit", "dispatch", "tick"}
+        elif mode == "profiler":
+            assert profiler.report().cycles == 1_500
+
     def test_warmup_zero_edge(self):
-        res = _run_backend("reference", "MEM-A", "icount", "oldest", False, warmup=0)
+        res = _run("MEM-A", "icount", "oldest", False, warmup=0)
         assert result_digest(res) == _GOLDEN_WARMUP_ZERO
 
     def test_ready_queue_histograms(self):
-        res = _run_backend("reference", "MEM-A", "icount", "visa", True, hist=True)
+        res = _run("MEM-A", "icount", "visa", True, hist=True)
         assert res.ready_hist is not None
         assert result_digest(res) == _GOLDEN_HISTOGRAM
 
@@ -326,8 +311,7 @@ class TestIssueStarvationRegression:
         # Oldest eligible entries win: the issued FMULT is the oldest.
         assert fmults[0].tag == 1
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_fu_burst_sustains_issue_bandwidth(self, backend):
+    def test_fu_burst_sustains_issue_bandwidth(self):
         """Periodic 17-wide FMULT bursts (wider than the old selection
         window) in a mostly-IALU stream: with starvation fixed the
         machine sustains high IPC through each burst."""
@@ -342,83 +326,6 @@ class TestIssueStarvationRegression:
             bp_warmup_instructions=2_000,
             reliability=ReliabilityConfig(interval_cycles=300, ace_window=600),
         )
-        res = SMTPipeline([prog], machine=machine, sim=sim, backend=backend).run()
+        res = SMTPipeline([prog], machine=machine, sim=sim).run()
         assert res.ipc > 5.0
         assert res.committed > 5_000
-
-    def test_fu_burst_backend_parity(self):
-        machine = MachineConfig(num_threads=1, fp_mult_div_sqrt=1)
-        sim = SimulationConfig(
-            max_cycles=1_200, warmup_cycles=200, seed=11,
-            bp_warmup_instructions=2_000,
-            reliability=ReliabilityConfig(interval_cycles=300, ace_window=600),
-        )
-        runs = [
-            SMTPipeline(
-                [_fu_burst_program(17, 153)], machine=machine, sim=sim,
-                backend=backend,
-            ).run()
-            for backend in ("reference", "fast")
-        ]
-        assert runs[0] == runs[1]
-
-
-# ----------------------------------------------------------------------
-# Fast backend under the parallel harness: pass-through, checkpoint
-# resume, and row-for-row parity with the reference engine.
-# ----------------------------------------------------------------------
-from repro.harness.parallel import parallel_sweep
-from repro.harness.runner import BenchScale, clear_caches
-
-_SWEEP_SCALE = BenchScale(
-    max_cycles=2_000, warmup_cycles=400, interval_cycles=400,
-    ace_window=800, profile_instructions=6_000, profile_window=1_500,
-)
-_SWEEP_AXES = {"scheduler": ["oldest", "visa"]}
-
-
-@pytest.fixture(scope="module")
-def _sweep_caches():
-    clear_caches()
-    yield
-    clear_caches()
-
-
-class TestFastBackendParallelHarness:
-    def test_sweep_rows_match_reference_and_resume_is_cached(
-        self, _sweep_caches, tmp_path
-    ):
-        """backend="fast" rides through the parallel engine as a plain
-        run_sim kwarg: the rows must equal a reference sweep metric for
-        metric, land in the checkpoint, and resume without executing."""
-        ref = parallel_sweep("CPU-A", _SWEEP_SCALE, _SWEEP_AXES, checkpoint=None)
-        ck = str(tmp_path / "fast-sweep.jsonl")
-        fast = parallel_sweep(
-            "CPU-A", _SWEEP_SCALE, _SWEEP_AXES, checkpoint=ck, backend="fast"
-        )
-        assert fast.executed == len(fast.rows) and fast.cached == 0
-        # Fixed kwargs are not row columns, so metric-for-metric parity
-        # is plain row equality.
-        assert fast.rows == ref.rows
-
-        resumed = parallel_sweep(
-            "CPU-A", _SWEEP_SCALE, _SWEEP_AXES,
-            checkpoint=ck, resume=True, backend="fast",
-        )
-        assert resumed.executed == 0 and resumed.cached == len(fast.rows)
-        assert resumed.rows == fast.rows
-
-    def test_backend_distinguishes_checkpoint_signature(
-        self, _sweep_caches, tmp_path
-    ):
-        """A reference-backend checkpoint must not satisfy a fast-backend
-        resume (and vice versa): the backend kwarg is part of the sweep
-        signature, so a resume against the other engine's shard restarts
-        rather than serving the wrong engine's rows as cached."""
-        ck = str(tmp_path / "ref-sweep.jsonl")
-        parallel_sweep("CPU-A", _SWEEP_SCALE, _SWEEP_AXES, checkpoint=ck)
-        with pytest.raises(ValueError, match="different sweep configuration"):
-            parallel_sweep(
-                "CPU-A", _SWEEP_SCALE, _SWEEP_AXES,
-                checkpoint=ck, resume=True, backend="fast",
-            )

@@ -505,14 +505,11 @@ class TestBenchSuite:
         assert BENCH_NAMES == tuple(c.name for c in BENCH_CASES)
         assert set(BENCH_NAMES) == {
             "pipeline_cycle_loop",
-            "fast_cycle_loop",
             "mem_cycle_loop",
-            "fast_mem_cycle_loop",
             "issue_select",
             "dvm_interval",
             "resource_alloc",
             "lint_warm",
-            "contract_extract",
             "parallel_sweep",
             "relay_roundtrip",
         }

@@ -8,7 +8,6 @@ from repro.isa.generator import generate_program
 from repro.isa.instruction import DynState
 from repro.reliability.dvm import DVMController
 from repro.reliability.resource_alloc import DynamicIQAllocation
-from repro.telemetry.profiler import StageProfiler
 from repro.workloads import get_mix
 
 
@@ -229,10 +228,3 @@ class TestResultProperties:
 
     def test_per_thread_ipc_sums_to_ipc(self, cpu_result):
         assert sum(cpu_result.per_thread_ipc) == pytest.approx(cpu_result.ipc)
-
-
-class TestUnsupportedCombinations:
-    def test_stage_profiler_rejected_on_fast_backend(self):
-        programs = [generate_program("gcc", seed=1)]
-        with pytest.raises(ValueError, match="reference engine"):
-            SMTPipeline(programs, sim=short_sim(), profiler=StageProfiler(), backend="fast")

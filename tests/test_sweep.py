@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.parallel import parallel_sweep
 from repro.harness.runner import BenchScale, clear_caches
 from repro.harness.sweep import best_row, pareto_front, sweep
 
@@ -46,6 +47,31 @@ class TestSweep:
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError):
             sweep("CPU-A", TINY, axes={})
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            {"axes": {"bogus": [1, 2]}},
+            {"axes": {"scheduler": ["oldest"]}, "backend": "fast"},
+            {"axes": {"scheduler": ["oldest"]}, "normalize_to": {"bogus": 1}},
+        ],
+        ids=["axis", "fixed", "normalize_to"],
+    )
+    @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+    def test_unknown_kwarg_rejected_before_running(self, monkeypatch, parallel, call):
+        import repro.harness.parallel as parallel_mod
+        import repro.harness.sweep as sweep_mod
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(sweep_mod, "run_sim", no_run)
+        monkeypatch.setattr(parallel_mod, "run_sim", no_run)
+        with pytest.raises(ValueError, match="valid keys: .*scheduler"):
+            if parallel:
+                parallel_sweep("CPU-A", TINY, checkpoint=None, **call)
+            else:
+                sweep("CPU-A", TINY, **call)
 
     def test_zero_baseline_metric_is_nan_not_zero(self):
         # Regression: a 0.0 baseline metric used to normalize to 0.0,

@@ -1,10 +1,9 @@
-"""Engine-independent warm-state reuse (``repro.core.warmstate``).
+"""Warm-state reuse (``repro.core.warmstate``).
 
 The functional warm-up depends only on (programs, machine, seed,
 warm-up length).  Restoring it from the per-process snapshot cache must
-be indistinguishable from computing it, on the reference engine as on
-the fast one, and the cache key must separate exactly the inputs the
-warm-up reads.
+be indistinguishable from computing it, and the cache key must separate
+exactly the inputs the warm-up reads.
 """
 
 import pytest
@@ -41,7 +40,7 @@ def _run(mix, fetch_policy="icount", scheduler="oldest", dvm_on=False,
     dvm = DVMController(0.05, config=sim.reliability) if dvm_on else None
     return SMTPipeline(
         _PROGRAMS[mix], machine=machine, sim=sim, fetch_policy=fetch_policy,
-        scheduler=scheduler, dvm=dvm, backend="reference",
+        scheduler=scheduler, dvm=dvm,
     ).run()
 
 
@@ -60,17 +59,6 @@ class TestRestoreEqualsCold:
         assert _warm_counts(restored) == (1, 0)
         assert _warm_counts(cold) == (0, 1)
         assert restored == cold
-
-    def test_fast_engine_shares_the_cache(self):
-        ref = _run("MEM-A", dvm_on=True)
-        fast = SMTPipeline(
-            _PROGRAMS["MEM-A"], sim=_parity_sim(),
-            dvm=DVMController(0.05, config=_parity_sim().reliability),
-            backend="fast",
-        ).run()
-        assert _warm_counts(ref) == (0, 1)
-        assert _warm_counts(fast) == (1, 0)
-        assert fast == ref
 
 
 class TestCacheKey:
