@@ -20,8 +20,7 @@ rules:
   registered topic schema.
 
 Project-wide dataflow passes (:mod:`repro.analysis.flow` — symbol
-tables, import-resolved call graph, CFGs with reaching definitions and
-liveness):
+tables, import-resolved call graph, CFGs with reaching definitions):
 
 * **paper-fidelity** — catalogued paper constants (interval length,
   ``Tcache_miss``, DVM trigger fraction, IQL region caps, …) must flow
@@ -34,22 +33,6 @@ liveness):
 * **hidden-state** — attributes first bound outside ``__init__`` must
   be restored by ``reset()`` (checked across helper methods and base
   classes), and ``__slots__`` completeness is enforced across the MRO.
-
-Performance-model passes (:mod:`repro.analysis.perfmodel` — a
-loop-depth-weighted static cost model over the same call graph, plus
-the ``repro lint hotpaths`` report that cross-validates it against
-measured perf spans):
-
-* **hot-loop-alloc** — no allocation/dispatch churn (comprehensions,
-  displays, f-strings, ``isinstance``/``getattr`` dispatch) inside
-  loops of functions the cost model ranks as hot.
-* **pickle-safety** — pool-submitted callables must be module-level
-  functions; lambdas, nested ``def``\\ s, bound methods and
-  handle/lock arguments are flagged at the submission site.
-* **fork-safety** — worker-reachable code must not mutate fork-shared
-  state: ``global`` rebinding, module-level container mutation and
-  process-global RNG draws diverge silently between parent and
-  children.
 
 Checkers register themselves in :mod:`repro.analysis.registry`; the
 engine (:mod:`repro.analysis.engine`) walks files behind an incremental

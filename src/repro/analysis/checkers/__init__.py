@@ -2,10 +2,8 @@
 
 Importing this package registers every built-in rule; the registry does
 this lazily so ``import repro.analysis`` stays cheap.  Per-file
-(AST-only) rules come first; the rest are project-wide passes built
-on :mod:`repro.analysis.flow` — the dataflow passes and the
-performance/concurrency tier from :mod:`repro.analysis.perfmodel`
-(``hot-loop-alloc``, ``pickle-safety``, ``fork-safety``).
+(AST-only) rules come first; the rest are the project-wide dataflow
+passes built on :mod:`repro.analysis.flow`.
 """
 
 from repro.analysis.checkers.config_bounds import ConfigBoundsChecker
@@ -19,11 +17,6 @@ from repro.analysis.checkers.nondet_iteration import NondetIterationChecker
 from repro.analysis.checkers.paper_fidelity import PaperFidelityChecker
 from repro.analysis.checkers.slots import SlotsCompletenessChecker
 from repro.analysis.checkers.stage_purity import StagePurityChecker
-from repro.analysis.perfmodel.forksafety import (
-    ForkSafetyChecker,
-    PickleSafetyChecker,
-)
-from repro.analysis.perfmodel.hotloop import HotLoopAllocChecker
 
 __all__ = [
     "ConfigBoundsChecker",
@@ -37,7 +30,4 @@ __all__ = [
     "PaperFidelityChecker",
     "SlotsCompletenessChecker",
     "StagePurityChecker",
-    "ForkSafetyChecker",
-    "HotLoopAllocChecker",
-    "PickleSafetyChecker",
 ]

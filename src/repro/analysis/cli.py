@@ -6,11 +6,6 @@ whichever exist under the working directory).  Exits 0 on a clean
 tree, 1 when diagnostics at or above ``--fail-on`` (default
 ``warning``) survive the baseline, 2 on usage errors.
 
-``python -m repro.lint hotpaths`` dispatches to the static cost-model
-report (:mod:`repro.analysis.perfmodel`): hot-function ranking,
-vectorizability worklist, and — with ``--validate-spans trace.json`` —
-rank-correlation of the static model against measured perf spans.
-
 ``--changed`` scopes the run to the files the git working tree touched
 plus their reverse import-dependent closure from the incremental
 cache — the fast pre-commit mode.
@@ -212,11 +207,6 @@ def _changed_scope(args: argparse.Namespace) -> list[str] | None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "hotpaths":
-        from repro.analysis.perfmodel.cli import hotpaths_main
-
-        return hotpaths_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
 

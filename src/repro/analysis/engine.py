@@ -155,8 +155,8 @@ def _pool_check_file(args: tuple[str, list[str]]) -> list[Diagnostic]:
     if _WORKER_ENGINE is None or _WORKER_RULES != rules:
         # Deliberate per-process memo: each pool worker keeps one warm
         # engine; the parent never reads these globals back.
-        _WORKER_ENGINE = LintEngine(rules)  # lint: disable=fork-safety
-        _WORKER_RULES = rules  # lint: disable=fork-safety
+        _WORKER_ENGINE = LintEngine(rules)
+        _WORKER_RULES = rules
     return _WORKER_ENGINE.check_file(path)
 
 

@@ -9,7 +9,7 @@ state five lines later.  This package adds the project layer:
 * :mod:`repro.analysis.flow.symbols` — per-module symbol tables
   (classes, functions, import bindings) with dotted-module naming;
 * :mod:`repro.analysis.flow.cfg` — intra-procedural control-flow
-  graphs with reaching-definitions and liveness solvers;
+  graphs with a reaching-definitions solver;
 * :mod:`repro.analysis.flow.callgraph` — an import-resolved,
   inheritance-aware call graph over every scanned module;
 * :mod:`repro.analysis.flow.project` — :class:`ProjectContext`, the

@@ -256,10 +256,6 @@ class CallGraph:
         return None
 
     # -- queries -------------------------------------------------------
-    def callees(self, qual: str) -> list[str]:
-        node = self.functions.get(qual)
-        return list(node.calls) if node else []
-
     def reaches_emit(self, qual: str) -> bool:
         """May any call path from ``qual`` execute an ``.emit(...)``?"""
         if self._emit_reach is None:

@@ -1,4 +1,4 @@
-"""Intra-procedural control-flow graphs with dataflow solvers.
+"""Intra-procedural control-flow graphs with reaching definitions.
 
 :func:`build_flow` turns one function body into a statement-level CFG:
 every simple statement and every compound-statement *header* (the
@@ -7,24 +7,20 @@ Python's control flow including loop back-edges, ``break``/``continue``,
 ``return``/``raise`` termination, and a conservative approximation of
 exception edges into ``except`` handlers.
 
-Two classic forward/backward solvers run over the graph on demand:
-
-* **reaching definitions** — for a statement and a local name, the set
-  of definition statements whose binding may still be live there;
-* **liveness** — the set of local names whose current value may still
-  be read on some path leaving a statement.
-
-Both are may-analyses solved to a fixed point with a worklist; bodies
-of nested ``def``/``class`` statements are opaque (they neither define
-nor use names in the enclosing frame for our purposes — closures are
-out of scope for lint-grade analysis).
+A forward **reaching-definitions** solver runs over the graph on
+demand: for a statement and a local name, the set of definition
+statements whose binding may still be live there.  It is a
+may-analysis solved to a fixed point with a worklist; bodies of nested
+``def``/``class`` statements are opaque (they neither define nor use
+names in the enclosing frame for our purposes — closures are out of
+scope for lint-grade analysis).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 _LOOPS = (ast.While, ast.For, ast.AsyncFor)
 _TERMINATORS = (ast.Return, ast.Raise)
@@ -68,50 +64,6 @@ def stmt_defs(stmt: ast.stmt) -> set[str]:
     return set()
 
 
-def _header_exprs(stmt: ast.stmt) -> Iterator[ast.expr]:
-    """The expressions evaluated by the statement's own line."""
-    if isinstance(stmt, ast.Assign):
-        yield stmt.value
-        yield from stmt.targets  # subscript/attribute bases are reads
-    elif isinstance(stmt, ast.AugAssign):
-        yield stmt.target
-        yield stmt.value
-    elif isinstance(stmt, ast.AnnAssign):
-        if stmt.value is not None:
-            yield stmt.value
-        yield stmt.target
-    elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-        yield stmt.iter
-    elif isinstance(stmt, (ast.While, ast.If)):
-        yield stmt.test
-    elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-        for item in stmt.items:
-            yield item.context_expr
-    elif isinstance(stmt, ast.Return):
-        if stmt.value is not None:
-            yield stmt.value
-    elif isinstance(stmt, ast.Raise):
-        if stmt.exc is not None:
-            yield stmt.exc
-    elif isinstance(stmt, (ast.Expr, ast.Assert, ast.Delete)):
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.expr):
-                yield child
-    # Nested def/class headers: decorator/default expressions are reads,
-    # but they don't matter for lint-grade liveness; skip.
-
-
-def stmt_uses(stmt: ast.stmt) -> set[str]:
-    """Local names read by the statement's header."""
-    uses: set[str] = set()
-    for expr in _header_exprs(stmt):
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                uses.add(node.id)
-    # An unpacking target is a pure store; Name stores were never added.
-    return uses
-
-
 @dataclass
 class FunctionFlow:
     """CFG plus lazily-solved dataflow facts for one function."""
@@ -122,7 +74,6 @@ class FunctionFlow:
     pred: dict[int, list[ast.stmt]] = field(default_factory=dict)
     entry: list[ast.stmt] = field(default_factory=list)
     _reach_in: dict[int, dict[str, set[int]]] | None = None
-    _live_in: dict[int, set[str]] | None = None
     _by_id: dict[int, ast.stmt] = field(default_factory=dict)
 
     # -- reaching definitions ------------------------------------------
@@ -181,40 +132,6 @@ class FunctionFlow:
         if args.kwarg:
             names.add(args.kwarg.arg)
         return names
-
-    # -- liveness ------------------------------------------------------
-    def live_out(self, stmt: ast.stmt) -> set[str]:
-        """Names whose value may still be read after ``stmt``."""
-        if self._live_in is None:
-            self._solve_liveness()
-        assert self._live_in is not None
-        live: set[str] = set()
-        for s in self.succ.get(id(stmt), ()):
-            live |= self._live_in.get(id(s), set())
-        return live
-
-    def live_in(self, stmt: ast.stmt) -> set[str]:
-        if self._live_in is None:
-            self._solve_liveness()
-        assert self._live_in is not None
-        return set(self._live_in.get(id(stmt), set()))
-
-    def _solve_liveness(self) -> None:
-        live_in: dict[int, set[str]] = {id(n): set() for n in self.nodes}
-        work = list(self.nodes)
-        while work:
-            node = work.pop()
-            nid = id(node)
-            out: set[str] = set()
-            for s in self.succ.get(nid, ()):
-                out |= live_in[id(s)]
-            new_in = stmt_uses(node) | (out - stmt_defs(node))
-            if new_in != live_in[nid]:
-                live_in[nid] = new_in
-                for p in self.pred.get(nid, ()):
-                    if p not in work:
-                        work.append(p)
-        self._live_in = live_in
 
     # -- convenience ---------------------------------------------------
     def assigned_value(self, def_stmt: ast.stmt, name: str) -> ast.expr | None:

@@ -23,8 +23,6 @@ class ProjectContext:
     """Symbol tables, call graph and CFG access for a set of modules."""
 
     def __init__(self, files: "list[FileContext]"):
-        #: path -> FileContext (parse + suppression table reused).
-        self.files: dict[str, FileContext] = {f.path: f for f in files}
         #: path -> ModuleInfo, and dotted module name -> ModuleInfo.
         self.modules: dict[str, ModuleInfo] = {}
         by_name: dict[str, ModuleInfo] = {}
@@ -47,18 +45,6 @@ class ProjectContext:
             for name in sorted(mod.classes):
                 yield mod, mod.classes[name]
 
-    def iter_functions(
-        self,
-    ) -> Iterator[tuple[ModuleInfo, ClassInfo | None, ast.FunctionDef | ast.AsyncFunctionDef]]:
-        """Every function/method with its module (and class, if any)."""
-        for mod in self.iter_modules():
-            for name in sorted(mod.functions):
-                yield mod, None, mod.functions[name]
-            for cls_name in sorted(mod.classes):
-                cls = mod.classes[cls_name]
-                for mname in sorted(cls.methods):
-                    yield mod, cls, cls.methods[mname]
-
     # -- dataflow ------------------------------------------------------
     def flow(self, func: ast.FunctionDef | ast.AsyncFunctionDef) -> FunctionFlow:
         """The (memoized) CFG + dataflow facts for one function."""
@@ -66,6 +52,3 @@ class ProjectContext:
         if key not in self._flows:
             self._flows[key] = build_flow(func)
         return self._flows[key]
-
-    def file_for(self, module: ModuleInfo) -> "FileContext":
-        return self.files[module.path]

@@ -13,7 +13,7 @@ Commands
 ``reproduce``   regenerate one of the paper's tables/figures
 ``list``        enumerate benchmarks, mixes, policies and experiments
 ``lint``        simulator-aware static analysis (alias of
-                ``python -m repro.lint``; see ``repro lint hotpaths``)
+                ``python -m repro.lint``)
 
 Examples::
 
@@ -67,6 +67,10 @@ from repro.workloads import MIXES
 
 #: ``reproduce``/``figures`` share the suite registry with the engine.
 _EXPERIMENTS = dict(experiments.SUITES)
+
+#: Exit code of ``sweep``/``figures`` when the run finished but skipped
+#: at least one point or suite after its retries (``--strict`` exits 1).
+EXIT_PARTIAL = 3
 
 
 def _scale_from_args(args) -> BenchScale:
@@ -349,7 +353,7 @@ def cmd_sweep(args) -> int:
 
         n = write_chrome_trace(args.trace_out, recorded=recorder.events)
         print(f"wrote {n} trace events to {args.trace_out}", file=sys.stderr)
-    return 0
+    return EXIT_PARTIAL if run.skipped else 0
 
 
 def cmd_figures(args) -> int:
@@ -384,7 +388,7 @@ def cmd_figures(args) -> int:
             path = save_report(name, text)
             print(f"saved to {path}", file=sys.stderr)
     _report_engine_run(run, "figures")
-    return 0
+    return EXIT_PARTIAL if run.skipped else 0
 
 
 def cmd_monitor(args) -> int:

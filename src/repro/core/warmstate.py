@@ -47,7 +47,7 @@ CAPACITY = 16
 
 def reset_warm_states() -> None:
     """Drop every memoized warm state (tests / memory pressure)."""
-    _SNAPSHOTS.clear()  # lint: disable=fork-safety
+    _SNAPSHOTS.clear()
 
 
 def _shared_roots(pipe: "SMTPipeline") -> list[Any]:
@@ -85,7 +85,7 @@ def warm_start(pipe: "SMTPipeline") -> None:
     )
     roots = _shared_roots(pipe)
     # Popped and re-inserted below, so the dict stays in LRU order.
-    entry = _SNAPSHOTS.pop(key, None)  # lint: disable=fork-safety
+    entry = _SNAPSHOTS.pop(key, None)
     t0 = time.perf_counter()
     if entry is None:
         pipe._functional_warmup()
@@ -101,6 +101,6 @@ def warm_start(pipe: "SMTPipeline") -> None:
         pipe.contexts, pipe.mem, pipe.bp = _clone_state(entry[1], roots)
         hits.inc()
         restore_s.set(time.perf_counter() - t0)
-    _SNAPSHOTS[key] = entry  # lint: disable=fork-safety
+    _SNAPSHOTS[key] = entry
     if len(_SNAPSHOTS) > CAPACITY:
-        del _SNAPSHOTS[next(iter(_SNAPSHOTS))]  # lint: disable=fork-safety
+        del _SNAPSHOTS[next(iter(_SNAPSHOTS))]

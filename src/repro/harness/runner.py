@@ -133,7 +133,7 @@ def set_ambient_bus(bus) -> None:
     global _AMBIENT_BUS
     # Deliberate per-process global: each pool worker installs its own
     # bus in its own interpreter; the parent never shares it.
-    _AMBIENT_BUS = bus  # lint: disable=fork-safety
+    _AMBIENT_BUS = bus
 
 
 def ambient_bus():
@@ -165,7 +165,7 @@ def get_programs(mix_name: str, scale: BenchScale, profiled: bool = True):
         # Deliberate per-process memo: each pool worker warms its own
         # copy via _init_worker; the parent's cache is never consulted
         # across the fork.
-        _PROGRAMS[key] = programs  # lint: disable=fork-safety
+        _PROGRAMS[key] = programs
     return _PROGRAMS[key]
 
 
@@ -270,7 +270,7 @@ def run_sim(
         # Deliberate per-process memo: a worker re-running an identical
         # point hits its own cache; results return to the parent via the
         # pool, never via this dict.
-        _RESULTS[key] = result  # lint: disable=fork-safety
+        _RESULTS[key] = result
     return result
 
 

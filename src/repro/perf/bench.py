@@ -2,12 +2,11 @@
 
 The cases cover the paths every perf-sensitive PR touches: the bare
 pipeline cycle loop, issue/select scheduling, the DVM controller's
-interval-rate decision path, the interval resource allocator, a
-warm-cache lint run, and the parallel harness engine.  Each case's
-``make`` factory builds *all* state up front and returns a closure
-whose body is only the hot path, so the timed region measures the code
-under test and nothing else.  Inputs
-are fixed by :data:`PERF_SCALE` (or an explicit scale) and seeded
+interval-rate decision path, the interval resource allocator and the
+telemetry relay round-trip.  Each case's ``make`` factory builds *all*
+state up front and returns a closure whose body is only the hot path,
+so the timed region measures the code under test and nothing else.
+Inputs are fixed by :data:`PERF_SCALE` (or an explicit scale) and seeded
 generators, so two runs of a case execute the identical work — the
 wall-clock is the only nondeterminism, and min-of-N strips most of it.
 
@@ -22,7 +21,6 @@ suppressed; benchmark output never feeds simulated results.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -178,53 +176,6 @@ def _make_resource_alloc(scale: BenchScale) -> Callable[[], None]:
     return run
 
 
-def _make_lint_warm(scale: BenchScale) -> Callable[[], None]:
-    """Warm-cache per-file lint run over the telemetry package."""
-    import tempfile
-
-    from repro.analysis.engine import LintEngine
-
-    import repro
-
-    target = os.path.join(os.path.dirname(os.path.abspath(repro.__file__)), "telemetry")
-    cache_dir = tempfile.mkdtemp(prefix="repro-perf-lint-")
-    engine = LintEngine(cache_dir=cache_dir)
-    engine.run([target], project_phase=False)  # warm the cache
-
-    def run() -> None:
-        engine.run([target], project_phase=False)
-
-    return run
-
-
-def _make_parallel_sweep(scale: BenchScale) -> Callable[[], None]:
-    """Harness-engine orchestration + checkpoint IO over a warm grid.
-
-    The warm-up call populates the ``run_sim`` memo cache, so the timed
-    repeats measure the execution engine itself (task planning, merge,
-    telemetry bookkeeping, JSONL checkpoint writes) — each repeat gets
-    a fresh shard path so every run writes the full checkpoint.
-    """
-    import itertools
-    import tempfile
-
-    from repro.harness.parallel import parallel_sweep
-
-    axes = {"scheduler": ["oldest", "visa"], "dispatch": [None, "opt2"]}
-    out_dir = tempfile.mkdtemp(prefix="repro-perf-sweep-")
-    counter = itertools.count()
-
-    def run() -> None:
-        parallel_sweep(
-            _BENCH_MIX,
-            scale,
-            axes,
-            checkpoint=os.path.join(out_dir, f"sweep-{next(counter)}.jsonl"),
-        )
-
-    return run
-
-
 def _make_relay_roundtrip(scale: BenchScale) -> Callable[[], None]:
     """Telemetry relay worker→parent round-trip, no process pool.
 
@@ -298,16 +249,6 @@ BENCH_CASES: tuple[BenchCase, ...] = (
         "resource_alloc",
         "Opt2 interval-close allocation decisions",
         _make_resource_alloc,
-    ),
-    BenchCase(
-        "lint_warm",
-        "warm-cache repro.lint per-file run (telemetry package)",
-        _make_lint_warm,
-    ),
-    BenchCase(
-        "parallel_sweep",
-        "harness engine orchestration + checkpoint IO (warm 2x2 grid)",
-        _make_parallel_sweep,
     ),
     BenchCase(
         "relay_roundtrip",

@@ -166,12 +166,6 @@ def cmd_perf_trace(args: argparse.Namespace) -> int:
         f"{profiler.traced_cycles} cycles, {len(recorder.events)} recorded "
         f"events) to {args.out}"
     )
-    if args.ranking_out:
-        from repro.perf.chrome_trace import read_trace
-        from repro.perf.ranking import write_span_ranking
-
-        count = write_span_ranking(args.ranking_out, read_trace(args.out))
-        print(f"wrote measured span ranking ({count} names) to {args.ranking_out}")
     print(profile.format())
     return 0
 
@@ -230,8 +224,4 @@ def register_perf_cli(sub: argparse._SubParsersAction) -> None:
                       help="cycles to record stage spans for (default 2000)")
     p_tr.add_argument("-o", "--out", metavar="PATH", default="repro-trace.json",
                       help="output trace file (default repro-trace.json)")
-    p_tr.add_argument("--ranking-out", metavar="PATH", default=None,
-                      help="also export the measured span ranking as JSON "
-                      "(the ground truth for `repro lint hotpaths "
-                      "--validate-spans`)")
     p_tr.set_defaults(func=cmd_perf_trace)

@@ -110,3 +110,30 @@ class TestReproduceCommand:
         assert scale.max_cycles == 5000
         assert scale.seed == 9
         assert scale.groups == ("A", "B", "C")
+
+
+class TestPartialExit:
+    """A run that skips a point or suite after its retries exits 3, not 0;
+    ``--strict`` turns the skip into a failure (exit 1)."""
+
+    SWEEP = ["sweep", "--mix", "CPU-A", "--axis", "dispatch=opt2", "--cycles", "1500",
+             "--retries", "0", "--no-checkpoint", "--quiet"]
+
+    @pytest.fixture(autouse=True)
+    def _poison(self, monkeypatch):
+        from repro.harness import parallel as parallel_mod
+
+        monkeypatch.setenv(parallel_mod.FAULT_ENV, "raise:")
+
+    def test_sweep_with_skipped_point_exits_partial(self, capsys):
+        assert main(self.SWEEP) == 3
+        assert "warning: skipped dispatch=opt2" in capsys.readouterr().err
+
+    def test_strict_sweep_exits_failure(self, capsys):
+        assert main([*self.SWEEP, "--strict"]) == 1
+        assert "failed after" in capsys.readouterr().err
+
+    def test_figures_with_skipped_suite_exits_partial(self, capsys):
+        argv = ["figures", "fig1", "--retries", "0", "--no-checkpoint", "--quiet"]
+        assert main(argv) == 3
+        assert "warning: skipped fig1" in capsys.readouterr().err

@@ -1,6 +1,6 @@
-"""The project-wide dataflow layer: CFG + reaching definitions +
-liveness, the import-resolved call graph, and the four passes built on
-them (paper-fidelity, nondet-iteration, emit-coverage, hidden-state)."""
+"""The project-wide dataflow layer: CFG + reaching definitions, the
+import-resolved call graph, and the four passes built on them
+(paper-fidelity, nondet-iteration, emit-coverage, hidden-state)."""
 
 import ast
 import os
@@ -136,43 +136,6 @@ class TestReachingDefinitions:
         assert lines == [3, 5]  # the try body may or may not have run
 
 
-class TestLiveness:
-    def test_used_later_is_live_out(self):
-        func, flow = make_flow(
-            """
-            def f():
-                x = 1
-                y = 2
-                return x
-            """
-        )
-        assert "x" in flow.live_out(stmt_at(func, 3))
-        assert "y" not in flow.live_out(stmt_at(func, 4))
-
-    def test_loop_keeps_accumulator_live(self):
-        func, flow = make_flow(
-            """
-            def f(items):
-                acc = 0
-                for item in items:
-                    acc = acc + item
-                return acc
-            """
-        )
-        assert "acc" in flow.live_out(stmt_at(func, 5))
-
-    def test_branch_use_is_live_in(self):
-        func, flow = make_flow(
-            """
-            def f(cond, x):
-                if cond:
-                    return x
-                return 0
-            """
-        )
-        assert {"cond", "x"} <= flow.live_in(stmt_at(func, 3))
-
-
 # ----------------------------------------------------------------------
 # Call graph
 # ----------------------------------------------------------------------
@@ -196,7 +159,7 @@ class TestCallGraph:
                     pass
             """
         )
-        assert graph.callees("m.A.top") == ["m.A.helper"]
+        assert graph.functions["m.A.top"].calls == ["m.A.helper"]
 
     def test_inherited_method_resolves_through_mro(self):
         graph, _ = graph_of(
@@ -209,7 +172,7 @@ class TestCallGraph:
                     self.helper()
             """
         )
-        assert graph.callees("m.Child.top") == ["m.Base.helper"]
+        assert graph.functions["m.Child.top"].calls == ["m.Base.helper"]
 
     def test_super_call_resolves_to_base(self):
         graph, _ = graph_of(
@@ -222,7 +185,7 @@ class TestCallGraph:
                     super().reset()
             """
         )
-        assert graph.callees("m.Child.reset") == ["m.Base.reset"]
+        assert graph.functions["m.Child.reset"].calls == ["m.Base.reset"]
 
     def test_cross_module_base_through_import(self):
         graph, mods = graph_of(
@@ -238,7 +201,7 @@ class TestCallGraph:
                     self.helper()
             """,
         )
-        assert graph.callees("pkg_child.Child.top") == ["pkg_base.Base.helper"]
+        assert graph.functions["pkg_child.Child.top"].calls == ["pkg_base.Base.helper"]
         mro = graph.mro(mods["pkg_child"], mods["pkg_child"].classes["Child"])
         assert [c.qualname for _, c in mro] == ["pkg_child.Child", "pkg_base.Base"]
 
@@ -254,7 +217,7 @@ class TestCallGraph:
                 helper()
             """,
         )
-        assert graph.callees("main.top") == ["util.helper"]
+        assert graph.functions["main.top"].calls == ["util.helper"]
 
     def test_reaches_emit_through_helper_chain(self):
         graph, _ = graph_of(
@@ -312,8 +275,8 @@ class TestCallGraph:
                 """,
             }
         )
-        assert graph.callees("pkg.sub.Sub.reset") == ["pkg.base.Base.reset"]
-        assert graph.callees("pkg.sub.Sub.spin") == ["pkg.base.Base.tick"]
+        assert graph.functions["pkg.sub.Sub.reset"].calls == ["pkg.base.Base.reset"]
+        assert graph.functions["pkg.sub.Sub.spin"].calls == ["pkg.base.Base.tick"]
         mro = graph.mro(mods["pkg.sub"], mods["pkg.sub"].classes["Sub"])
         assert [c.qualname for _, c in mro] == ["pkg.sub.Sub", "pkg.base.Base"]
 
@@ -335,7 +298,7 @@ class TestCallGraph:
                 """,
             }
         )
-        assert graph.callees("pkg.user.drive") == ["pkg.base.Base.tick"]
+        assert graph.functions["pkg.user.drive"].calls == ["pkg.base.Base.tick"]
 
     def test_super_reexport_disk_fixture(self):
         paths = [
@@ -348,8 +311,8 @@ class TestCallGraph:
             modules[info.name] = info
         graph = CallGraph(modules)
         pkg = "tests.lint_fixtures.super_reexport"
-        assert graph.callees(f"{pkg}.sub.Sub.reset") == [f"{pkg}.base.Base.reset"]
-        assert graph.callees(f"{pkg}.sub.Sub.spin") == [f"{pkg}.base.Base.tick"]
+        assert graph.functions[f"{pkg}.sub.Sub.reset"].calls == [f"{pkg}.base.Base.reset"]
+        assert graph.functions[f"{pkg}.sub.Sub.spin"].calls == [f"{pkg}.base.Base.tick"]
 
 
 # ----------------------------------------------------------------------

@@ -13,37 +13,40 @@ from repro.analysis import LintEngine
 from repro.analysis.cli import main as lint_main
 from repro.analysis.flow.cache import DiagnosticCache
 
+#: ``dvm.py`` is an emit-coverage decision module: its state-mutating
+#: ``on_*`` hook must reach a ``bus.emit`` through some call path, here
+#: only through the helper in ``publish.py``.
 CALLER = """
-from callee import issue
+from publish import publish
 
 
-class SMTPipeline:
-    def run(self, cycles):
-        for _ in range(cycles):
-            issue(self)
+class DVM:
+    def __init__(self, bus):
+        self.bus = bus
+        self.triggered = False
+
+    def on_sample(self, estimate):
+        self.triggered = estimate > 0.5
+        publish(self, estimate)
 """
 
-CALLEE_CLEAN = """
-def issue(pipe):
-    rows = [pipe]
-    return rows
+CALLEE_EMITS = """
+def publish(dvm, estimate):
+    dvm.bus.emit("dvm.sample", estimate=estimate)
 """
 
-#: Same function, comprehension moved inside a loop: now one weighted
-#: loop level below the per-cycle call, i.e. statically hot.
-CALLEE_HOT = """
-def issue(pipe):
-    rows = []
-    for item in (pipe, pipe):
-        rows = [item]
-    return rows
+#: Same helper, emit dropped: the unchanged hook in ``dvm.py`` no longer
+#: reaches the bus, so the finding lands on the file that was not edited.
+CALLEE_SILENT = """
+def publish(dvm, estimate):
+    return estimate
 """
 
 
-def write_tree(root, callee=CALLEE_CLEAN):
+def write_tree(root, callee=CALLEE_EMITS):
     root.mkdir(exist_ok=True)
-    (root / "caller.py").write_text(textwrap.dedent(CALLER))
-    (root / "callee.py").write_text(textwrap.dedent(callee))
+    (root / "dvm.py").write_text(textwrap.dedent(CALLER))
+    (root / "publish.py").write_text(textwrap.dedent(callee))
 
 
 class TestTransitiveInvalidation:
@@ -51,8 +54,8 @@ class TestTransitiveInvalidation:
         tree = tmp_path / "proj"
         write_tree(tree)
         cache = str(tmp_path / "cache")
-        LintEngine(["hot-loop-alloc"], cache_dir=cache).run([str(tree)])
-        engine = LintEngine(["hot-loop-alloc"], cache_dir=cache)
+        LintEngine(["emit-coverage"], cache_dir=cache).run([str(tree)])
+        engine = LintEngine(["emit-coverage"], cache_dir=cache)
         assert engine.run([str(tree)]) == []
         assert engine.cache_stats.project_hits == 1
         assert engine.cache_stats.project_misses == 0
@@ -61,25 +64,25 @@ class TestTransitiveInvalidation:
         tree = tmp_path / "proj"
         write_tree(tree)
         cache = str(tmp_path / "cache")
-        first = LintEngine(["hot-loop-alloc"], cache_dir=cache).run([str(tree)])
+        first = LintEngine(["emit-coverage"], cache_dir=cache).run([str(tree)])
         assert first == []
 
-        # Only the callee changes; the caller (which holds the entry
-        # point that makes the callee hot) is untouched and cache-warm.
-        write_tree(tree, callee=CALLEE_HOT)
-        engine = LintEngine(["hot-loop-alloc"], cache_dir=cache)
+        # Only the callee changes; the caller (which holds the hook the
+        # finding is about) is untouched and cache-warm.
+        write_tree(tree, callee=CALLEE_SILENT)
+        engine = LintEngine(["emit-coverage"], cache_dir=cache)
         diags = engine.run([str(tree)])
         assert engine.cache_stats.project_hits == 0
         assert engine.cache_stats.project_misses == 1
-        assert [d.rule for d in diags] == ["hot-loop-alloc"]
-        assert diags[0].path.endswith("callee.py")
+        assert [d.rule for d in diags] == ["emit-coverage"]
+        assert diags[0].path.endswith("dvm.py")
 
     def test_cached_project_diags_match_fresh_ones(self, tmp_path):
         tree = tmp_path / "proj"
-        write_tree(tree, callee=CALLEE_HOT)
+        write_tree(tree, callee=CALLEE_SILENT)
         cache = str(tmp_path / "cache")
-        fresh = LintEngine(["hot-loop-alloc"], cache_dir=cache).run([str(tree)])
-        cached = LintEngine(["hot-loop-alloc"], cache_dir=cache).run([str(tree)])
+        fresh = LintEngine(["emit-coverage"], cache_dir=cache).run([str(tree)])
+        cached = LintEngine(["emit-coverage"], cache_dir=cache).run([str(tree)])
         assert [d.format() for d in cached] == [d.format() for d in fresh]
         assert fresh, "scenario should produce a finding"
 
@@ -93,8 +96,8 @@ class TestDependencyMap:
         cache = DiagnosticCache(cache_dir)
         cache.open([], [])
         deps = cache.deps_map()
-        caller = str(tree / "caller.py")
-        callee = str(tree / "callee.py")
+        caller = str(tree / "dvm.py")
+        callee = str(tree / "publish.py")
         assert deps[caller] == [callee]
         assert cache.reverse_dependents({callee}) == {caller}
 
@@ -141,22 +144,22 @@ class TestChangedScope:
         assert lint_main([]) == 1  # unrelated.py's determinism finding
         capsys.readouterr()
 
-        write_tree(repo / "src", callee=CALLEE_HOT)
+        write_tree(repo / "src", callee=CALLEE_SILENT)
         assert lint_main(["--changed", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         rules = {d["rule"] for d in payload["diagnostics"]}
         paths = {os.path.basename(d["path"]) for d in payload["diagnostics"]}
-        # The hot-loop finding needs caller.py's entry point in scope,
-        # so the dependent was linted; unrelated.py was not.
-        assert rules == {"hot-loop-alloc"}
-        assert paths == {"callee.py"}
+        # Only publish.py changed, yet the finding is on dvm.py: the
+        # reverse dependent was linted; unrelated.py was not.
+        assert rules == {"emit-coverage"}
+        assert paths == {"dvm.py"}
 
     def test_changed_rejects_explicit_paths(self, repo, capsys):
         assert lint_main(["--changed", "src"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
     def test_cold_cache_widens_to_a_full_run(self, repo, capsys):
-        write_tree(repo / "src", callee=CALLEE_HOT)
+        write_tree(repo / "src", callee=CALLEE_SILENT)
         # No warm-up run: the deps map does not exist yet.
         assert lint_main(["--changed"]) == 1
         captured = capsys.readouterr()

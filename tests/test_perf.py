@@ -509,8 +509,6 @@ class TestBenchSuite:
             "issue_select",
             "dvm_interval",
             "resource_alloc",
-            "lint_warm",
-            "parallel_sweep",
             "relay_roundtrip",
         }
         assert all(c.description for c in BENCH_CASES)
