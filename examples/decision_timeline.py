@@ -20,18 +20,23 @@ Usage::
 
 import sys
 
-from repro.harness.runner import BenchScale, run_recorded
-from repro.telemetry.timeline import render_timeline
+from repro.harness.runner import BenchScale, build_pipeline, get_programs
+from repro.telemetry.profiler import StageProfiler
+from repro.telemetry.timeline import TimelineRecorder, render_timeline
 
 
 def main() -> int:
     mix = sys.argv[1] if len(sys.argv) > 1 else "MEM-A"
     cycles = int(sys.argv[2]) if len(sys.argv) > 2 else 12_000
-    scale = BenchScale(max_cycles=cycles)
+    scale = BenchScale().with_cycles(cycles)
 
-    result, recorder, profile = run_recorded(
-        mix, scale, dispatch="opt2", dvm_target=0.10
+    pipe = build_pipeline(
+        get_programs(mix, scale), scale, dispatch="opt2", dvm_target=0.10
     )
+    pipe.profiler = StageProfiler()
+    with TimelineRecorder(pipe.bus) as recorder:
+        result = pipe.run()
+    profile = pipe.profiler.report()
 
     print(render_timeline(
         recorder.events,

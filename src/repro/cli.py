@@ -36,17 +36,28 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from repro.harness import experiments
 from repro.harness import parallel as parallel_mod
 from repro.harness.report import format_table, save_report
-from repro.harness.runner import BenchScale, mix_harmonic_ipc, run_recorded, run_sim
+from repro.harness.runner import (
+    BenchScale,
+    WindowTooShort,
+    build_pipeline,
+    cycles_arg,
+    dvm_target,
+    get_programs,
+    mix_harmonic_ipc,
+    run_sim,
+)
 from repro.harness.sweep import NAMED_METRICS, check_sweep_kwargs
 from repro.perf.cli import register_perf_cli
 from repro.reliability.cli import register_avf_cli
 from repro.telemetry.bus import EventBus
+from repro.telemetry.profiler import StageProfiler
 from repro.telemetry.timeline import (
     TimelineRecorder,
     read_jsonl,
@@ -74,36 +85,35 @@ EXIT_PARTIAL = 3
 
 
 def _scale_from_args(args) -> BenchScale:
-    scale = BenchScale.from_env()
+    scale = BenchScale.from_env(args.cycles)
     overrides = {}
-    if getattr(args, "cycles", None):
-        overrides["max_cycles"] = args.cycles
-        if args.cycles <= scale.warmup_cycles:
-            overrides["warmup_cycles"] = args.cycles // 5
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     if getattr(args, "full", False):
         overrides["groups"] = ("A", "B", "C")
-    if overrides:
-        import dataclasses
+    return dataclasses.replace(scale, **overrides)
 
-        scale = dataclasses.replace(scale, **overrides)
-    return scale
+
+def pipeline_from_args(args, scale: BenchScale, profiled: bool = True):
+    """The pipeline a single-run command (``run``, ``timeline``,
+    ``perf trace``, ``avf report``) simulates."""
+    target = dvm_target(args.mix, scale, args.dvm, args.fetch_policy)
+    return build_pipeline(
+        get_programs(args.mix, scale, profiled),
+        scale,
+        fetch_policy=args.fetch_policy,
+        scheduler=args.scheduler,
+        dispatch=args.dispatch,
+        dvm_target=target,
+    )
 
 
 def cmd_run(args) -> int:
     scale = _scale_from_args(args)
     if args.record:
-        res, recorder, _ = run_recorded(
-            args.mix,
-            scale,
-            fetch_policy=args.fetch_policy,
-            scheduler=args.scheduler,
-            dispatch=args.dispatch,
-            dvm_target=_dvm_target(args, scale),
-            profiled=not args.no_profile,
-            profile_stages=False,
-        )
+        pipe = pipeline_from_args(args, scale, profiled=not args.no_profile)
+        with TimelineRecorder(pipe.bus) as recorder:
+            res = pipe.run()
         n = recorder.to_jsonl(args.record, manifest=res.manifest)
         print(f"recorded {n} events to {args.record}")
     else:
@@ -113,7 +123,7 @@ def cmd_run(args) -> int:
             fetch_policy=args.fetch_policy,
             scheduler=args.scheduler,
             dispatch=args.dispatch,
-            dvm_target=_dvm_target(args, scale),
+            dvm_target=dvm_target(args.mix, scale, args.dvm, args.fetch_policy),
             profiled=not args.no_profile,
         )
     mix = MIXES[args.mix]
@@ -141,13 +151,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _dvm_target(args, scale) -> float | None:
-    if getattr(args, "dvm", None) is None:
-        return None
-    base = run_sim(args.mix, scale, fetch_policy=args.fetch_policy)
-    return args.dvm * base.max_online_estimate
-
-
 def cmd_timeline(args) -> int:
     if args.input:
         manifest, events = read_jsonl(args.input)
@@ -155,15 +158,12 @@ def cmd_timeline(args) -> int:
         profile = None
     else:
         scale = _scale_from_args(args)
-        res, recorder, profile = run_recorded(
-            args.mix,
-            scale,
-            fetch_policy=args.fetch_policy,
-            scheduler=args.scheduler,
-            dispatch=args.dispatch,
-            dvm_target=_dvm_target(args, scale),
-            profile_stages=not args.no_self_profile,
-        )
+        pipe = pipeline_from_args(args, scale)
+        if not args.no_self_profile:
+            pipe.profiler = StageProfiler()
+        with TimelineRecorder(pipe.bus) as recorder:
+            res = pipe.run()
+        profile = pipe.profiler.report() if pipe.profiler is not None else None
         manifest, events = res.manifest, recorder.events
         dvm_part = "" if args.dvm is None else f", dvm={args.dvm}"
         title = (
@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["opt1", "opt1-linear", "opt2"])
     p_run.add_argument("--dvm", type=float, default=None, metavar="FRAC",
                        help="enable DVM targeting FRAC * baseline MaxAVF")
-    p_run.add_argument("--cycles", type=int, default=None)
+    p_run.add_argument("--cycles", type=cycles_arg, default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--no-profile", action="store_true",
                        help="skip offline ACE profiling (all hints = ACE)")
@@ -499,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["opt1", "opt1-linear", "opt2"])
     p_tl.add_argument("--dvm", type=float, default=None, metavar="FRAC",
                       help="enable DVM targeting FRAC * baseline MaxAVF")
-    p_tl.add_argument("--cycles", type=int, default=None)
+    p_tl.add_argument("--cycles", type=cycles_arg, default=None)
     p_tl.add_argument("--seed", type=int, default=None)
     p_tl.add_argument("--input", metavar="PATH", default=None,
                       help="render a previously recorded JSONL instead of simulating")
@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="retry rounds before a failing point is skipped")
     p_sw.add_argument("--strict", action="store_true",
                       help="fail instead of skipping exhausted points")
-    p_sw.add_argument("--cycles", type=int, default=None)
+    p_sw.add_argument("--cycles", type=cycles_arg, default=None)
     p_sw.add_argument("--seed", type=int, default=None)
     p_sw.add_argument("--quiet", action="store_true",
                       help="suppress per-point progress lines")
@@ -577,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--timeout", type=float, default=None)
     p_fig.add_argument("--retries", type=int, default=1)
     p_fig.add_argument("--strict", action="store_true")
-    p_fig.add_argument("--cycles", type=int, default=None)
+    p_fig.add_argument("--cycles", type=cycles_arg, default=None)
     p_fig.add_argument("--seed", type=int, default=None)
     p_fig.add_argument("--full", action="store_true",
                        help="all Table 3 groups (paper averaging)")
@@ -613,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="regenerate a paper table/figure")
     p_rep.add_argument("experiment")
-    p_rep.add_argument("--cycles", type=int, default=None)
+    p_rep.add_argument("--cycles", type=cycles_arg, default=None)
     p_rep.add_argument("--seed", type=int, default=None)
     p_rep.add_argument("--full", action="store_true",
                        help="all Table 3 groups (paper averaging)")
@@ -640,7 +640,11 @@ def main(argv: list[str] | None = None) -> int:
 
         return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except WindowTooShort as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,15 +15,17 @@ import numpy as np
 
 from repro.harness.runner import (
     BenchScale,
+    build_pipeline,
+    dvm_target,
     get_programs,
     mix_harmonic_ipc,
+    profile_scaled,
     run_sim,
     single_thread_ipc,
 )
 from repro.isa.generator import generate_program
 from repro.isa.personalities import PERSONALITIES
 from repro.reliability.avf import Structure
-from repro.reliability.profiling import profile_program
 from repro.workloads import CATEGORIES, get_mix
 
 #: The three VISA configurations of Figures 5/6 (plus the baseline).
@@ -37,11 +39,6 @@ VISA_CONFIGS = {
 FETCH_POLICIES = ("stall", "dg", "pdg", "flush")
 
 DVM_THRESHOLD_FRACTIONS = (0.7, 0.6, 0.5, 0.4, 0.3)
-
-
-def _category_avg(scale: BenchScale, category: str, metric) -> float:
-    vals = [metric(m.name) for m in scale.mixes(category)]
-    return float(np.mean(vals))
 
 
 # ----------------------------------------------------------------------
@@ -105,12 +102,7 @@ def table1_pc_accuracy(scale: BenchScale) -> list[dict]:
     """Per-benchmark committed-instance accuracy (paper avg: 93.7%)."""
     rows = []
     for name in sorted(PERSONALITIES):
-        program = generate_program(name, seed=scale.seed)
-        prof = profile_program(
-            program,
-            n_instructions=scale.profile_instructions,
-            window=scale.profile_window,
-        )
+        prof = profile_scaled(generate_program(name, seed=scale.seed), scale)
         rows.append(
             {
                 "benchmark": name,
@@ -206,7 +198,7 @@ def fig8_dvm(scale: BenchScale, fetch_policy: str = "icount") -> list[dict]:
                 # controller's internal target is the same fraction of
                 # the hardware-observable online maximum.
                 target = frac * base.max_iq_avf
-                online_target = frac * base.max_online_estimate
+                online_target = dvm_target(mix.name, scale, frac, fetch_policy)
                 dvm = run_sim(
                     mix.name, scale, fetch_policy=fetch_policy, dvm_target=online_target
                 )
@@ -254,7 +246,7 @@ def fig10_comparison(scale: BenchScale, fetch_policy: str = "icount") -> list[di
             for mix in scale.mixes(cat):
                 base = run_sim(mix.name, scale, fetch_policy=fetch_policy)
                 target = frac * base.max_iq_avf
-                online_target = frac * base.max_online_estimate
+                online_target = dvm_target(mix.name, scale, frac, fetch_policy)
                 for scheme in schemes[:3]:
                     res = run_sim(
                         mix.name, scale, fetch_policy=fetch_policy,
@@ -338,7 +330,7 @@ def ablation_trigger_fraction(scale: BenchScale, fractions=(0.8, 0.9, 0.95)) -> 
             for mix in s.mixes(cat):
                 base = run_sim(mix.name, s)
                 target = 0.5 * base.max_iq_avf
-                dvm = run_sim(mix.name, s, dvm_target=0.5 * base.max_online_estimate)
+                dvm = run_sim(mix.name, s, dvm_target=dvm_target(mix.name, s, 0.5))
                 pves.append(dvm.pve(target))
                 dthr.append(1.0 - dvm.ipc / max(base.ipc, 1e-9))
             rows.append(
@@ -403,26 +395,11 @@ def characterize_benchmarks(scale: BenchScale, names=None) -> list[dict]:
     each benchmark in its Table 3 category.  Useful for recalibrating
     personalities and for sanity-checking CPU/MEM separation.
     """
-    from repro.config import MachineConfig
-    from repro.core.pipeline import SMTPipeline
-    from repro.isa.generator import ProgramGenerator
-    from repro.isa.personalities import get_personality
-    from repro.reliability.profiling import profile_and_apply
-
     rows = []
     for name in names or sorted(PERSONALITIES):
-        program = ProgramGenerator(get_personality(name), seed=scale.seed).generate()
-        prof = profile_and_apply(
-            program,
-            n_instructions=scale.profile_instructions,
-            window=scale.profile_window,
-        )
-        pipe = SMTPipeline(
-            [program],
-            machine=MachineConfig(num_threads=1),
-            sim=scale.sim_config(),
-        )
-        res = pipe.run()
+        program = generate_program(name, seed=scale.seed)
+        prof = profile_scaled(program, scale)
+        res = build_pipeline([program], scale).run()
         rows.append(
             {
                 "benchmark": name,

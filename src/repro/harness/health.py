@@ -42,6 +42,7 @@ from repro.telemetry.relay import (
 )
 from repro.telemetry.topics import (
     TOPIC_INTERVAL_CLOSE,
+    TOPIC_PROFILE_PROGRESS,
     TOPIC_RELIABILITY_ESTIMATE,
     TOPIC_WARMUP_PROGRESS,
     TOPIC_WORKER_HEALTH,
@@ -115,18 +116,19 @@ class HeartbeatEmitter:
         self._cycles = 0
 
     def attach(self, bus: EventBus) -> Subscription:
-        """Drive throttled beats from the pipeline's interval closes and
-        from its functional warm-up, which runs for seconds before the
-        first interval closes."""
+        """Drive throttled beats from the pipeline's interval closes, and
+        from the phases before the first one closes: functional warm-up
+        and offline profiling, each of which can run for seconds."""
         return bus.subscribe(
-            (TOPIC_INTERVAL_CLOSE, TOPIC_WARMUP_PROGRESS), self._on_event
+            (TOPIC_INTERVAL_CLOSE, TOPIC_WARMUP_PROGRESS, TOPIC_PROFILE_PROGRESS),
+            self._on_event,
         )
 
     def _on_event(self, event: Any) -> None:
-        if event.topic == TOPIC_WARMUP_PROGRESS.name:
-            self.on_warmup(event)
-        else:
+        if event.topic == TOPIC_INTERVAL_CLOSE.name:
             self.on_interval(event)
+        else:
+            self.on_progress(event)
 
     # ------------------------------------------------------------------
     def point_started(self, point: str) -> None:
@@ -163,10 +165,10 @@ class HeartbeatEmitter:
         self._last_beat = now
         self._send(BEAT_TICK, now, rate)
 
-    def on_warmup(self, event: Any) -> None:
-        """A liveness-only beat: no cycle of this simulation has run
-        yet, so the cycle-rate base restarts here and the first
-        interval's rate excludes the warm-up."""
+    def on_progress(self, event: Any) -> None:
+        """A liveness-only beat from warm-up or profiling: no cycle of
+        the next simulation has run yet, so the cycle-rate base restarts
+        here and the first interval's rate excludes this phase."""
         now = self._clock()
         self._cycles = 0
         self._last_cycle = 0

@@ -16,29 +16,49 @@ harness never re-simulate the same point.
 
 from __future__ import annotations
 
+import argparse
 import os
 from dataclasses import dataclass, field, replace
 
 from repro.config import MachineConfig, ReliabilityConfig, SimulationConfig
 from repro.core.pipeline import SMTPipeline, SimulationResult
 from repro.core.warmstate import reset_warm_states
-from repro.isa.generator import ProgramGenerator
-from repro.isa.personalities import get_personality
+from repro.isa.generator import generate_program
+from repro.isa.program import SyntheticProgram
 from repro.reliability.dvm import DVMController
-from repro.reliability.profiling import profile_and_apply
+from repro.reliability.profiling import ProfileResult, profile_and_apply
 from repro.reliability.resource_alloc import (
     DispatchPolicy,
     DynamicIQAllocation,
     L2MissSensitiveAllocation,
 )
-from repro.telemetry.profiler import StageProfile, StageProfiler
-from repro.telemetry.timeline import TimelineRecorder
+from repro.telemetry.topics import TOPIC_PROFILE_PROGRESS
 from repro.workloads import get_mix, mixes_in_category
 
 
 #: The paper's reliability parameters; BenchScale rescales the
 #: window-sized ones and inherits the dimensionless ones unchanged.
 _PAPER = ReliabilityConfig()
+
+
+def _cycle_count(raw: str, name: str) -> int:
+    """``raw`` as a positive cycle count; ValueError naming ``name`` otherwise."""
+    try:
+        cycles = int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer cycle count, got {raw!r}") from None
+    if cycles <= 0:
+        raise ValueError(f"{name} must be positive, got {cycles}")
+    return cycles
+
+
+def cycles_arg(text: str) -> int:
+    """The argparse ``type=`` of every ``--cycles`` option, so a
+    non-positive budget is a usage error (exit 2)."""
+    try:
+        return _cycle_count(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -63,28 +83,32 @@ class BenchScale:
     groups: tuple[str, ...] = ("A",)
 
     @staticmethod
-    def from_env() -> "BenchScale":
+    def from_env(cycles: int | None = None) -> "BenchScale":
+        """The default scale, widened to all groups by ``REPRO_FULL`` and
+        resized by ``REPRO_CYCLES``, or by ``cycles`` (a CLI ``--cycles``)
+        when given."""
         groups = ("A", "B", "C") if os.environ.get("REPRO_FULL") else ("A",)
-        raw = os.environ.get("REPRO_CYCLES")
-        if raw is None:
-            return BenchScale(groups=groups)
-        try:
-            cycles = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_CYCLES must be an integer cycle count, got {raw!r}"
-            ) from None
+        if cycles is None:
+            raw = os.environ.get("REPRO_CYCLES")
+            if raw is None:
+                return BenchScale(groups=groups)
+            cycles = _cycle_count(raw, "REPRO_CYCLES")
+        return BenchScale(groups=groups).with_cycles(cycles)
+
+    def with_cycles(self, cycles: int) -> "BenchScale":
+        """This scale with a ``cycles`` budget: the one cycle-budget rule.
+
+        A budget below ``max_cycles`` keeps this scale's warm-up
+        proportion (3/14 by default); inheriting the absolute warm-up
+        would leave a 2000-cycle run all warm-up.  A larger budget keeps
+        the warm-up as it is.
+        """
         if cycles <= 0:
-            raise ValueError(f"REPRO_CYCLES must be positive, got {cycles}")
-        defaults = BenchScale()
-        warmup = defaults.warmup_cycles
-        if cycles < defaults.max_cycles:
-            # A shrunken budget keeps the default 3/14 warm-up proportion;
-            # inheriting the absolute 3000-cycle warm-up would leave a
-            # run like REPRO_CYCLES=2000 all warm-up (sim_config() then
-            # rejects warmup_cycles >= max_cycles with an opaque error).
-            warmup = max(cycles * defaults.warmup_cycles // defaults.max_cycles, 1)
-        return BenchScale(max_cycles=cycles, warmup_cycles=warmup, groups=groups)
+            raise ValueError(f"a cycle budget must be positive, got {cycles}")
+        warmup = self.warmup_cycles
+        if cycles < self.max_cycles:
+            warmup = max(cycles * self.warmup_cycles // self.max_cycles, 1)
+        return replace(self, max_cycles=cycles, warmup_cycles=warmup)
 
     def sim_config(self, *, collect_hist: bool = False) -> SimulationConfig:
         rel = ReliabilityConfig(
@@ -136,11 +160,6 @@ def set_ambient_bus(bus) -> None:
     _AMBIENT_BUS = bus
 
 
-def ambient_bus():
-    """The process-wide ambient bus, or None outside pool workers."""
-    return _AMBIENT_BUS
-
-
 def clear_caches() -> None:
     """Drop all memoized programs, results and warm states (tests use
     this), so the next run starts from a cold functional warm-up."""
@@ -157,16 +176,30 @@ def get_programs(mix_name: str, scale: BenchScale, profiled: bool = True):
         programs = get_mix(mix_name).programs(seed=scale.seed)
         if profiled:
             for p in programs:
-                profile_and_apply(
-                    p,
-                    n_instructions=scale.profile_instructions,
-                    window=scale.profile_window,
-                )
+                profile_scaled(p, scale)
         # Deliberate per-process memo: each pool worker warms its own
         # copy via _init_worker; the parent's cache is never consulted
         # across the fork.
         _PROGRAMS[key] = programs
     return _PROGRAMS[key]
+
+
+def profile_scaled(program: SyntheticProgram, scale: BenchScale) -> ProfileResult:
+    """Offline-profile ``program`` over ``scale``'s profiling window and
+    tag its image, then announce it on the ambient bus: profiling emits
+    nothing else and takes seconds per program, so the
+    ``profile.progress`` event keeps worker heartbeats alive."""
+    result = profile_and_apply(
+        program, n_instructions=scale.profile_instructions, window=scale.profile_window
+    )
+    bus = _AMBIENT_BUS
+    if bus is not None and bus.wants(TOPIC_PROFILE_PROGRESS):
+        bus.emit(
+            TOPIC_PROFILE_PROGRESS,
+            program=program.name,
+            instructions=scale.profile_instructions,
+        )
+    return result
 
 
 def _make_dispatch(name: str | None, scale: BenchScale, machine: MachineConfig) -> DispatchPolicy | None:
@@ -223,6 +256,43 @@ def _memo_key(mix_name: str, scale: BenchScale, params: dict) -> tuple:
     return key
 
 
+def build_pipeline(
+    programs: list[SyntheticProgram],
+    scale: BenchScale,
+    *,
+    fetch_policy: str = "icount",
+    scheduler: str = "oldest",
+    dispatch: str | None = None,
+    dvm_target: float | None = None,
+    dvm_static_ratio: float | None = None,
+    collect_hist: bool = False,
+) -> SMTPipeline:
+    """The one way a run request becomes a pipeline.
+
+    ``programs`` run on the Table 2 machine at ``scale``'s windows under
+    the named policies, on the ambient bus (a private bus outside pool
+    workers).  Callers attach their recorder, observer or profiler to
+    the pipeline before ``run()``.
+    """
+    machine = MachineConfig(num_threads=len(programs))
+    sim = scale.sim_config(collect_hist=collect_hist)
+    dvm = None
+    if dvm_target is not None:
+        dvm = DVMController(
+            dvm_target, config=sim.reliability, static_ratio=dvm_static_ratio
+        )
+    return SMTPipeline(
+        programs,
+        machine=machine,
+        sim=sim,
+        fetch_policy=fetch_policy,
+        scheduler=scheduler,
+        dispatch_policy=_make_dispatch(dispatch, scale, machine),
+        dvm=dvm,
+        bus=_AMBIENT_BUS,
+    )
+
+
 def run_sim(
     mix_name: str,
     scale: BenchScale,
@@ -248,24 +318,16 @@ def run_sim(
     key = _memo_key(mix_name, scale, params) if use_cache else None
     if key is not None and key in _RESULTS:
         return _RESULTS[key]
-    machine = MachineConfig(num_threads=len(get_mix(mix_name).benchmarks))
-    sim = scale.sim_config(collect_hist=collect_hist)
-    dvm = None
-    if dvm_target is not None:
-        dvm = DVMController(
-            dvm_target, config=sim.reliability, static_ratio=dvm_static_ratio
-        )
-    pipe = SMTPipeline(
+    result = build_pipeline(
         get_programs(mix_name, scale, profiled),
-        machine=machine,
-        sim=sim,
+        scale,
         fetch_policy=fetch_policy,
         scheduler=scheduler,
-        dispatch_policy=_make_dispatch(dispatch, scale, machine),
-        dvm=dvm,
-        bus=_AMBIENT_BUS,
-    )
-    result = pipe.run()
+        dispatch=dispatch,
+        dvm_target=dvm_target,
+        dvm_static_ratio=dvm_static_ratio,
+        collect_hist=collect_hist,
+    ).run()
     if key is not None:
         # Deliberate per-process memo: a worker re-running an identical
         # point hits its own cache; results return to the parent via the
@@ -274,125 +336,35 @@ def run_sim(
     return result
 
 
-def run_recorded(
+class WindowTooShort(ValueError):
+    """A run whose cycle budget cannot hold what it asks for."""
+
+
+def dvm_target(
     mix_name: str,
     scale: BenchScale,
-    *,
+    fraction: float | None,
     fetch_policy: str = "icount",
-    scheduler: str = "oldest",
-    dispatch: str | None = None,
-    dvm_target: float | None = None,
-    dvm_static_ratio: float | None = None,
-    profiled: bool = True,
-    profile_stages: bool = True,
-    profiler: StageProfiler | None = None,
-    event_limit: int = 200_000,
-) -> tuple[SimulationResult, TimelineRecorder, StageProfile | None]:
-    """One uncached simulation with a decision timeline attached.
+) -> float | None:
+    """The absolute DVM target that ``--dvm FRACTION`` asks for.
 
-    Builds the same pipeline as :func:`run_sim` but subscribes a
-    :class:`~repro.telemetry.timeline.TimelineRecorder` to the
-    interval/decision topics and (optionally) a
-    :class:`~repro.telemetry.profiler.StageProfiler`.  An explicit
-    ``profiler`` (e.g. :class:`repro.perf.spans.TracingProfiler` for
-    Chrome-trace export) overrides ``profile_stages``.  Results are
-    never cached: the recorder and profile belong to this specific run.
+    That is ``fraction`` times the highest online IQ AVF estimate of the
+    no-DVM baseline run (same mix, scale and fetch policy), in the units
+    the controller measures; None when ``fraction`` is None.  The
+    baseline needs a closed interval after the warm-up to have an
+    estimate at all.
     """
-    machine = MachineConfig(num_threads=len(get_mix(mix_name).benchmarks))
-    sim = scale.sim_config()
-    dvm = None
-    if dvm_target is not None:
-        dvm = DVMController(
-            dvm_target, config=sim.reliability, static_ratio=dvm_static_ratio
+    if fraction is None:
+        return None
+    interval = scale.interval_cycles
+    if scale.max_cycles // interval <= scale.warmup_cycles // interval:
+        raise WindowTooShort(
+            f"--cycles {scale.max_cycles} leaves no closed {interval}-cycle "
+            f"interval after the {scale.warmup_cycles}-cycle warm-up, so "
+            f"--dvm has no baseline AVF estimate to scale"
         )
-    if profiler is None and profile_stages:
-        profiler = StageProfiler()
-    pipe = SMTPipeline(
-        get_programs(mix_name, scale, profiled),
-        machine=machine,
-        sim=sim,
-        fetch_policy=fetch_policy,
-        scheduler=scheduler,
-        dispatch_policy=_make_dispatch(dispatch, scale, machine),
-        dvm=dvm,
-        profiler=profiler,
-    )
-    recorder = TimelineRecorder(pipe.bus, limit=event_limit)
-    with recorder:
-        result = pipe.run()
-    profile = profiler.report() if profiler is not None else None
-    return result, recorder, profile
-
-
-def run_observed(
-    mix_name: str,
-    scale: BenchScale,
-    *,
-    fetch_policy: str = "icount",
-    scheduler: str = "oldest",
-    dispatch: str | None = None,
-    dvm_target: float | None = None,
-    dvm_static_ratio: float | None = None,
-    profiled: bool = True,
-    event_limit: int = 200_000,
-    record: bool = False,
-) -> tuple[SimulationResult, "ReliabilityObserver", TimelineRecorder | None]:
-    """One uncached simulation with a reliability observer attached.
-
-    Builds the same pipeline as :func:`run_sim`, subscribes a
-    :class:`~repro.reliability.observe.ReliabilityObserver` to the
-    ``reliability.*`` streams, and optionally (``record=True``) also a
-    :class:`~repro.telemetry.timeline.TimelineRecorder` over the
-    reliability + interval topics for Chrome-trace export.  Results are
-    never cached: the observer belongs to this specific run.
-    """
-    from repro.reliability.observe import ReliabilityObserver
-    from repro.telemetry.topics import (
-        TOPIC_DVM_SAMPLE,
-        TOPIC_INTERVAL_CLOSE,
-        TOPIC_RELIABILITY_DIVERGENCE,
-        TOPIC_RELIABILITY_ESTIMATE,
-        TOPIC_RELIABILITY_LATE_ACE,
-    )
-
-    machine = MachineConfig(num_threads=len(get_mix(mix_name).benchmarks))
-    sim = scale.sim_config()
-    dvm = None
-    if dvm_target is not None:
-        dvm = DVMController(
-            dvm_target, config=sim.reliability, static_ratio=dvm_static_ratio
-        )
-    pipe = SMTPipeline(
-        get_programs(mix_name, scale, profiled),
-        machine=machine,
-        sim=sim,
-        fetch_policy=fetch_policy,
-        scheduler=scheduler,
-        dispatch_policy=_make_dispatch(dispatch, scale, machine),
-        dvm=dvm,
-    )
-    observer = ReliabilityObserver.for_pipeline(pipe)
-    recorder = None
-    if record:
-        recorder = TimelineRecorder(
-            pipe.bus,
-            topics=(
-                TOPIC_INTERVAL_CLOSE,
-                TOPIC_DVM_SAMPLE,
-                TOPIC_RELIABILITY_ESTIMATE,
-                TOPIC_RELIABILITY_LATE_ACE,
-                TOPIC_RELIABILITY_DIVERGENCE,
-            ),
-            limit=event_limit,
-        )
-        recorder.__enter__()
-    try:
-        result = pipe.run()
-    finally:
-        if recorder is not None:
-            recorder.__exit__(None, None, None)
-        observer.detach()
-    return result, observer, recorder
+    base = run_sim(mix_name, scale, fetch_policy=fetch_policy)
+    return fraction * base.max_online_estimate
 
 
 def single_thread_ipc(
@@ -409,13 +381,10 @@ def single_thread_ipc(
     """
     if program_seed is None:
         program_seed = scale.seed * 1000
-    key = (benchmark, program_seed, scale.max_cycles, fetch_policy)
+    key = (benchmark, program_seed, scale, fetch_policy)
     if key not in _SINGLE_IPC:
-        program = ProgramGenerator(get_personality(benchmark), seed=program_seed).generate()
-        machine = MachineConfig(num_threads=1)
-        pipe = SMTPipeline(
-            [program], machine=machine, sim=scale.sim_config(), fetch_policy=fetch_policy
-        )
+        program = generate_program(benchmark, seed=program_seed)
+        pipe = build_pipeline([program], scale, fetch_policy=fetch_policy)
         _SINGLE_IPC[key] = max(pipe.run().ipc, 1e-6)
     return _SINGLE_IPC[key]
 

@@ -23,7 +23,7 @@ import json
 import sys
 from typing import Any
 
-from repro.harness.runner import BenchScale
+from repro.harness.runner import BenchScale, cycles_arg
 from repro.perf import history as perf_history
 from repro.perf.bench import (
     BENCH_NAMES,
@@ -39,14 +39,7 @@ from repro.workloads import MIXES
 
 
 def _suite_scale(args: argparse.Namespace) -> BenchScale:
-    scale = PERF_SCALE
-    if getattr(args, "cycles", None):
-        scale = dataclasses.replace(
-            scale,
-            max_cycles=args.cycles,
-            warmup_cycles=min(scale.warmup_cycles, args.cycles // 5),
-        )
-    return scale
+    return PERF_SCALE if args.cycles is None else PERF_SCALE.with_cycles(args.cycles)
 
 
 def _suite_manifest(args: argparse.Namespace, scale: BenchScale) -> Any:
@@ -114,36 +107,17 @@ def cmd_perf_compare(args: argparse.Namespace) -> int:
 
 def cmd_perf_trace(args: argparse.Namespace) -> int:
     # Imported lazily: trace pulls in the full simulation stack.
-    from repro.harness.runner import run_recorded, run_sim
+    from repro.cli import pipeline_from_args
+    from repro.telemetry.timeline import TimelineRecorder
 
-    scale = BenchScale.from_env()
-    if args.cycles:
-        scale = dataclasses.replace(
-            scale,
-            max_cycles=args.cycles,
-            warmup_cycles=(
-                args.cycles // 5
-                if args.cycles <= scale.warmup_cycles
-                else scale.warmup_cycles
-            ),
-        )
-    dvm_target = None
-    if args.dvm is not None:
-        base = run_sim(args.mix, scale, fetch_policy=args.fetch_policy)
-        dvm_target = args.dvm * base.max_online_estimate
+    pipe = pipeline_from_args(args, BenchScale.from_env(args.cycles))
     profiler = TracingProfiler(
         SpanTracer(), max_traced_cycles=args.traced_cycles
     )
-    result, recorder, profile = run_recorded(
-        args.mix,
-        scale,
-        fetch_policy=args.fetch_policy,
-        scheduler=args.scheduler,
-        dispatch=args.dispatch,
-        dvm_target=dvm_target,
-        profiler=profiler,
-    )
-    assert profile is not None  # run_recorded reports the passed profiler
+    pipe.profiler = profiler
+    with TimelineRecorder(pipe.bus) as recorder:
+        result = pipe.run()
+    profile = profiler.report()
     # Map the cycle-domain decision tracks onto the wall-time span track
     # using the run's mean cycle duration, so both land on one timeline.
     cycle_us = (
@@ -190,7 +164,7 @@ def register_perf_cli(sub: argparse._SubParsersAction) -> None:
         )
         p.add_argument("--repeats", type=int, default=3,
                        help="timed repeats per case, min is kept (default 3)")
-        p.add_argument("--cycles", type=int, default=None,
+        p.add_argument("--cycles", type=cycles_arg, default=None,
                        help="override the pinned pipeline-case cycle budget")
         p.add_argument("--history", default=perf_history.DEFAULT_HISTORY_PATH,
                        metavar="PATH", help="history file (default BENCH_perf.json)")
@@ -219,7 +193,7 @@ def register_perf_cli(sub: argparse._SubParsersAction) -> None:
                       choices=["opt1", "opt1-linear", "opt2"])
     p_tr.add_argument("--dvm", type=float, default=None, metavar="FRAC",
                       help="enable DVM targeting FRAC * baseline MaxAVF")
-    p_tr.add_argument("--cycles", type=int, default=None)
+    p_tr.add_argument("--cycles", type=cycles_arg, default=None)
     p_tr.add_argument("--traced-cycles", type=int, default=2_000,
                       help="cycles to record stage spans for (default 2000)")
     p_tr.add_argument("-o", "--out", metavar="PATH", default="repro-trace.json",

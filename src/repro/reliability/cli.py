@@ -22,45 +22,46 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import json
 import sys
 
-from repro.harness.runner import BenchScale
+from repro.harness.runner import BenchScale, cycles_arg
 from repro.perf.history import load_history
 from repro.reliability import gate
+from repro.telemetry.topics import (
+    TOPIC_DVM_SAMPLE,
+    TOPIC_INTERVAL_CLOSE,
+    TOPIC_RELIABILITY_DIVERGENCE,
+    TOPIC_RELIABILITY_ESTIMATE,
+    TOPIC_RELIABILITY_LATE_ACE,
+)
 from repro.workloads import MIXES
 
-
-def _scale(args: argparse.Namespace) -> BenchScale:
-    scale = BenchScale.from_env()
-    if getattr(args, "cycles", None):
-        scale = dataclasses.replace(
-            scale,
-            max_cycles=args.cycles,
-            warmup_cycles=min(scale.warmup_cycles, args.cycles // 5),
-        )
-    return scale
+#: What ``avf report --trace-out`` records: the AVF counter tracks.
+AVF_TRACE_TOPICS = (
+    TOPIC_INTERVAL_CLOSE,
+    TOPIC_DVM_SAMPLE,
+    TOPIC_RELIABILITY_ESTIMATE,
+    TOPIC_RELIABILITY_LATE_ACE,
+    TOPIC_RELIABILITY_DIVERGENCE,
+)
 
 
 def cmd_avf_report(args: argparse.Namespace) -> int:
     # Imported lazily: report pulls in the full simulation stack.
-    from repro.harness.runner import run_observed, run_sim
+    from repro.cli import pipeline_from_args
+    from repro.reliability.observe import ReliabilityObserver
+    from repro.telemetry.timeline import TimelineRecorder
 
-    scale = _scale(args)
-    dvm_target = None
-    if args.dvm is not None:
-        base = run_sim(args.mix, scale, fetch_policy=args.fetch_policy)
-        dvm_target = args.dvm * base.max_online_estimate
-    result, observer, recorder = run_observed(
-        args.mix,
-        scale,
-        fetch_policy=args.fetch_policy,
-        scheduler=args.scheduler,
-        dispatch=args.dispatch,
-        dvm_target=dvm_target,
-        record=bool(args.trace_out),
+    pipe = pipeline_from_args(args, BenchScale.from_env(args.cycles))
+    recording = (
+        TimelineRecorder(pipe.bus, topics=AVF_TRACE_TOPICS)
+        if args.trace_out
+        else contextlib.nullcontext()
     )
+    with ReliabilityObserver.for_pipeline(pipe) as observer, recording as recorder:
+        result = pipe.run()
     report = observer.report(result.cycles)
     if args.json:
         text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
@@ -76,7 +77,6 @@ def cmd_avf_report(args: argparse.Namespace) -> int:
     if args.trace_out:
         from repro.perf.chrome_trace import write_chrome_trace
 
-        assert recorder is not None  # record=True above
         n = write_chrome_trace(
             args.trace_out,
             recorded=recorder.events,
@@ -88,7 +88,7 @@ def cmd_avf_report(args: argparse.Namespace) -> int:
 
 
 def cmd_avf_run(args: argparse.Namespace) -> int:
-    scale = _scale(args)
+    scale = BenchScale.from_env(args.cycles)
     results = gate.headline_numbers(scale, mix=args.mix)
     for name in sorted(results):
         print(f"  {name:<18s} {results[name]:9.5f}")
@@ -128,7 +128,7 @@ def cmd_avf_compare(args: argparse.Namespace) -> int:
             for name, v in doc.get("results", doc).items()
         }
     else:
-        scale = _scale(args)
+        scale = BenchScale.from_env(args.cycles)
         current = gate.headline_numbers(scale, mix=args.mix)
         if args.out:
             with open(args.out, "w") as fh:
@@ -160,7 +160,7 @@ def register_avf_cli(sub: argparse._SubParsersAction) -> None:
                        choices=["opt1", "opt1-linear", "opt2"])
     p_rep.add_argument("--dvm", type=float, default=None, metavar="FRAC",
                        help="enable DVM targeting FRAC * baseline MaxAVF")
-    p_rep.add_argument("--cycles", type=int, default=None,
+    p_rep.add_argument("--cycles", type=cycles_arg, default=None,
                        help="override the cycle budget")
     p_rep.add_argument("--json", action="store_true",
                        help="emit the JSON report instead of the text rendering")
@@ -178,7 +178,7 @@ def register_avf_cli(sub: argparse._SubParsersAction) -> None:
     )
     for p in (p_run, p_cmp):
         p.add_argument("--mix", default=gate.HEADLINE_MIX, choices=sorted(MIXES))
-        p.add_argument("--cycles", type=int, default=None,
+        p.add_argument("--cycles", type=cycles_arg, default=None,
                        help="override the cycle budget")
         p.add_argument("--history", default=gate.DEFAULT_RELIABILITY_HISTORY,
                        metavar="PATH",

@@ -60,6 +60,14 @@ TOPIC_WARMUP_PROGRESS = _topic(
     "multi-second warm-up that precedes the first interval close",
 )
 
+TOPIC_PROFILE_PROGRESS = _topic(
+    "profile.progress",
+    ("program", "instructions"),
+    "offline profiling finished one program (its name, instructions "
+    "profiled); lets heartbeats cover profiling, which runs outside any "
+    "pipeline",
+)
+
 # ----------------------------------------------------------------------
 # Interval bookkeeping
 # ----------------------------------------------------------------------

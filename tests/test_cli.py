@@ -112,6 +112,57 @@ class TestReproduceCommand:
         assert scale.groups == ("A", "B", "C")
 
 
+class TestCyclesRule:
+    """One ``--cycles`` rule and one ``--dvm`` rule for every command."""
+
+    @pytest.mark.parametrize("n", [2000, 3500, 10000, 14000, 50000])
+    def test_flag_matches_env(self, monkeypatch, n):
+        from repro.cli import _scale_from_args
+        from repro.harness.runner import BenchScale
+
+        monkeypatch.setenv("REPRO_CYCLES", str(n))
+        from_env = BenchScale.from_env()
+        monkeypatch.delenv("REPRO_CYCLES")
+        for argv in (["run"], ["timeline"], ["sweep", "--axis", "seed=1"],
+                     ["figures"], ["reproduce", "fig1"]):
+            args = build_parser().parse_args([*argv, "--cycles", str(n)])
+            assert _scale_from_args(args) == from_env
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["timeline"], ["sweep", "--axis", "seed=1"], ["figures"],
+        ["reproduce", "fig1"], ["perf", "trace"], ["perf", "run"],
+        ["avf", "report"], ["avf", "run"],
+    ])
+    def test_zero_cycles_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cycles", "0"])
+        assert exc.value.code == 2
+        assert "argument --cycles: value must be positive, got 0" in capsys.readouterr().err
+
+    def test_dvm_short_window_crashed_at_fixed_warmup(self, capsys, monkeypatch):
+        # Regression: a 3500-cycle run kept the 3000-cycle warm-up, so
+        # its baseline had no post-warm-up interval and DVM crashed.
+        from repro.harness.runner import clear_caches
+
+        monkeypatch.delenv("REPRO_CYCLES", raising=False)
+        clear_caches()
+        assert main(["run", "--mix", "CPU-A", "--cycles", "3500", "--dvm", "0.5"]) == 0
+        assert "PVE @ 0.5*MaxAVF" in capsys.readouterr().out
+        clear_caches()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--mix", "CPU-A"],
+        ["avf", "report", "--mix", "CPU-A"],
+        ["perf", "trace", "--mix", "CPU-A"],
+    ])
+    def test_dvm_without_a_closed_interval_exits_2(self, capsys, tmp_path,
+                                                   monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--cycles", "1500", "--dvm", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "--cycles 1500" in err and "2000-cycle interval" in err
+
+
 class TestPartialExit:
     """A run that skips a point or suite after its retries exits 3, not 0;
     ``--strict`` turns the skip into a failure (exit 1)."""

@@ -76,7 +76,7 @@ class TestBenchScale:
     @pytest.mark.parametrize("raw", ["0", "-5"])
     def test_env_cycles_rejects_nonpositive(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_CYCLES", raw)
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match="REPRO_CYCLES must be positive"):
             BenchScale.from_env()
 
     def test_sim_config_valid(self):
@@ -119,6 +119,17 @@ class TestRunner:
 
     def test_single_thread_ipc_positive(self):
         assert single_thread_ipc("gcc", TINY) > 0
+
+    def test_single_thread_ipc_memo_keys_on_full_scale(self):
+        # Regression: the memo used to key on max_cycles alone, so a
+        # different warm-up returned the first scale's IPC.
+        short = BenchScale(max_cycles=3000, warmup_cycles=500)
+        long = dataclasses.replace(short, warmup_cycles=1500)
+        first = single_thread_ipc("gcc", short)
+        second = single_thread_ipc("gcc", long)
+        clear_caches()
+        assert second == single_thread_ipc("gcc", long)
+        assert second != first
 
     def test_every_kwarg_participates_in_memo_key(self):
         # Regression: the memo key is built from the full parameter set

@@ -23,6 +23,7 @@ from repro.telemetry.relay import MSG_HEALTH, RelayDrain, WorkerRelay
 from repro.telemetry.topics import (
     TOPIC_HARNESS_POINT,
     TOPIC_INTERVAL_CLOSE,
+    TOPIC_PROFILE_PROGRESS,
     TOPIC_RELIABILITY_ESTIMATE,
     TOPIC_WARMUP_PROGRESS,
     TOPIC_WORKER_HEALTH,
@@ -265,6 +266,63 @@ class TestHeartbeat:
         assert [b["kind"] for b in beats] == ["start", "beat", "beat", "end"]
         assert beats[1]["cycles"] == 0 and beats[1]["cycles_per_sec"] == 0.0
         assert beats[2]["cycles_per_sec"] == pytest.approx(400 / 0.5)
+
+
+class _SeenEmitter(HeartbeatEmitter):
+    """A heartbeat emitter that also keeps every event it was fed."""
+
+    def __init__(self):
+        super().__init__(WorkerRelay(queue_mod.Queue()), interval_s=0.0)
+        self.seen = []
+
+    def _on_event(self, event):
+        self.seen.append(event)
+        super()._on_event(event)
+
+
+class TestAmbientHeartbeats:
+    """Every long phase of a figure suite feeds a pool worker's
+    heartbeat: single-thread baselines run on the ambient bus, and
+    offline profiling announces each program it finishes."""
+
+    @pytest.fixture
+    def emitter(self):
+        from repro.harness.runner import set_ambient_bus
+
+        clear_caches()
+        emitter = _SeenEmitter()
+        bus = EventBus()
+        emitter.attach(bus)
+        set_ambient_bus(bus)
+        emitter.point_started("p")
+        yield emitter
+        set_ambient_bus(None)
+        clear_caches()
+
+    def test_single_thread_baselines_beat(self, emitter):
+        from repro.harness.runner import single_thread_ipc
+
+        for bench in ("gcc", "mcf"):
+            before = len(emitter.seen)
+            single_thread_ipc(bench, TINY)
+            closes = [e for e in emitter.seen[before:]
+                      if e.topic == TOPIC_INTERVAL_CLOSE.name]
+            assert len(closes) == TINY.max_cycles // TINY.interval_cycles
+
+    def test_profiling_beats_per_program(self, emitter):
+        from repro.harness.experiments import table1_pc_accuracy
+        from repro.harness.runner import get_programs
+        from repro.isa.personalities import PERSONALITIES
+
+        def profiled():
+            return [e["program"] for e in emitter.seen
+                    if e.topic == TOPIC_PROFILE_PROGRESS.name]
+
+        get_programs("MEM-A", TINY)
+        assert profiled() == [p.name for p in get_programs("MEM-A", TINY)]
+        del emitter.seen[:]
+        rows = table1_pc_accuracy(TINY)
+        assert len(profiled()) == len(PERSONALITIES) == len(rows) - 1
 
 
 class TestHealthMonitor:

@@ -166,16 +166,19 @@ class TestObservedRun:
 
     @pytest.fixture(scope="class")
     def observed(self):
-        from repro.harness.runner import BenchScale, run_observed
+        from repro.harness.runner import BenchScale, build_pipeline, get_programs
+        from repro.reliability.cli import AVF_TRACE_TOPICS
+        from repro.telemetry.timeline import TimelineRecorder
 
         scale = BenchScale(
             max_cycles=4_000, warmup_cycles=1_000, interval_cycles=1_000,
             ace_window=1_000, profile_instructions=10_000,
             profile_window=2_000,
         )
-        result, observer, recorder = run_observed(
-            "MEM-A", scale, dvm_target=0.3, record=True
-        )
+        pipe = build_pipeline(get_programs("MEM-A", scale), scale, dvm_target=0.3)
+        with ReliabilityObserver.for_pipeline(pipe) as observer, \
+                TimelineRecorder(pipe.bus, topics=AVF_TRACE_TOPICS) as recorder:
+            result = pipe.run()
         return result, observer, recorder
 
     def test_oracle_matches_result(self, observed):
