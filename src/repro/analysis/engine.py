@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import ast
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, ContextManager, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.analysis.diagnostics import Diagnostic, Severity, sort_key
 from repro.analysis.flow.cache import CacheStats, DiagnosticCache, source_digest
@@ -55,17 +54,6 @@ _SKIP_DIRS = frozenset(
 #: executes — the package, its tests, the benchmark figures and the
 #: examples — not just ``src/``.
 DEFAULT_ROOTS = ("src", "tests", "benchmarks", "examples")
-
-
-def _span_factory(tracer: Any) -> Callable[..., ContextManager[Any]]:
-    """Phase-span helper: a no-op without a tracer.
-
-    The tracer is duck-typed (anything with ``span(name, cat, **args)``)
-    so this module keeps no dependency on :mod:`repro.perf`.
-    """
-    if tracer is None:
-        return lambda name, **args: nullcontext()
-    return lambda name, **args: tracer.span(name, cat="lint", **args)
 
 
 @dataclass
@@ -217,7 +205,6 @@ class LintEngine:
         jobs: int = 1,
         file_phase: bool = True,
         project_phase: bool = True,
-        tracer: "object | None" = None,
     ) -> list[Diagnostic]:
         """Lint every .py file reachable from ``paths``.
 
@@ -225,11 +212,7 @@ class LintEngine:
         the project passes always run in-process (they need the shared
         :class:`ProjectContext`).  With a cache attached, files whose
         content hash is unchanged replay their recorded diagnostics.
-        ``tracer`` may be a :class:`repro.perf.spans.SpanTracer`; the
-        scan / per-file / project phases then record ``lint`` spans
-        for Chrome-trace export (``repro.lint --trace-out``).
         """
-        span = _span_factory(tracer)
         files = list(iter_python_files(paths))
         found: list[Diagnostic] = []
         contexts: list[FileContext] = []
@@ -244,12 +227,11 @@ class LintEngine:
         digests: dict[str, str] = {}
         raws: dict[str, bytes] = {}
         pending: list[tuple[str, str, bytes]] = []  # (path, digest, raw)
-        with span("lint.scan", files=len(files)):
-            for path in files:
-                with open(path, "rb") as fh:
-                    raw = fh.read()
-                digests[path] = source_digest(raw)
-                raws[path] = raw
+        for path in files:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            digests[path] = source_digest(raw)
+            raws[path] = raw
 
         # A project snapshot whose whole path->digest map matches skips
         # the ProjectContext build entirely; one changed file discards
@@ -274,32 +256,30 @@ class LintEngine:
             else:
                 pending.append((path, digests[path], raws[path]))
 
-        with span("lint.file-checks", pending=len(pending), jobs=jobs):
-            if pending and file_phase and jobs > 1:
-                found.extend(self._run_pool(pending, jobs, build_project, contexts))
-            else:
-                for path, digest, raw in pending:
-                    ctx = self._parse_context(path, raw)
-                    if ctx is None:
-                        diags = [self._syntax_for(path, raw)]
-                    else:
-                        if build_project:
-                            contexts.append(ctx)
-                        diags = self._check_context(ctx) if file_phase else []
-                    if file_phase:
-                        found.extend(diags)
-                        if self.cache is not None:
-                            self.cache.store(path, digest, diags)
+        if pending and file_phase and jobs > 1:
+            found.extend(self._run_pool(pending, jobs, build_project, contexts))
+        else:
+            for path, digest, raw in pending:
+                ctx = self._parse_context(path, raw)
+                if ctx is None:
+                    diags = [self._syntax_for(path, raw)]
+                else:
+                    if build_project:
+                        contexts.append(ctx)
+                    diags = self._check_context(ctx) if file_phase else []
+                if file_phase:
+                    found.extend(diags)
+                    if self.cache is not None:
+                        self.cache.store(path, digest, diags)
 
         if need_project:
-            with span("lint.project", modules=len(contexts)):
-                if project_cached is not None:
-                    found.extend(project_cached)
-                else:
-                    project_diags = self._run_project(contexts)
-                    found.extend(project_diags)
-                    if self.cache is not None:
-                        self.cache.store_project(digests, project_diags)
+            if project_cached is not None:
+                found.extend(project_cached)
+            else:
+                project_diags = self._run_project(contexts)
+                found.extend(project_diags)
+                if self.cache is not None:
+                    self.cache.store_project(digests, project_diags)
         if self.cache is not None:
             self.cache.flush()
         return sorted(found, key=sort_key)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 from dataclasses import dataclass, field, replace
+from typing import Callable, TypeVar
 
 from repro.config import MachineConfig, ReliabilityConfig, SimulationConfig
 from repro.core.pipeline import SMTPipeline, SimulationResult
@@ -59,6 +60,25 @@ def cycles_arg(text: str) -> int:
         return _cycle_count(text, "value")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_N = TypeVar("_N", int, float)
+
+
+def at_least_arg(convert: Callable[[str], _N], minimum: _N) -> Callable[[str], _N]:
+    """An argparse ``type=`` that parses with ``convert`` and makes a
+    value below ``minimum`` (or NaN) a usage error (exit 2)."""
+
+    def parse(text: str) -> _N:
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not value >= minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return value
+
+    return parse
 
 
 @dataclass(frozen=True)

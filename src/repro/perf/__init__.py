@@ -3,11 +3,10 @@
 Layers (see the "Performance observability" section of
 ``docs/observability.md``):
 
-* :mod:`repro.perf.spans` — hierarchical :class:`SpanTracer` (rides
-  the telemetry bus via the ``perf.span`` topic when observed) and
-  :class:`TracingProfiler`, the span-recording stage profiler;
 * :mod:`repro.perf.chrome_trace` — Chrome trace-event JSON export
-  (Perfetto / about:tracing) plus schema/nesting validation;
+  (Perfetto / about:tracing) plus schema/nesting validation, and
+  :class:`TracingProfiler`, the stage profiler that keeps the first
+  cycles' laps for the trace's cycle and stage slices;
 * :mod:`repro.perf.bench` — the deterministic hot-path benchmark
   suite (min-of-N wall clock at the pinned :data:`PERF_SCALE`);
 * :mod:`repro.perf.history` — the committed ``BENCH_perf.json``
@@ -28,6 +27,7 @@ from repro.perf.bench import (
     run_benchmarks,
 )
 from repro.perf.chrome_trace import (
+    TracingProfiler,
     build_trace,
     read_trace,
     validate_trace,
@@ -46,7 +46,6 @@ from repro.perf.history import (
     load_history,
     make_entry,
 )
-from repro.perf.spans import SpanRecord, SpanTracer, TracingProfiler
 
 __all__ = [
     "BENCH_CASES",
@@ -56,6 +55,7 @@ __all__ = [
     "BenchResult",
     "format_results",
     "run_benchmarks",
+    "TracingProfiler",
     "build_trace",
     "read_trace",
     "validate_trace",
@@ -69,7 +69,4 @@ __all__ = [
     "entries_of_kind",
     "load_history",
     "make_entry",
-    "SpanRecord",
-    "SpanTracer",
-    "TracingProfiler",
 ]

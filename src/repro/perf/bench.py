@@ -276,14 +276,11 @@ def run_benchmarks(
     *,
     scale: BenchScale | None = None,
     repeats: int = 3,
-    tracer: "object | None" = None,
 ) -> dict[str, BenchResult]:
     """Run the suite; returns min-of-``repeats`` seconds per case.
 
     Each case gets one untimed warm-up call (code paths, allocator and
-    OS caches) before the timed repeats.  ``tracer`` may be a
-    :class:`~repro.perf.spans.SpanTracer`; each case then records a
-    ``bench`` span per timed repeat.
+    OS caches) before the timed repeats.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -293,17 +290,10 @@ def run_benchmarks(
         fn = case.make(scale)
         fn()  # warm-up, untimed
         best = float("inf")
-        for rep in range(repeats):
-            if tracer is not None:
-                with tracer.span(case.name, cat="bench", repeat=rep):  # type: ignore[attr-defined]
-                    t0 = time.perf_counter()
-                    fn()
-                    elapsed = time.perf_counter() - t0
-            else:
-                t0 = time.perf_counter()
-                fn()
-                elapsed = time.perf_counter() - t0
-            best = min(best, elapsed)
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
         results[case.name] = BenchResult(case.name, best, repeats)
     return results
 

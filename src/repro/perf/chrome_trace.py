@@ -2,8 +2,9 @@
 
 Converts the two observability streams into one trace document:
 
-* :class:`~repro.perf.spans.SpanRecord` lists become complete events
-  (``"ph": "X"``) — nested slices on one track;
+* :class:`TracingProfiler` laps become complete events (``"ph": "X"``)
+  on track 0 — one slice per traced cycle with its stage slices nested
+  inside;
 * recorded bus events (:class:`~repro.telemetry.timeline.RecordedEvent`)
   become instant events (``"ph": "i"``) for controller decisions and
   complete events for ``interval.close``, laid out on per-family tracks
@@ -22,18 +23,23 @@ microseconds (1.0 by default, i.e. "1 µs = 1 cycle").
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.perf.spans import SpanRecord
+from repro.telemetry.profiler import StageProfiler
 from repro.telemetry.provenance import RunManifest
 from repro.telemetry.timeline import RecordedEvent
+
+#: One timed stage of one cycle: ``(cycle, stage, start_s, end_s)`` with
+#: ``time.perf_counter()`` readings.
+Lap = tuple[int, str, float, float]
 
 #: The simulator is one process in the trace.
 TRACE_PID = 1
 
-#: Track (tid) layout.  tid 0 carries wall-time spans; the cycle-domain
-#: event tracks sit above it.
+#: Track (tid) layout.  tid 0 carries the wall-time cycle and stage
+#: slices; the cycle-domain event tracks sit above it.
 TID_SPANS = 0
 TID_INTERVALS = 1
 TID_DVM = 2
@@ -57,7 +63,6 @@ _TOPIC_TIDS: dict[str, int] = {
     "iql.cap": TID_ALLOC,
     "flush.switch": TID_ALLOC,
     "fetch.flush": TID_FETCH,
-    "perf.span": TID_SPANS,
     "harness.point": TID_SWEEP,
     "reliability.attribution": TID_COUNTERS,
     "reliability.rf": TID_COUNTERS,
@@ -93,30 +98,73 @@ def _json_safe(value: Any) -> Any:
     return repr(value)
 
 
-def span_events(
-    spans: Iterable[SpanRecord], *, pid: int = TRACE_PID
-) -> list[dict[str, Any]]:
-    """Complete (``"X"``) events for a span list."""
-    return [
-        {
-            "name": s.name,
-            "cat": s.cat,
+class TracingProfiler(StageProfiler):
+    """A :class:`StageProfiler` that also keeps the first cycles' laps.
+
+    Drop-in for the pipeline's ``profiler=`` hook: ``lap()`` timing is
+    inherited unchanged, and for the first ``max_traced_cycles`` cycles
+    each lap is also kept as a :data:`Lap`, which :func:`lap_events`
+    lays out as nested cycle and stage slices.  The bound keeps trace
+    memory proportional to the traced prefix, not the run length (the
+    aggregate profile still covers every cycle).
+    """
+
+    def __init__(self, *, max_traced_cycles: int = 2_000):
+        super().__init__()
+        if max_traced_cycles < 0:
+            raise ValueError("max_traced_cycles must be >= 0")
+        self.max_traced_cycles = max_traced_cycles
+        self.laps: list[Lap] = []
+
+    @property
+    def traced_cycles(self) -> int:
+        return min(self.cycles, self.max_traced_cycles)
+
+    def lap(self, stage: str) -> None:
+        start = self._mark
+        super().lap(stage)
+        if self.cycles <= self.max_traced_cycles:
+            self.laps.append((self.cycles - 1, stage, start, self._mark))
+
+
+def lap_events(laps: Sequence[Lap]) -> list[dict[str, Any]]:
+    """Complete (``"X"``) events on track 0 for a list of laps.
+
+    Each cycle becomes a ``cycle`` slice from its first lap's start to
+    its last lap's end, followed by one ``stage`` slice per lap.  Times
+    are microseconds since the first lap started.
+    """
+    if not laps:
+        return []
+    t0 = laps[0][2]
+
+    def slice_(
+        name: str, cat: str, start: float, end: float, args: dict[str, Any]
+    ) -> dict[str, Any]:
+        ts, end_us = (start - t0) * 1e6, (end - t0) * 1e6
+        return {
+            "name": name,
+            "cat": cat,
             "ph": "X",
-            "ts": s.ts_us,
-            "dur": max(s.dur_us, 0.0),
-            "pid": pid,
-            "tid": s.tid,
-            "args": _json_safe(s.args),
+            "ts": ts,
+            "dur": max(end_us - ts, 0.0),
+            "pid": TRACE_PID,
+            "tid": TID_SPANS,
+            "args": args,
         }
-        for s in spans
-    ]
+
+    out: list[dict[str, Any]] = []
+    for cycle, group in itertools.groupby(laps, key=lambda lap: lap[0]):
+        cycle_laps = list(group)
+        start, end = cycle_laps[0][2], cycle_laps[-1][3]
+        out.append(slice_("cycle", "cycle", start, end, {"index": cycle}))
+        for _, stage, start, end in cycle_laps:
+            out.append(slice_(stage, "stage", start, end, {}))
+    return out
 
 
 def recorded_events(
-    events: Iterable[RecordedEvent],
-    *,
-    cycle_us: float = 1.0,
-    pid: int = TRACE_PID,
+    events: Iterable[RecordedEvent], *, cycle_us: float = 1.0
 ) -> list[dict[str, Any]]:
     """Cycle-domain trace events for a recorded decision timeline."""
     if cycle_us <= 0:
@@ -141,7 +189,7 @@ def recorded_events(
                     "ph": "i",
                     "s": "t",
                     "ts": float(ev.payload.get("_ms", 0.0)) * 1000.0,
-                    "pid": pid,
+                    "pid": TRACE_PID,
                     "tid": TID_WORKER_BASE + int(ev.payload["_worker"]),
                     "args": args,
                 }
@@ -159,7 +207,7 @@ def recorded_events(
                     "ph": "X",
                     "ts": (end_cycle - length) * cycle_us,
                     "dur": length * cycle_us,
-                    "pid": pid,
+                    "pid": TRACE_PID,
                     "tid": tid,
                     "args": args,
                 }
@@ -181,7 +229,7 @@ def recorded_events(
                         "ph": "X",
                         "ts": ts_us,
                         "dur": float(ev.payload.get("elapsed_ms", 0.0)) * 1000.0,
-                        "pid": pid,
+                        "pid": TRACE_PID,
                         "tid": TID_WORKER_BASE + worker,
                         "args": args,
                     }
@@ -194,7 +242,7 @@ def recorded_events(
                         "ph": "i",
                         "s": "t",
                         "ts": ts_us,
-                        "pid": pid,
+                        "pid": TRACE_PID,
                         "tid": TID_SWEEP,
                         "args": args,
                     }
@@ -207,7 +255,7 @@ def recorded_events(
                     "ph": "i",
                     "s": "t",
                     "ts": ev.cycle * cycle_us,
-                    "pid": pid,
+                    "pid": TRACE_PID,
                     "tid": tid,
                     "args": args,
                 }
@@ -216,10 +264,7 @@ def recorded_events(
 
 
 def counter_events(
-    events: Iterable[RecordedEvent],
-    *,
-    cycle_us: float = 1.0,
-    pid: int = TRACE_PID,
+    events: Iterable[RecordedEvent], *, cycle_us: float = 1.0
 ) -> list[dict[str, Any]]:
     """Counter (``"C"``) events: AVF, IQ occupancy and DVM state tracks.
 
@@ -242,7 +287,7 @@ def counter_events(
             "cat": "reliability",
             "ph": "C",
             "ts": ts_cycles * cycle_us,
-            "pid": pid,
+            "pid": TRACE_PID,
             "tid": TID_COUNTERS,
             "args": {k: float(v) for k, v in series.items()},
         }
@@ -303,17 +348,15 @@ def counter_events(
     return out
 
 
-def metadata_events(
-    tids: Iterable[int], *, pid: int = TRACE_PID, process_name: str = "repro"
-) -> list[dict[str, Any]]:
+def metadata_events(tids: Iterable[int]) -> list[dict[str, Any]]:
     """``"M"`` events naming the process and each used track."""
     out: list[dict[str, Any]] = [
         {
             "name": "process_name",
             "ph": "M",
-            "pid": pid,
+            "pid": TRACE_PID,
             "tid": 0,
-            "args": {"name": process_name},
+            "args": {"name": "repro"},
         }
     ]
     for tid in sorted(set(tids)):
@@ -321,7 +364,7 @@ def metadata_events(
             {
                 "name": "thread_name",
                 "ph": "M",
-                "pid": pid,
+                "pid": TRACE_PID,
                 "tid": tid,
                 "args": {"name": _track_name(tid)},
             }
@@ -330,26 +373,24 @@ def metadata_events(
 
 
 def build_trace(
-    spans: Sequence[SpanRecord] | None = None,
+    laps: Sequence[Lap] | None = None,
     recorded: Sequence[RecordedEvent] | None = None,
     *,
     cycle_us: float = 1.0,
     manifest: RunManifest | None = None,
     extra: Mapping[str, Any] | None = None,
-    counters: bool = True,
 ) -> dict[str, Any]:
     """Assemble the Chrome trace JSON-object document.
 
-    ``counters=True`` (the default) additionally lays recorded
-    interval/DVM/divergence events out as ``"C"`` counter tracks.
+    Recorded interval/DVM/divergence events are laid out both as slices
+    or instants and as ``"C"`` counter tracks.
     """
     events: list[dict[str, Any]] = []
-    if spans:
-        events.extend(span_events(spans))
+    if laps:
+        events.extend(lap_events(laps))
     if recorded:
         events.extend(recorded_events(recorded, cycle_us=cycle_us))
-        if counters:
-            events.extend(counter_events(recorded, cycle_us=cycle_us))
+        events.extend(counter_events(recorded, cycle_us=cycle_us))
     used_tids = {int(e["tid"]) for e in events} or {TID_SPANS}
     events = metadata_events(used_tids) + events
     other: dict[str, Any] = {"cycle_us": cycle_us, **dict(extra or {})}
@@ -365,17 +406,15 @@ def build_trace(
 def write_chrome_trace(
     path: str,
     *,
-    spans: Sequence[SpanRecord] | None = None,
+    laps: Sequence[Lap] | None = None,
     recorded: Sequence[RecordedEvent] | None = None,
     cycle_us: float = 1.0,
     manifest: RunManifest | None = None,
     extra: Mapping[str, Any] | None = None,
-    counters: bool = True,
 ) -> int:
     """Write a trace file; returns the number of non-metadata events."""
     doc = build_trace(
-        spans, recorded, cycle_us=cycle_us, manifest=manifest, extra=extra,
-        counters=counters,
+        laps, recorded, cycle_us=cycle_us, manifest=manifest, extra=extra
     )
     with open(path, "w") as fh:
         json.dump(doc, fh)

@@ -4,8 +4,9 @@
              entry to ``BENCH_perf.json``
 ``compare``  execute (or load) current results and gate them against
              the committed history; exit 1 on regression
-``trace``    simulate one mix with the span-tracing profiler and export
-             a Chrome trace (stage spans + controller decisions)
+``trace``    simulate one mix with the lap-keeping stage profiler and
+             export a Chrome trace (cycle/stage slices + controller
+             decisions)
 
 Examples::
 
@@ -23,7 +24,7 @@ import json
 import sys
 from typing import Any
 
-from repro.harness.runner import BenchScale, cycles_arg
+from repro.harness.runner import BenchScale, at_least_arg, cycles_arg
 from repro.perf import history as perf_history
 from repro.perf.bench import (
     BENCH_NAMES,
@@ -31,9 +32,8 @@ from repro.perf.bench import (
     format_results,
     run_benchmarks,
 )
-from repro.perf.chrome_trace import write_chrome_trace
+from repro.perf.chrome_trace import TracingProfiler, write_chrome_trace
 from repro.perf.compare import compare_results
-from repro.perf.spans import SpanTracer, TracingProfiler
 from repro.telemetry.provenance import collect_manifest
 from repro.workloads import MIXES
 
@@ -90,7 +90,14 @@ def cmd_perf_compare(args: argparse.Namespace) -> int:
         return 2
     if args.results:
         with open(args.results) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                print(f"error: {args.results}: not valid JSON ({exc})", file=sys.stderr)
+                return 2
+        if not isinstance(doc, dict):
+            print(f"error: {args.results}: not a results document", file=sys.stderr)
+            return 2
         current: dict[str, Any] = doc.get("results", doc)
     else:
         scale = _suite_scale(args)
@@ -111,21 +118,19 @@ def cmd_perf_trace(args: argparse.Namespace) -> int:
     from repro.telemetry.timeline import TimelineRecorder
 
     pipe = pipeline_from_args(args, BenchScale.from_env(args.cycles))
-    profiler = TracingProfiler(
-        SpanTracer(), max_traced_cycles=args.traced_cycles
-    )
+    profiler = TracingProfiler(max_traced_cycles=args.traced_cycles)
     pipe.profiler = profiler
     with TimelineRecorder(pipe.bus) as recorder:
         result = pipe.run()
     profile = profiler.report()
-    # Map the cycle-domain decision tracks onto the wall-time span track
+    # Map the cycle-domain decision tracks onto the wall-time slice track
     # using the run's mean cycle duration, so both land on one timeline.
     cycle_us = (
         profile.wall_s / profile.cycles * 1e6 if profile.cycles > 0 else 1.0
     )
     n = write_chrome_trace(
         args.out,
-        spans=profiler.tracer.spans,
+        laps=profiler.laps,
         recorded=recorder.events,
         cycle_us=cycle_us,
         manifest=result.manifest,
@@ -136,7 +141,7 @@ def cmd_perf_trace(args: argparse.Namespace) -> int:
         },
     )
     print(
-        f"wrote {n} trace events ({len(profiler.tracer.spans)} spans over "
+        f"wrote {n} trace events ({len(profiler.laps)} stage laps over "
         f"{profiler.traced_cycles} cycles, {len(recorder.events)} recorded "
         f"events) to {args.out}"
     )
@@ -162,7 +167,7 @@ def register_perf_cli(sub: argparse._SubParsersAction) -> None:
             "--bench", action="append", choices=sorted(BENCH_NAMES), default=None,
             metavar="NAME", help="run only this case (repeatable; default: all)",
         )
-        p.add_argument("--repeats", type=int, default=3,
+        p.add_argument("--repeats", type=at_least_arg(int, 1), default=3,
                        help="timed repeats per case, min is kept (default 3)")
         p.add_argument("--cycles", type=cycles_arg, default=None,
                        help="override the pinned pipeline-case cycle budget")
@@ -174,9 +179,9 @@ def register_perf_cli(sub: argparse._SubParsersAction) -> None:
                        help="measure and print only; do not append an entry")
     p_run.set_defaults(func=cmd_perf_run)
 
-    p_cmp.add_argument("--tolerance", type=float, default=0.25,
+    p_cmp.add_argument("--tolerance", type=at_least_arg(float, 0.0), default=0.25,
                        help="allowed relative slowdown (default 0.25 = 25%%)")
-    p_cmp.add_argument("--window", type=int, default=5,
+    p_cmp.add_argument("--window", type=at_least_arg(int, 1), default=5,
                        help="history entries forming the baseline (default 5)")
     p_cmp.add_argument("--results", metavar="PATH", default=None,
                        help="compare a saved results JSON instead of re-running")
@@ -194,8 +199,8 @@ def register_perf_cli(sub: argparse._SubParsersAction) -> None:
     p_tr.add_argument("--dvm", type=float, default=None, metavar="FRAC",
                       help="enable DVM targeting FRAC * baseline MaxAVF")
     p_tr.add_argument("--cycles", type=cycles_arg, default=None)
-    p_tr.add_argument("--traced-cycles", type=int, default=2_000,
-                      help="cycles to record stage spans for (default 2000)")
+    p_tr.add_argument("--traced-cycles", type=at_least_arg(int, 0), default=2_000,
+                      help="cycles to record stage slices for (default 2000)")
     p_tr.add_argument("-o", "--out", metavar="PATH", default="repro-trace.json",
                       help="output trace file (default repro-trace.json)")
     p_tr.set_defaults(func=cmd_perf_trace)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from repro.config import MachineConfig
 from repro.core.pipeline import SMTPipeline
-from repro.harness.runner import BenchScale, get_programs
+from repro.harness.runner import BenchScale, at_least_arg, cycles_arg, get_programs
 from repro.workloads import get_mix
 
 
@@ -115,8 +115,8 @@ def main(argv: list[str] | None = None) -> int:
         "exceeds a threshold.",
     )
     parser.add_argument("--mix", default="MIX-A", help="workload mix (default MIX-A)")
-    parser.add_argument("--cycles", type=int, default=12_000)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--cycles", type=cycles_arg, default=12_000)
+    parser.add_argument("--repeats", type=at_least_arg(int, 1), default=3)
     parser.add_argument(
         "--max-overhead",
         type=float,

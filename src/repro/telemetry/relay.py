@@ -6,10 +6,10 @@ finishes.  The relay fixes that with one bounded queue shared by all
 workers:
 
 * **Worker side** — :class:`WorkerRelay` subscribes to a small set of
-  relay topics (interval closes, online reliability estimates,
-  divergence records, perf span summaries), batches events, and ships
-  each batch with ``put_nowait``.  A full queue *drops the batch and
-  counts it*; the worker cycle loop is never blocked by a slow parent.
+  relay topics (interval closes, online reliability estimates and
+  divergence records), batches events, and ships each batch with
+  ``put_nowait``.  A full queue *drops the batch and counts it*; the
+  worker cycle loop is never blocked by a slow parent.
   Every message carries the worker's cumulative drop count, so drops
   are visible at the parent even though dropped batches never arrive.
 * **Parent side** — :class:`RelayDrain` empties the queue from the
@@ -39,21 +39,19 @@ from repro.telemetry.bus import EventBus, EventOrigin, Subscription
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.topics import (
     TOPIC_INTERVAL_CLOSE,
-    TOPIC_PERF_SPAN,
     TOPIC_RELIABILITY_DIVERGENCE,
     TOPIC_RELIABILITY_ESTIMATE,
     TOPICS,
     get_topic,
 )
 
-#: Topics a worker forwards by default: per-interval samples, online
-#: reliability estimates/divergences, and perf span summaries.  All
-#: carry scalar payloads and close at interval (not instruction) rate.
+#: Topics a worker forwards by default: per-interval samples and online
+#: reliability estimates/divergences.  All carry scalar payloads and
+#: close at interval (not instruction) rate.
 DEFAULT_RELAY_TOPICS: tuple[str, ...] = (
     TOPIC_INTERVAL_CLOSE.name,
     TOPIC_RELIABILITY_ESTIMATE.name,
     TOPIC_RELIABILITY_DIVERGENCE.name,
-    TOPIC_PERF_SPAN.name,
 )
 
 #: Queue capacity in *messages* (batches + heartbeats), shared by all

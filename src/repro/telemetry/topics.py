@@ -155,15 +155,6 @@ TOPIC_PDG_GATE = _topic(
 )
 
 # ----------------------------------------------------------------------
-# Performance observability (repro.perf)
-# ----------------------------------------------------------------------
-TOPIC_PERF_SPAN = _topic(
-    "perf.span",
-    ("name", "cat", "ts_us", "dur_us", "depth"),
-    "one hierarchical wall-time span closed (repro.perf span tracer)",
-)
-
-# ----------------------------------------------------------------------
 # Experiment harness (repro.harness.parallel)
 # ----------------------------------------------------------------------
 TOPIC_HARNESS_POINT = _topic(

@@ -1,5 +1,5 @@
-"""Performance observability: span tracer, Chrome trace export,
-benchmark history, and the regression comparator."""
+"""Performance observability: lap-keeping stage profiler, Chrome trace
+export, benchmark history, and the regression comparator."""
 
 import json
 import math
@@ -22,11 +22,12 @@ from repro.perf.chrome_trace import (
     TID_INTERVALS,
     TID_SPANS,
     TRACE_PID,
+    TracingProfiler,
     build_trace,
     counter_events,
+    lap_events,
     read_trace,
     recorded_events,
-    span_events,
     validate_trace,
     write_chrome_trace,
 )
@@ -48,83 +49,12 @@ from repro.perf.history import (
     load_history,
     make_entry,
 )
-from repro.perf.spans import SpanRecord, SpanTracer, TracingProfiler
-from repro.telemetry import EventBus
 from repro.telemetry.timeline import RecordedEvent
-from repro.telemetry.topics import TOPIC_PERF_SPAN
 
 
 # ----------------------------------------------------------------------
-# SpanTracer
+# TracingProfiler
 # ----------------------------------------------------------------------
-class TestSpanTracer:
-    def test_nested_spans_record_depth(self):
-        tracer = SpanTracer()
-        with tracer.span("outer", cat="test"):
-            with tracer.span("inner", cat="test", detail=1):
-                pass
-        assert [s.name for s in tracer.spans] == ["inner", "outer"]
-        inner, outer = tracer.spans
-        assert inner.depth == 1 and outer.depth == 0
-        assert inner.args == {"detail": 1}
-        # The child lies inside the parent's window.
-        assert outer.ts_us <= inner.ts_us
-        assert inner.ts_us + inner.dur_us <= outer.ts_us + outer.dur_us + 1e-6
-
-    def test_begin_end_imperative_form(self):
-        tracer = SpanTracer()
-        tracer.begin("phase")
-        assert tracer.open_depth == 1
-        record = tracer.end(items=3)
-        assert record is not None and record.name == "phase"
-        assert record.args == {"items": 3}
-        assert tracer.open_depth == 0
-
-    def test_end_without_open_span_raises(self):
-        with pytest.raises(RuntimeError):
-            SpanTracer().end()
-
-    def test_limit_drops_and_counts(self):
-        tracer = SpanTracer(limit=2)
-        for i in range(5):
-            with tracer.span(f"s{i}"):
-                pass
-        assert len(tracer.spans) == 2
-        assert tracer.dropped == 3
-        tracer.clear()
-        assert tracer.spans == [] and tracer.dropped == 0
-
-    def test_bad_limit_rejected(self):
-        with pytest.raises(ValueError):
-            SpanTracer(limit=0)
-
-    def test_rides_bus_when_subscribed(self):
-        bus = EventBus()
-        tracer = SpanTracer(bus)
-        seen = []
-        with tracer.span("unobserved"):
-            pass
-        with bus.subscribe(TOPIC_PERF_SPAN, lambda ev: seen.append(ev)):
-            with tracer.span("observed"):
-                pass
-        with tracer.span("after-detach"):
-            pass
-        # Only the span closed while subscribed reached the bus...
-        assert [ev.payload["name"] for ev in seen] == ["observed"]
-        # ...but all three were recorded locally.
-        assert [s.name for s in tracer.spans] == [
-            "unobserved",
-            "observed",
-            "after-detach",
-        ]
-
-    def test_no_bus_no_emission(self):
-        tracer = SpanTracer()
-        with tracer.span("quiet"):
-            pass
-        assert tracer.bus is None and len(tracer.spans) == 1
-
-
 class TestTracingProfiler:
     def _drive(self, profiler, cycles, stages=("fetch", "issue")):
         profiler.start_run()
@@ -139,25 +69,32 @@ class TestTracingProfiler:
         self._drive(profiler, cycles=5)
         assert profiler.cycles == 5
         assert profiler.traced_cycles == 3
-        cycle_spans = [s for s in profiler.tracer.spans if s.cat == "cycle"]
-        stage_spans = [s for s in profiler.tracer.spans if s.cat == "stage"]
+        assert [(c, stage) for c, stage, _, _ in profiler.laps] == [
+            (c, stage) for c in range(3) for stage in ("fetch", "issue")
+        ]
+        events = lap_events(profiler.laps)
+        cycle_spans = [e for e in events if e["cat"] == "cycle"]
+        stage_spans = [e for e in events if e["cat"] == "stage"]
         assert len(cycle_spans) == 3
         assert len(stage_spans) == 6  # 2 stages per traced cycle
-        assert [s.args["index"] for s in cycle_spans] == [0, 1, 2]
-        assert all(s.depth == 0 for s in cycle_spans)
-        assert all(s.depth == 1 for s in stage_spans)
+        assert [e["args"]["index"] for e in cycle_spans] == [0, 1, 2]
+        # Each cycle slice spans exactly its own stage slices.
+        for i, cyc in enumerate(cycle_spans):
+            first, last = stage_spans[2 * i], stage_spans[2 * i + 1]
+            assert cyc["ts"] == first["ts"]
+            assert cyc["ts"] + cyc["dur"] == pytest.approx(last["ts"] + last["dur"])
 
     def test_trace_exports_as_valid_nesting(self):
         profiler = TracingProfiler(max_traced_cycles=4)
         self._drive(profiler, cycles=4)
-        doc = build_trace(profiler.tracer.spans)
+        doc = build_trace(profiler.laps)
         counts = validate_trace(doc)
         assert counts["X"] == 4 + 8
 
     def test_zero_traced_cycles_still_profiles(self):
         profiler = TracingProfiler(max_traced_cycles=0)
         self._drive(profiler, cycles=3)
-        assert profiler.tracer.spans == []
+        assert profiler.laps == [] and profiler.traced_cycles == 0
         assert profiler.report().cycles == 3
 
     def test_negative_bound_rejected(self):
@@ -168,18 +105,27 @@ class TestTracingProfiler:
 # ----------------------------------------------------------------------
 # Chrome trace export
 # ----------------------------------------------------------------------
-def _span(name, ts, dur, depth=0, tid=0, **args):
-    return SpanRecord(
-        name=name, cat="t", ts_us=ts, dur_us=dur, depth=depth, tid=tid, args=args
-    )
+def _laps(*cycles):
+    """Laps in seconds from ``(start_us, [stage durations in µs])`` cycles."""
+    laps = []
+    for index, (start_us, durations) in enumerate(cycles):
+        t = start_us
+        for n, dur in enumerate(durations):
+            laps.append((index, f"s{n}", t * 1e-6, (t + dur) * 1e-6))
+            t += dur
+    return laps
 
 
 class TestChromeTrace:
     def test_span_events_schema(self):
-        (ev,) = span_events([_span("a", 1.0, 2.0, k="v")])
-        assert ev["ph"] == "X" and ev["ts"] == 1.0 and ev["dur"] == 2.0
-        assert ev["pid"] == TRACE_PID and ev["tid"] == TID_SPANS
-        assert ev["args"] == {"k": "v"}
+        cycle, stage = lap_events(_laps((0.0, [2.0])))
+        assert cycle["ph"] == "X" and cycle["ts"] == 0.0
+        assert cycle["dur"] == pytest.approx(2.0)
+        assert cycle["name"] == "cycle" and cycle["args"] == {"index": 0}
+        assert stage["name"] == "s0" and stage["cat"] == "stage"
+        assert stage["args"] == {}
+        for ev in (cycle, stage):
+            assert ev["pid"] == TRACE_PID and ev["tid"] == TID_SPANS
 
     def test_recorded_interval_becomes_slice(self):
         ev = RecordedEvent(
@@ -207,7 +153,7 @@ class TestChromeTrace:
             recorded_events([], cycle_us=0.0)
 
     def test_build_trace_has_metadata_and_other_data(self):
-        doc = build_trace([_span("a", 0.0, 1.0)], extra={"note": "x"})
+        doc = build_trace(_laps((0.0, [1.0])), extra={"note": "x"})
         phs = [e["ph"] for e in doc["traceEvents"]]
         assert "M" in phs and "X" in phs
         meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
@@ -217,10 +163,7 @@ class TestChromeTrace:
 
     def test_write_read_validate_roundtrip(self, tmp_path):
         path = tmp_path / "trace.json"
-        n = write_chrome_trace(
-            str(path),
-            spans=[_span("parent", 0.0, 10.0), _span("child", 2.0, 3.0, depth=1)],
-        )
+        n = write_chrome_trace(str(path), laps=_laps((0.0, [10.0])))
         assert n == 2
         counts = validate_trace(read_trace(str(path)))
         assert counts == {"M": 2, "X": 2}
@@ -236,25 +179,23 @@ class TestChromeTrace:
             validate_trace(doc)
 
     def test_validate_rejects_ill_formed_nesting(self):
-        # Two slices on one track that overlap without containment.
-        doc = build_trace([_span("a", 0.0, 10.0), _span("b", 5.0, 10.0)])
+        # Two cycle slices on one track that overlap without containment.
+        doc = build_trace(_laps((0.0, [10.0]), (5.0, [10.0])))
         with pytest.raises(ValueError, match="ill-formed nesting"):
             validate_trace(doc)
 
     def test_validate_accepts_siblings_and_children(self):
-        doc = build_trace(
-            [
-                _span("parent", 0.0, 10.0),
-                _span("c1", 1.0, 3.0, depth=1),
-                _span("c2", 5.0, 4.0, depth=1),
-                _span("sibling", 11.0, 2.0),
-            ]
-        )
-        assert validate_trace(doc)["X"] == 4
+        # Two stages nested in their cycle, then a sibling cycle.
+        doc = build_trace(_laps((0.0, [3.0, 4.0]), (11.0, [2.0])))
+        assert validate_trace(doc)["X"] == 5
 
     def test_non_json_safe_args_coerced(self):
-        (ev,) = span_events([_span("a", 0.0, 1.0, obj={1, 2})])
-        json.dumps(ev)  # must not raise
+        ev = RecordedEvent(
+            cycle=1, stage="tick", topic="dvm.trigger", payload={"obj": {1, 2}}
+        )
+        (out,) = recorded_events([ev])
+        json.dumps(out)  # must not raise
+        assert out["args"]["obj"] == repr({1, 2})
 
 
 def _interval_event(index=0, end_cycle=1000, **extra):
@@ -311,10 +252,6 @@ class TestCounterEvents:
         doc = build_trace(recorded=[_interval_event()])
         counts = validate_trace(doc)
         assert counts["C"] == 3
-
-    def test_counters_toggle_off(self):
-        doc = build_trace(recorded=[_interval_event()], counters=False)
-        assert not any(e["ph"] == "C" for e in doc["traceEvents"])
 
     def test_validate_rejects_counter_without_args(self):
         doc = {"traceEvents": [
@@ -523,16 +460,13 @@ class TestBenchSuite:
         assert PERF_SCALE.max_cycles == 2_500
         assert PERF_SCALE.warmup_cycles == 500
 
-    def test_run_fast_cases_with_tracer(self):
-        tracer = SpanTracer()
+    def test_run_fast_cases(self):
         scale = BenchScale(max_cycles=400, warmup_cycles=100)
         results = run_benchmarks(
-            ["dvm_interval", "resource_alloc"], scale=scale, repeats=1, tracer=tracer
+            ["dvm_interval", "resource_alloc"], scale=scale, repeats=1
         )
         assert sorted(results) == ["dvm_interval", "resource_alloc"]
         assert all(r.best_s > 0 and r.repeats == 1 for r in results.values())
-        bench_spans = [s for s in tracer.spans if s.cat == "bench"]
-        assert len(bench_spans) >= 2
         text = format_results(results)
         assert "dvm_interval" in text
 

@@ -37,6 +37,32 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["perf", "run", "--bench", "nope"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["perf", "run", "--repeats", "0"],
+            ["perf", "compare", "--repeats", "0"],
+            ["perf", "compare", "--tolerance", "-1"],
+            ["perf", "compare", "--tolerance", "nan"],
+            ["perf", "compare", "--window", "0"],
+            ["perf", "trace", "--traced-cycles", "-1"],
+            ["perf", "trace", "--traced-cycles", "two"],
+        ],
+    )
+    def test_bad_numbers_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--repeats", "0"], ["--cycles", "0"]])
+    def test_overhead_bad_numbers_are_usage_errors(self, argv):
+        from repro.telemetry.overhead import main as overhead_main
+
+        with pytest.raises(SystemExit) as exc:
+            overhead_main([*argv, "--no-history"])
+        assert exc.value.code == 2
+
 
 class TestPerfRun:
     def test_run_appends_provenance_stamped_entry(self, tmp_path, capsys):
@@ -125,6 +151,17 @@ class TestPerfCompare:
             ["perf", "compare", "--history", str(hist), "--results", str(cur)]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("content", ["{broken", "[1, 2]"])
+    def test_malformed_results_is_usage_error(self, tmp_path, capsys, content):
+        cur = tmp_path / "current.json"
+        cur.write_text(content)
+        rc = main(
+            ["perf", "compare", "--history", str(tmp_path / "none.json"),
+             "--results", str(cur)]
+        )
+        assert rc == 2
+        assert str(cur) in capsys.readouterr().err
 
     def test_fresh_measurement_against_empty_history(self, tmp_path):
         # No --results: compare measures the suite itself.
