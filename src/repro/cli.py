@@ -51,6 +51,7 @@ from repro.harness.runner import (
     dvm_target,
     get_programs,
     mix_harmonic_ipc,
+    positive_arg,
     run_sim,
 )
 from repro.harness.sweep import NAMED_METRICS, check_sweep_kwargs
@@ -478,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scheduler", default="oldest", choices=["oldest", "visa"])
     p_run.add_argument("--dispatch", default=None,
                        choices=["opt1", "opt1-linear", "opt2"])
-    p_run.add_argument("--dvm", type=float, default=None, metavar="FRAC",
+    p_run.add_argument("--dvm", type=positive_arg(float), default=None, metavar="FRAC",
                        help="enable DVM targeting FRAC * baseline MaxAVF")
     p_run.add_argument("--cycles", type=cycles_arg, default=None)
     p_run.add_argument("--seed", type=int, default=None)
@@ -497,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tl.add_argument("--scheduler", default="oldest", choices=["oldest", "visa"])
     p_tl.add_argument("--dispatch", default=None,
                       choices=["opt1", "opt1-linear", "opt2"])
-    p_tl.add_argument("--dvm", type=float, default=None, metavar="FRAC",
+    p_tl.add_argument("--dvm", type=positive_arg(float), default=None, metavar="FRAC",
                       help="enable DVM targeting FRAC * baseline MaxAVF")
     p_tl.add_argument("--cycles", type=cycles_arg, default=None)
     p_tl.add_argument("--seed", type=int, default=None)

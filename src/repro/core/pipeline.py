@@ -90,6 +90,10 @@ _ROB = Structure.ROB
 
 _GET_TAG = attrgetter("tag")
 
+#: ``SMTPipeline._inert_mark``: committed, next tag, IQ inserts, fetch
+#: stalls, DVM restore pick, DVM throttle checks, DVM restore grants.
+_InertMark = tuple[int, int, int, tuple[int, ...], int | None, int, int]
+
 
 @dataclass
 class IntervalRecord:
@@ -309,6 +313,8 @@ class SMTPipeline:
         self.total_committed = 0
         self.total_squashed = 0
         self.flush_count = 0
+        #: Inert cycles the loop accounted in closed form (_skip_inert).
+        self.cycles_skipped = 0
         self._iline_shift = self.machine.l1i.line_size.bit_length() - 1
 
         # Interval accumulators.
@@ -874,6 +880,98 @@ class SMTPipeline:
         self._int_online_rob_bit_cycles = 0
         self._int_l2_base = l2_now
 
+    def _inert_mark(self) -> _InertMark:
+        """What an inert cycle leaves unchanged (the first five fields)
+        and the two DVM counters it advances by a fixed step."""
+        dvm = self.dvm
+        restore: int | None = None
+        checks = grants = 0
+        if dvm is not None:
+            restore = dvm.restore_thread
+            checks = dvm.stats.throttled_dispatch_checks
+            grants = dvm.stats.restore_grants
+        return (
+            self.total_committed,
+            self._next_tag,
+            self.iq.inserted,
+            tuple(self.fetch_stall_until),
+            restore,
+            checks,
+            grants,
+        )
+
+    def _skip_inert(self, mark: _InertMark) -> int:
+        """Account the cycles that would repeat an inert one; return how
+        many.
+
+        The cycle just simulated began with nothing due on the wheel, an
+        empty ready set and no flush pending (``mark`` was taken then).
+        It was inert if it also committed, fetched and dispatched
+        nothing, set no fetch stall, kept the DVM restore pick and its
+        tick crossed no sample, interval or DVM ratio boundary.  Every
+        later cycle then starts from the same machine state and repeats
+        it, up to the first cycle that can differ: the next wheel entry,
+        fetch-stall expiry, ratio recompute, sample end or interval
+        close, the warm-up boundary, or the end of the run.  Each
+        skipped cycle would have added the same tick sums (the ready
+        queue is empty, so its length and ``ready_pred_ace`` are 0) and
+        the same DVM throttle-check and restore-grant deltas.
+
+        Yields (returns 0) while anything subscribes to ``dvm.throttle``,
+        the one event an inert cycle can emit.
+        """
+        if self._want_throttle:
+            return 0
+        cycle = self.cycle
+        rel = self.sim.reliability
+        sample = self._sample_period
+        interval = rel.interval_cycles
+        period = rel.dvm_ratio_period
+        dvm = self.dvm
+        if (
+            (cycle + 1) % sample == 0
+            or (cycle + 1) % interval == 0
+            or (dvm is not None and cycle % period == 0)
+        ):
+            return 0
+        now = self._inert_mark()
+        if now[:5] != mark[:5]:
+            return 0
+        stop = min(
+            self.sim.max_cycles,
+            ((cycle + 1) // sample + 1) * sample - 1,
+            ((cycle + 1) // interval + 1) * interval - 1,
+        )
+        if dvm is not None:
+            stop = min(stop, (cycle // period + 1) * period)
+        if self._wheel:
+            stop = min(stop, min(self._wheel))
+        for until in self.fetch_stall_until:
+            if cycle < until < stop:
+                stop = until
+        warmup = self.sim.warmup_cycles
+        if cycle < warmup < stop:
+            stop = warmup
+        skipped = stop - cycle - 1
+        if skipped <= 0:
+            return 0
+        iq = self.iq
+        self._int_wql_sum += skipped * len(iq.waiting)
+        self._int_online_bit_cycles += skipped * iq.pred_ace_bits
+        self._int_online_rob_bit_cycles += skipped * self.rob_pred_ace_bits
+        sampled = self.rob_pred_ace_bits if self.dvm_structure == _ROB else iq.pred_ace_bits
+        self._sample_bit_cycles += skipped * sampled
+        self._sample_cycles += skipped
+        if self._hist is not None and cycle >= warmup:
+            self._hist[0] += skipped
+        if dvm is not None:
+            stats = dvm.stats
+            stats.throttled_dispatch_checks += skipped * (now[5] - mark[5])
+            stats.restore_grants += skipped * (now[6] - mark[6])
+        self.cycles_skipped += skipped
+        self.cycle = stop - 1
+        return skipped
+
     # ==================================================================
     def _functional_warmup(self) -> None:
         """Functionally fast-forward each thread through the branch
@@ -972,6 +1070,10 @@ class SMTPipeline:
         (``telemetry=False``, no profiler) skips it.  The hook is
         written inline, not as a method: six calls per cycle cost about
         400 ns, 1-2% of a memory-bound cycle.
+
+        A cycle that starts with nothing due on the wheel, nothing ready
+        and no flush pending may turn out *inert*; the loop then jumps
+        to the next cycle that can differ (:meth:`_skip_inert`).
         """
         warm_start(self)
         max_cycles = self.sim.max_cycles
@@ -979,9 +1081,13 @@ class SMTPipeline:
         warm_marked = False
         profiler = self.profiler
         bus = self.bus if (self.telemetry or profiler is not None) else None
+        wheel = self._wheel
+        iq = self.iq
+        pending_flushes = self._pending_flushes
         if profiler is not None:
             profiler.start_run()
-        for cycle in range(max_cycles):
+        cycle = 0
+        while cycle < max_cycles:
             self.cycle = cycle
             if not warm_marked and cycle == self.sim.warmup_cycles:
                 self._warm_committed_pt = list(self.committed_per_thread)
@@ -993,6 +1099,11 @@ class SMTPipeline:
                 if profiler is not None:
                     profiler.cycle_start()
                 bus.stage = "commit"
+            mark = (
+                self._inert_mark()
+                if cycle not in wheel and not iq.ready and not pending_flushes
+                else None
+            )
             self._commit()
             if bus is not None:
                 if profiler is not None:
@@ -1019,12 +1130,17 @@ class SMTPipeline:
                     profiler.lap("fetch")
                 bus.stage = "tick"
             self._tick_stats()
+            skipped = 0 if mark is None else self._skip_inert(mark)
             if bus is not None:
                 if profiler is not None:
+                    # A skipped range's time is charged to the tick lap;
+                    # the profiler still counts every simulated cycle.
                     profiler.lap("tick")
+                    profiler.cycles += skipped
                 bus.stage = ""
             if max_insts is not None and self.total_committed >= max_insts:
                 break
+            cycle += 1 + skipped
         if profiler is not None:
             profiler.end_run()
         final_cycle = self.cycle + 1
@@ -1072,6 +1188,7 @@ class SMTPipeline:
         m = self.metrics
         core = m.child("pipeline")
         core.counter("cycles").inc(final_cycle)
+        core.counter("cycles.skipped").inc(self.cycles_skipped)
         core.counter("commit.total").inc(self.total_committed)
         for t, c in enumerate(self.committed_per_thread):
             core.counter(f"commit.thread{t}").inc(c)

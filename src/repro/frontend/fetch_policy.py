@@ -32,6 +32,9 @@ from repro.telemetry.topics import TOPIC_FETCH_FLUSH, TOPIC_PDG_GATE
 class CoreView(Protocol):
     """What a fetch policy may observe/request of the pipeline."""
 
+    #: The cycle being simulated.
+    cycle: int
+
     @property
     def num_threads(self) -> int: ...
 
@@ -99,21 +102,18 @@ class ICountPolicy(FetchPolicy):
 
 
 class RoundRobinPolicy(FetchPolicy):
-    """Cycle-rotating baseline (not in the paper; useful as a control)."""
+    """Cycle-rotating baseline (not in the paper; useful as a control).
+
+    Cycle ``c`` gives thread ``(c + 1) % n`` first priority; the order
+    is a pure function of the cycle, so it repeats every ``n`` cycles.
+    """
 
     name = "rr"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._turn = 0
-
     def priority(self, core: CoreView) -> list[int]:
         n = core.num_threads
-        self._turn = (self._turn + 1) % n
-        return [(self._turn + i) % n for i in range(n)]
-
-    def reset(self) -> None:
-        self._turn = 0
+        turn = (core.cycle + 1) % n
+        return [(turn + i) % n for i in range(n)]
 
 
 class StallPolicy(FetchPolicy):

@@ -65,20 +65,32 @@ def cycles_arg(text: str) -> int:
 _N = TypeVar("_N", int, float)
 
 
-def at_least_arg(convert: Callable[[str], _N], minimum: _N) -> Callable[[str], _N]:
-    """An argparse ``type=`` that parses with ``convert`` and makes a
-    value below ``minimum`` (or NaN) a usage error (exit 2)."""
-
+def _checked_arg(
+    convert: Callable[[str], _N], ok: Callable[[_N], bool], rule: str
+) -> Callable[[str], _N]:
     def parse(text: str) -> _N:
         try:
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not value >= minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        if not ok(value):  # NaN fails every comparison
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
         return value
 
     return parse
+
+
+def at_least_arg(convert: Callable[[str], _N], minimum: _N) -> Callable[[str], _N]:
+    """An argparse ``type=`` that parses with ``convert`` and makes a
+    value below ``minimum`` (or NaN) a usage error (exit 2)."""
+    return _checked_arg(convert, lambda value: value >= minimum, f"must be >= {minimum}")
+
+
+def positive_arg(convert: Callable[[str], _N]) -> Callable[[str], _N]:
+    """An argparse ``type=`` that parses with ``convert`` and makes a
+    value <= 0 (or NaN) a usage error (exit 2); ``--dvm FRAC`` uses it
+    so a target of 0 fails before any simulation."""
+    return _checked_arg(convert, lambda value: value > 0, "must be > 0")
 
 
 @dataclass(frozen=True)
@@ -154,10 +166,12 @@ class BenchScale:
 
 
 # ----------------------------------------------------------------------
-# Program cache (profiling mutates the program image, so profiled and
-# unprofiled instantiations are cached separately).
+# Program cache, one entry per program instance (profiling mutates the
+# program image, so profiled and unprofiled instances are cached
+# separately).
 # ----------------------------------------------------------------------
 _PROGRAMS: dict = {}
+_MIX_PROGRAMS: dict = {}
 _RESULTS: dict = {}
 _SINGLE_IPC: dict = {}
 
@@ -185,23 +199,43 @@ def clear_caches() -> None:
     this), so the next run starts from a cold functional warm-up."""
     reset_warm_states()
     _PROGRAMS.clear()
+    _MIX_PROGRAMS.clear()
     _RESULTS.clear()
     _SINGLE_IPC.clear()
 
 
 def get_programs(mix_name: str, scale: BenchScale, profiled: bool = True):
-    """The (optionally profiled) synthetic programs of a Table 3 mix."""
+    """The (optionally profiled) synthetic programs of a Table 3 mix;
+    the same list on every call."""
     key = (mix_name, scale.seed, profiled, scale.profile_instructions, scale.profile_window)
-    if key not in _PROGRAMS:
-        programs = get_mix(mix_name).programs(seed=scale.seed)
+    if key not in _MIX_PROGRAMS:
+        _MIX_PROGRAMS[key] = [
+            get_program(benchmark, program_seed, scale, profiled)
+            for benchmark, program_seed in get_mix(mix_name).instances(scale.seed)
+        ]
+    return _MIX_PROGRAMS[key]
+
+
+def get_program(
+    benchmark: str, program_seed: int, scale: BenchScale, profiled: bool = True
+) -> SyntheticProgram:
+    """One (optionally profiled) program instance, generated and
+    profiled once per process: Table 3 mixes share instances (CPU-A and
+    MIX-A both run perlbmk with generator seed ``seed*1000+3``)."""
+    key = (
+        benchmark, program_seed, profiled,
+        scale.profile_instructions, scale.profile_window,
+    )
+    program = _PROGRAMS.get(key)
+    if program is None:
+        program = generate_program(benchmark, seed=program_seed)
         if profiled:
-            for p in programs:
-                profile_scaled(p, scale)
+            profile_scaled(program, scale)
         # Deliberate per-process memo: each pool worker warms its own
         # copy via _init_worker; the parent's cache is never consulted
         # across the fork.
-        _PROGRAMS[key] = programs
-    return _PROGRAMS[key]
+        _PROGRAMS[key] = program
+    return program
 
 
 def profile_scaled(program: SyntheticProgram, scale: BenchScale) -> ProfileResult:
@@ -396,14 +430,15 @@ def single_thread_ipc(
     """IPC of one benchmark running alone (for harmonic IPC).
 
     ``program_seed`` should match the seed the benchmark got inside its
-    mix (``WorkloadMix.programs`` uses ``seed*1000 + thread_index``) so
-    the single-thread baseline runs the identical program instance.
+    mix (``WorkloadMix.instances``) so the single-thread baseline runs
+    the identical program instance, taken unprofiled from the program
+    memo.
     """
     if program_seed is None:
         program_seed = scale.seed * 1000
     key = (benchmark, program_seed, scale, fetch_policy)
     if key not in _SINGLE_IPC:
-        program = generate_program(benchmark, seed=program_seed)
+        program = get_program(benchmark, program_seed, scale, profiled=False)
         pipe = build_pipeline([program], scale, fetch_policy=fetch_policy)
         _SINGLE_IPC[key] = max(pipe.run().ipc, 1e-6)
     return _SINGLE_IPC[key]
@@ -414,10 +449,8 @@ def mix_harmonic_ipc(mix_name: str, scale: BenchScale, result: SimulationResult,
     """Harmonic IPC of one mix result against single-thread baselines."""
     from repro.metrics.stats import harmonic_ipc
 
-    mix = get_mix(mix_name)
     singles = [
-        single_thread_ipc(b, scale, program_seed=scale.seed * 1000 + i,
-                          fetch_policy=fetch_policy)
-        for i, b in enumerate(mix.benchmarks)
+        single_thread_ipc(b, scale, program_seed=program_seed, fetch_policy=fetch_policy)
+        for b, program_seed in get_mix(mix_name).instances(scale.seed)
     ]
     return harmonic_ipc(result.per_thread_ipc, singles)

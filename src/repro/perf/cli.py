@@ -24,7 +24,7 @@ import json
 import sys
 from typing import Any
 
-from repro.harness.runner import BenchScale, at_least_arg, cycles_arg
+from repro.harness.runner import BenchScale, at_least_arg, cycles_arg, positive_arg
 from repro.perf import history as perf_history
 from repro.perf.bench import (
     BENCH_NAMES,
@@ -196,7 +196,7 @@ def register_perf_cli(sub: argparse._SubParsersAction) -> None:
     p_tr.add_argument("--scheduler", default="oldest", choices=["oldest", "visa"])
     p_tr.add_argument("--dispatch", default=None,
                       choices=["opt1", "opt1-linear", "opt2"])
-    p_tr.add_argument("--dvm", type=float, default=None, metavar="FRAC",
+    p_tr.add_argument("--dvm", type=positive_arg(float), default=None, metavar="FRAC",
                       help="enable DVM targeting FRAC * baseline MaxAVF")
     p_tr.add_argument("--cycles", type=cycles_arg, default=None)
     p_tr.add_argument("--traced-cycles", type=at_least_arg(int, 0), default=2_000,

@@ -26,7 +26,7 @@ import contextlib
 import json
 import sys
 
-from repro.harness.runner import BenchScale, cycles_arg
+from repro.harness.runner import BenchScale, cycles_arg, positive_arg
 from repro.perf.history import load_history
 from repro.reliability import gate
 from repro.telemetry.topics import (
@@ -158,7 +158,7 @@ def register_avf_cli(sub: argparse._SubParsersAction) -> None:
     p_rep.add_argument("--scheduler", default="oldest", choices=["oldest", "visa"])
     p_rep.add_argument("--dispatch", default=None,
                        choices=["opt1", "opt1-linear", "opt2"])
-    p_rep.add_argument("--dvm", type=float, default=None, metavar="FRAC",
+    p_rep.add_argument("--dvm", type=positive_arg(float), default=None, metavar="FRAC",
                        help="enable DVM targeting FRAC * baseline MaxAVF")
     p_rep.add_argument("--cycles", type=cycles_arg, default=None,
                        help="override the cycle budget")

@@ -57,6 +57,8 @@ class StageProfiler:
 
     def __init__(self) -> None:
         self._seconds: dict[str, float] = {stage: 0.0 for stage in STAGE_ORDER}
+        #: Simulated cycles: one per ``cycle_start``, plus the inert
+        #: cycles the pipeline skips (it adds them after the tick lap).
         self.cycles = 0
         self._mark = 0.0
         self._wall_start: float | None = None

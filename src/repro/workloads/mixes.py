@@ -24,18 +24,22 @@ class WorkloadMix:
     group: str  # "A", "B" or "C"
     benchmarks: tuple[str, ...]
 
-    def programs(self, seed: int = 0) -> list[SyntheticProgram]:
-        """Instantiate one synthetic program per thread.
+    def instances(self, seed: int = 0) -> list[tuple[str, int]]:
+        """``(benchmark, generator seed)`` of each thread.
 
         Threads of the same benchmark within a mix get distinct seeds so
         their dynamic behaviour decorrelates, as different SimPoint
-        phases would.
+        phases would.  Thread ``i`` gets ``seed * 1000 + i``, so mixes
+        that place one benchmark at the same index share its instance.
         """
-        out = []
-        for i, name in enumerate(self.benchmarks):
-            gen = ProgramGenerator(get_personality(name), seed=seed * 1000 + i)
-            out.append(gen.generate())
-        return out
+        return [(name, seed * 1000 + i) for i, name in enumerate(self.benchmarks)]
+
+    def programs(self, seed: int = 0) -> list[SyntheticProgram]:
+        """Instantiate one synthetic program per thread."""
+        return [
+            ProgramGenerator(get_personality(name), seed=program_seed).generate()
+            for name, program_seed in self.instances(seed)
+        ]
 
 
 # Table 3 verbatim.

@@ -139,6 +139,18 @@ class TestCyclesRule:
         assert exc.value.code == 2
         assert "argument --cycles: value must be positive, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("frac", ["0", "-0.5", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["timeline"], ["perf", "trace"], ["avf", "report"],
+    ])
+    def test_nonpositive_dvm_is_usage_error(self, capsys, argv, frac):
+        # Regression: --dvm 0 simulated the whole no-DVM baseline, then
+        # died with a ValueError traceback from the DVM controller.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cycles", "2000", "--dvm", frac])
+        assert exc.value.code == 2
+        assert "argument --dvm: must be > 0" in capsys.readouterr().err
+
     def test_dvm_short_window_crashed_at_fixed_warmup(self, capsys, monkeypatch):
         # Regression: a 3500-cycle run kept the 3000-cycle warm-up, so
         # its baseline had no post-warm-up interval and DVM crashed.

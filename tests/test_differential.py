@@ -264,6 +264,155 @@ class TestGoldenDigests:
 
 
 # ----------------------------------------------------------------------
+# Metric pins.  The digests leave out the metrics snapshot
+# (``compare=False``), so the counters the loop's inert-cycle skip
+# replicates in closed form are pinned here, on the DVM rows of the
+# grid and on two DVM rows it lacks: Optimization 2 dispatch (its
+# L2-miss threshold scaled to the 300-cycle interval so FLUSH mode
+# switches on and off) and ROB-DVM, whose samples read the ROB counter.
+# Values were generated before the skip existed.
+# ----------------------------------------------------------------------
+from repro.reliability.avf import Structure
+from repro.reliability.resource_alloc import L2MissSensitiveAllocation
+from repro.telemetry.topics import TOPIC_DVM_THROTTLE
+
+
+def _pin_run(row, **pipe_kw):
+    """Run a pinned row: a DVM row of the grid, or one of the two new
+    MEM-A icount/oldest rows."""
+    if row == "MEM-A-opt2-dvm":
+        pipe_kw["dispatch_policy"] = L2MissSensitiveAllocation(
+            MachineConfig().iq_size, t_cache_miss=10
+        )
+        return _run("MEM-A", "icount", "oldest", True, pipe_kw=pipe_kw)
+    if row == "MEM-A-rob-dvm":
+        pipe_kw["dvm_structure"] = Structure.ROB
+        return _run("MEM-A", "icount", "oldest", True, pipe_kw=pipe_kw)
+    mix, fetch_policy, scheduler, _ = row.rsplit("-", 3)
+    return _run(mix, fetch_policy, scheduler, True, pipe_kw=pipe_kw)
+
+
+_PIN_DIGESTS = {
+    "MEM-A-opt2-dvm": "587843502d7eef1f834b7df3e0c32338836f88d8696e303010e05af743e586a0",
+    "MEM-A-rob-dvm": "3076558a9603f68c61ef81118ba467c5c466bc039971f00de154afd9ac2f6fe5",
+}
+_PIN_METRICS = {
+    "MEM-A-icount-oldest-dvm": {
+        "dvm.l2_triggers": 24, "dvm.mean_ratio": 1.375, "dvm.restore_grants": 0,
+        "dvm.samples": 25, "dvm.throttled_dispatch_checks": 5377,
+        "dvm.triggered_samples": 22, "dvm.wq_ratio": 4.5,
+        "pipeline.commit.total": 308, "pipeline.cycles": 1500,
+    },
+    "MEM-A-flush-visa-dvm": {
+        "dvm.l2_triggers": 31, "dvm.mean_ratio": 1.6125, "dvm.restore_grants": 10,
+        "dvm.samples": 25, "dvm.throttled_dispatch_checks": 3493,
+        "dvm.triggered_samples": 21, "dvm.wq_ratio": 0.8125,
+        "pipeline.commit.total": 482, "pipeline.cycles": 1500,
+    },
+    "CPU-A-icount-visa-dvm": {
+        "dvm.l2_triggers": 12, "dvm.mean_ratio": 2.492568359375,
+        "dvm.restore_grants": 0, "dvm.samples": 25,
+        "dvm.throttled_dispatch_checks": 2440, "dvm.triggered_samples": 16,
+        "dvm.wq_ratio": 1.429443359375,
+        "pipeline.commit.total": 3474, "pipeline.cycles": 1500,
+    },
+    "MEM-A-opt2-dvm": {
+        "dvm.l2_triggers": 33, "dvm.mean_ratio": 2.165, "dvm.restore_grants": 15,
+        "dvm.samples": 25, "dvm.throttled_dispatch_checks": 4505,
+        "dvm.triggered_samples": 18, "dvm.wq_ratio": 5.3125,
+        "pipeline.commit.total": 560, "pipeline.cycles": 1500,
+    },
+    "MEM-A-rob-dvm": {
+        "dvm.l2_triggers": 23, "dvm.mean_ratio": 1.135, "dvm.restore_grants": 0,
+        "dvm.samples": 25, "dvm.throttled_dispatch_checks": 5381,
+        "dvm.triggered_samples": 24, "dvm.wq_ratio": 0.5,
+        "pipeline.commit.total": 308, "pipeline.cycles": 1500,
+    },
+}
+#: ``dvm.throttle`` events a subscriber receives on MEM-A-icount-oldest-dvm.
+_PIN_THROTTLE_EVENTS = 241
+
+
+class TestMetricPins:
+    @pytest.mark.parametrize("row", sorted(_PIN_METRICS))
+    def test_metrics_match_pins(self, row):
+        res = _pin_run(row)
+        pins = _PIN_METRICS[row]
+        assert {k: res.metrics[k] for k in pins} == pins
+        if row in _PIN_DIGESTS:
+            assert result_digest(res) == _PIN_DIGESTS[row]
+        else:
+            assert result_digest(res) == _GOLDEN[row]
+
+    def test_skip_is_reported(self):
+        res = _pin_run("MEM-A-icount-oldest-dvm")
+        assert res.metrics["pipeline.cycles.skipped"] > 0
+
+    def test_throttle_subscriber_sees_every_cycle(self):
+        bus = EventBus()
+        events = []
+        bus.subscribe(TOPIC_DVM_THROTTLE, events.append)
+        res = _pin_run("MEM-A-icount-oldest-dvm", bus=bus)
+        assert len(events) == _PIN_THROTTLE_EVENTS
+        assert res.metrics["pipeline.cycles.skipped"] == 0
+        pins = _PIN_METRICS["MEM-A-icount-oldest-dvm"]
+        assert {k: res.metrics[k] for k in pins} == pins
+        assert result_digest(res) == _GOLDEN["MEM-A-icount-oldest-dvm"]
+
+
+# ----------------------------------------------------------------------
+# The inert-cycle skip against the every-cycle loop.  A ``dvm.throttle``
+# subscriber makes the loop run every cycle, so the same configuration
+# with and without one must agree on every result field and every
+# snapshot value (bar the skip counter and the wall-clock warm-state
+# gauges).  The rows cover what the skip must stop at or replicate:
+# restore grants, ratio recomputes, fetch stalls, the warm-up mark and
+# the histogram, FLUSH and opt2's mode switches, round-robin fetch.
+# ----------------------------------------------------------------------
+from repro.reliability.resource_alloc import DynamicIQAllocation
+
+_SKIP_ROWS = [
+    # mix, fetch policy, DVM, dispatch, warm-up, histogram
+    ("MEM-A", "icount", True, "opt1", 777, True),
+    ("MEM-B", "flush", True, "opt1", 400, False),
+    ("MEM-B", "icount", False, None, 777, True),
+    ("MIX-A", "rr", True, "opt2", 0, False),
+    ("MEM-A", "stall", True, None, 450, True),
+]
+
+
+def _skip_run(mix, fetch_policy, dvm_on, dispatch, warmup, hist, bus):
+    iq_size = MachineConfig().iq_size
+    policy = None
+    if dispatch == "opt1":
+        policy = DynamicIQAllocation(iq_size)
+    elif dispatch == "opt2":
+        policy = L2MissSensitiveAllocation(iq_size, t_cache_miss=10)
+    return _run(mix, fetch_policy, "oldest", dvm_on, warmup=warmup, hist=hist,
+                pipe_kw={"dispatch_policy": policy, "bus": bus})
+
+
+def _comparable_metrics(res):
+    return {
+        k: v for k, v in res.metrics.items()
+        if k != "pipeline.cycles.skipped" and not k.startswith("warmstate.")
+    }
+
+
+class TestInertSkip:
+    @pytest.mark.parametrize("row", _SKIP_ROWS, ids=["-".join(map(str, r)) for r in _SKIP_ROWS])
+    def test_skip_matches_every_cycle(self, row):
+        skipping = _skip_run(*row, bus=EventBus())
+        bus = EventBus()
+        bus.subscribe(TOPIC_DVM_THROTTLE, lambda event: None)
+        every = _skip_run(*row, bus=bus)
+        assert skipping.metrics["pipeline.cycles.skipped"] > 0
+        assert every.metrics["pipeline.cycles.skipped"] == 0
+        assert result_digest(skipping) == result_digest(every)
+        assert _comparable_metrics(skipping) == _comparable_metrics(every)
+
+
+# ----------------------------------------------------------------------
 # Issue-bandwidth starvation regression (the bugfix this PR pins).
 # ----------------------------------------------------------------------
 def _fu_burst_program(n_fmult, n_ialu, name="fmult-burst"):

@@ -19,6 +19,7 @@ class FakeCore:
 
     def __init__(self, n=4):
         self.num_threads = n
+        self.cycle = 0
         self._in_flight = [0] * n
         self._l2 = [0] * n
         self._l1d = [0] * n
@@ -67,15 +68,19 @@ class TestRoundRobin:
         core = FakeCore()
         rr = RoundRobinPolicy()
         first = rr.priority(core)[0]
+        core.cycle += 1
         second = rr.priority(core)[0]
         assert first != second
 
-    def test_reset(self):
+    def test_order_repeats_every_n_cycles(self):
         rr = RoundRobinPolicy()
-        core = FakeCore()
-        rr.priority(core)
-        rr.reset()
-        assert rr._turn == 0
+        core = FakeCore(n=4)
+        for c in range(12):
+            core.cycle = c
+            order = rr.priority(core)
+            assert sorted(order) == [0, 1, 2, 3]
+            core.cycle = c + 4
+            assert rr.priority(core) == order
 
 
 class TestStall:

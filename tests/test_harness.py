@@ -10,6 +10,7 @@ from repro.harness.report import format_table, save_report
 from repro.harness.runner import (
     BenchScale,
     clear_caches,
+    get_program,
     get_programs,
     mix_harmonic_ipc,
     run_sim,
@@ -108,6 +109,16 @@ class TestRunner:
         p2 = get_programs("CPU-A", TINY)
         assert p1 is p2
         assert any(not st.ace_hint for prog in p1 for st in prog.all_insts())
+
+    def test_mixes_share_program_instances(self):
+        # Thread i of every mix gets generator seed seed*1000+i, so
+        # CPU-A and MIX-A both run perlbmk@1003, MIX-A and MEM-A vpr@1002.
+        assert get_programs("CPU-A", TINY)[3] is get_programs("MIX-A", TINY)[3]
+        assert get_programs("MIX-A", TINY)[2] is get_programs("MEM-A", TINY)[2]
+        assert get_programs("CPU-A", TINY)[2] is not get_programs("MIX-A", TINY)[0]
+        unprofiled = get_programs("CPU-A", TINY, profiled=False)[3]
+        assert unprofiled is not get_programs("CPU-A", TINY)[3]
+        assert get_program("perlbmk", TINY.seed * 1000 + 3, TINY, profiled=False) is unprofiled
 
     def test_unprofiled_programs_all_ace(self):
         progs = get_programs("MEM-A", TINY, profiled=False)
