@@ -45,7 +45,7 @@ from repro.harness import parallel as parallel_mod
 from repro.harness.report import format_table, save_report
 from repro.harness.runner import (
     BenchScale,
-    WindowTooShort,
+    UsageError,
     build_pipeline,
     cycles_arg,
     dvm_target,
@@ -643,7 +643,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except WindowTooShort as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,6 +43,7 @@ from repro.isa.instruction import (
     DynInst,
     DynState,
     OpClass,
+    collector_paused,
     op_latency_table,
 )
 from repro.isa.program import SyntheticProgram, ThreadContext
@@ -417,6 +418,9 @@ class SMTPipeline:
                 if head is None or head.state != _COMPLETED:
                     break
                 rob.commit_head()
+                # Only squash repair reads this link; unbroken, it would
+                # chain every earlier writer of the register into memory.
+                head.prev_producer = None
                 head.commit_cycle = cycle
                 self.rob_pred_ace_bits -= self.avf.rob_bits_pred(head)
                 st = head.static
@@ -1074,82 +1078,88 @@ class SMTPipeline:
         A cycle that starts with nothing due on the wheel, nothing ready
         and no flush pending may turn out *inert*; the loop then jumps
         to the next cycle that can differ (:meth:`_skip_inert`).
+
+        The whole run holds the cyclic garbage collector paused
+        (:func:`~repro.isa.instruction.collector_paused`): no instruction
+        is part of a reference cycle, so reference counting frees each
+        one once it has committed and left the ACE window.
         """
-        warm_start(self)
-        max_cycles = self.sim.max_cycles
-        max_insts = self.sim.max_instructions
-        warm_marked = False
-        profiler = self.profiler
-        bus = self.bus if (self.telemetry or profiler is not None) else None
-        wheel = self._wheel
-        iq = self.iq
-        pending_flushes = self._pending_flushes
-        if profiler is not None:
-            profiler.start_run()
-        cycle = 0
-        while cycle < max_cycles:
-            self.cycle = cycle
-            if not warm_marked and cycle == self.sim.warmup_cycles:
-                self._warm_committed_pt = list(self.committed_per_thread)
-                warm_marked = True
-            if bus is not None:
-                bus.cycle = cycle
-                if bus.version != self._bus_version:
-                    self._refresh_want_flags()
-                if profiler is not None:
-                    profiler.cycle_start()
-                bus.stage = "commit"
-            mark = (
-                self._inert_mark()
-                if cycle not in wheel and not iq.ready and not pending_flushes
-                else None
-            )
-            self._commit()
-            if bus is not None:
-                if profiler is not None:
-                    profiler.lap("commit")
-                bus.stage = "writeback"
-            self._writeback()
-            if bus is not None:
-                if profiler is not None:
-                    profiler.lap("writeback")
-                bus.stage = "issue"
-            self._issue()
-            if bus is not None:
-                if profiler is not None:
-                    profiler.lap("issue")
-                bus.stage = "dispatch"
-            self._dispatch()
-            if bus is not None:
-                if profiler is not None:
-                    profiler.lap("dispatch")
-                bus.stage = "fetch"
-            self._fetch()
-            if bus is not None:
-                if profiler is not None:
-                    profiler.lap("fetch")
-                bus.stage = "tick"
-            self._tick_stats()
-            skipped = 0 if mark is None else self._skip_inert(mark)
-            if bus is not None:
-                if profiler is not None:
-                    # A skipped range's time is charged to the tick lap;
-                    # the profiler still counts every simulated cycle.
-                    profiler.lap("tick")
-                    profiler.cycles += skipped
-                bus.stage = ""
-            if max_insts is not None and self.total_committed >= max_insts:
-                break
-            cycle += 1 + skipped
-        if profiler is not None:
-            profiler.end_run()
-        final_cycle = self.cycle + 1
-        if self.sim.warmup_cycles == 0:
-            self._warm_committed_pt = [0] * self.num_threads
-        self.analyzer.flush(final_cycle)
-        self.avf.close(final_cycle)
-        self._emit_divergence()
-        return self._build_result(final_cycle)
+        with collector_paused():
+            warm_start(self)
+            max_cycles = self.sim.max_cycles
+            max_insts = self.sim.max_instructions
+            warm_marked = False
+            profiler = self.profiler
+            bus = self.bus if (self.telemetry or profiler is not None) else None
+            wheel = self._wheel
+            iq = self.iq
+            pending_flushes = self._pending_flushes
+            if profiler is not None:
+                profiler.start_run()
+            cycle = 0
+            while cycle < max_cycles:
+                self.cycle = cycle
+                if not warm_marked and cycle == self.sim.warmup_cycles:
+                    self._warm_committed_pt = list(self.committed_per_thread)
+                    warm_marked = True
+                if bus is not None:
+                    bus.cycle = cycle
+                    if bus.version != self._bus_version:
+                        self._refresh_want_flags()
+                    if profiler is not None:
+                        profiler.cycle_start()
+                    bus.stage = "commit"
+                mark = (
+                    self._inert_mark()
+                    if cycle not in wheel and not iq.ready and not pending_flushes
+                    else None
+                )
+                self._commit()
+                if bus is not None:
+                    if profiler is not None:
+                        profiler.lap("commit")
+                    bus.stage = "writeback"
+                self._writeback()
+                if bus is not None:
+                    if profiler is not None:
+                        profiler.lap("writeback")
+                    bus.stage = "issue"
+                self._issue()
+                if bus is not None:
+                    if profiler is not None:
+                        profiler.lap("issue")
+                    bus.stage = "dispatch"
+                self._dispatch()
+                if bus is not None:
+                    if profiler is not None:
+                        profiler.lap("dispatch")
+                    bus.stage = "fetch"
+                self._fetch()
+                if bus is not None:
+                    if profiler is not None:
+                        profiler.lap("fetch")
+                    bus.stage = "tick"
+                self._tick_stats()
+                skipped = 0 if mark is None else self._skip_inert(mark)
+                if bus is not None:
+                    if profiler is not None:
+                        # A skipped range's time is charged to the tick lap;
+                        # the profiler still counts every simulated cycle.
+                        profiler.lap("tick")
+                        profiler.cycles += skipped
+                    bus.stage = ""
+                if max_insts is not None and self.total_committed >= max_insts:
+                    break
+                cycle += 1 + skipped
+            if profiler is not None:
+                profiler.end_run()
+            final_cycle = self.cycle + 1
+            if self.sim.warmup_cycles == 0:
+                self._warm_committed_pt = [0] * self.num_threads
+            self.analyzer.flush(final_cycle)
+            self.avf.close(final_cycle)
+            self._emit_divergence()
+            return self._build_result(final_cycle)
 
     def _emit_divergence(self) -> None:
         """Publish the end-of-run online-vs-oracle comparison.

@@ -390,8 +390,17 @@ def run_sim(
     return result
 
 
-class WindowTooShort(ValueError):
+class UsageError(ValueError):
+    """A request the simulator cannot honour as asked; the CLIs report
+    it and exit 2, like an argparse error."""
+
+
+class WindowTooShort(UsageError):
     """A run whose cycle budget cannot hold what it asks for."""
+
+
+class DVMTargetOutOfRange(UsageError):
+    """A ``--dvm`` fraction whose absolute target is not an AVF in (0, 1]."""
 
 
 def dvm_target(
@@ -406,7 +415,9 @@ def dvm_target(
     no-DVM baseline run (same mix, scale and fetch policy), in the units
     the controller measures; None when ``fraction`` is None.  The
     baseline needs a closed interval after the warm-up to have an
-    estimate at all.
+    estimate at all, and the product must be an AVF in (0, 1]; a
+    fraction above ``1 / max_online_estimate``, or a baseline whose
+    estimate is 0, raises :class:`DVMTargetOutOfRange`.
     """
     if fraction is None:
         return None
@@ -418,7 +429,14 @@ def dvm_target(
             f"--dvm has no baseline AVF estimate to scale"
         )
     base = run_sim(mix_name, scale, fetch_policy=fetch_policy)
-    return fraction * base.max_online_estimate
+    peak = base.max_online_estimate
+    target = fraction * peak
+    if not 0.0 < target <= 1.0:
+        raise DVMTargetOutOfRange(
+            f"--dvm {fraction:g} times the baseline's maximum online IQ AVF "
+            f"estimate {peak:.4g} is {target:.4g}, not an AVF in (0, 1]"
+        )
+    return target
 
 
 def single_thread_ipc(

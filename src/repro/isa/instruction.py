@@ -16,6 +16,9 @@ Two layers mirror a real simulator:
 from __future__ import annotations
 
 import enum
+import gc
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -244,7 +247,8 @@ class DynInst:
     # ThreadContext.checkpoint).
     checkpoint: tuple[int, int, int, tuple[int, ...]] | None = None
     # The previous producer of this instruction's destination register,
-    # for walk-back rename repair on squash.
+    # for walk-back rename repair on squash; cleared at commit, where
+    # the link goes dead.
     prev_producer: "DynInst | None" = None
 
     @property
@@ -264,3 +268,24 @@ class DynInst:
             f"DynInst(tag={self.tag}, t{self.thread}, pc={self.pc:#x}, "
             f"{self.opclass.name}, {self.state.name})"
         )
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with Python's cyclic garbage collector disabled.
+
+    The per-instruction loops allocate a :class:`DynInst` (and an ACE
+    record) per instruction; none of them is part of a reference cycle,
+    so reference counting alone frees them, and generation-0 collections
+    triggered by the allocation rate only rescan live objects.  The
+    collector is re-enabled on exit only if it was enabled on entry, so
+    a caller that disabled it keeps it disabled, even if the block
+    raises.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

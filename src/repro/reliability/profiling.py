@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.isa.instruction import OP_IS_CONTROL, DynInst, DynState
+from repro.isa.instruction import OP_IS_CONTROL, DynInst, DynState, collector_paused
 from repro.isa.program import SyntheticProgram, ThreadContext
 from repro.reliability.ace import ACEAnalyzer
 
@@ -102,17 +102,18 @@ def profile_program(
     resolve_control = ctx.resolve_control
     advance_control = ctx.advance_control
     advance = ctx.advance
-    for i in range(n_instructions):
-        st = peek()
-        dyn = DynInst(
-            tag=i, thread=0, static=st, stream_pos=ctx.stream_pos, state=_COMMITTED
-        )
-        if OP_IS_CONTROL[st.opclass]:
-            taken, target = resolve_control(st)
-            advance_control(st, taken, target)
-        else:
-            advance()
-        commit(dyn, i)
+    with collector_paused():
+        for i in range(n_instructions):
+            st = peek()
+            dyn = DynInst(
+                tag=i, thread=0, static=st, stream_pos=ctx.stream_pos, state=_COMMITTED
+            )
+            if OP_IS_CONTROL[st.opclass]:
+                taken, target = resolve_control(st)
+                advance_control(st, taken, target)
+            else:
+                advance()
+            commit(dyn, i)
     analyzer.flush(final_cycle=n_instructions)
     return result
 

@@ -174,6 +174,32 @@ class TestCyclesRule:
         err = capsys.readouterr().err
         assert "--cycles 1500" in err and "2000-cycle interval" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--mix", "MEM-A"],
+        ["avf", "report", "--mix", "MEM-A"],
+    ])
+    def test_dvm_target_above_one_exits_2(self, capsys, tmp_path, monkeypatch, argv):
+        # Regression: the fraction passed argparse, the baseline ran, and
+        # the DVM controller then died with a ValueError traceback (exit 1).
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--cycles", "2000", "--dvm", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --dvm 3 times the baseline's maximum")
+        assert "not an AVF in (0, 1]" in err
+
+    def test_dvm_target_of_a_zero_baseline_is_usage_error(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.harness import runner
+
+        monkeypatch.setattr(
+            runner, "run_sim", lambda *a, **k: SimpleNamespace(max_online_estimate=0.0)
+        )
+        with pytest.raises(runner.DVMTargetOutOfRange, match=r"estimate 0 is 0,"):
+            runner.dvm_target("CPU-A", runner.BenchScale.from_env(2000), 0.5)
+        assert issubclass(runner.DVMTargetOutOfRange, runner.UsageError)
+        assert issubclass(runner.WindowTooShort, runner.UsageError)
+
 
 class TestPartialExit:
     """A run that skips a point or suite after its retries exits 3, not 0;
