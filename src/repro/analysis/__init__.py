@@ -1,38 +1,29 @@
 """Simulator-aware static analysis (``python -m repro.lint``).
 
-A pluggable lint framework that enforces the invariants the simulator's
-correctness rests on but that no generic tool checks.  Per-file AST
-rules:
+A pluggable lint framework for the invariants the simulator's results
+rest on that no generic tool and no run-time test checks.  The IQ and
+ROB running counters, ``__slots__`` completeness and cross-run state
+are pinned at run time by the tier-1 tests, so no rule re-checks them.
+Per-file AST rules:
 
 * **determinism** — all nondeterminism must flow through seeded RNGs;
   wall-clock reads and set-iteration-order escapes are flagged.
-* **counter-balance** — registered running counters
-  (``pred_ace_bits``, ``ready_pred_ace``, ``per_thread``, …) must be
-  decremented on a squash/remove path in every class that increments
-  them.
-* **slots** — attributes assigned on ``self`` in a ``__slots__`` class
-  must be declared in ``__slots__``.
-* **stage-purity** — pipeline-stage methods must not reach into another
-  structure's ``_``-private state.
+* **dimension-mismatch** — arithmetic must not mix cycles, bits and
+  bit-cycles, or drop the bits x cycles AVF normalization.
 * **config-bounds** — numeric dataclass fields in ``config.py`` must be
   covered by the class's ``validate()``.
 * **event-schema** — every ``bus.emit(...)`` call site must match a
   registered topic schema.
 
-Project-wide dataflow passes (:mod:`repro.analysis.flow` — symbol
-tables, import-resolved call graph, CFGs with reaching definitions):
+Project passes (:mod:`repro.analysis.flow` — symbol tables and an
+import-resolved call graph):
 
 * **paper-fidelity** — catalogued paper constants (interval length,
   ``Tcache_miss``, DVM trigger fraction, IQL region caps, …) must flow
   from :mod:`repro.config`, never be re-hard-coded or silently drifted.
-* **nondet-iteration** — set iteration order must not reach simulation
-  state or an ``emit()`` payload, traced through reaching definitions.
 * **emit-coverage** — state-mutating decision hooks in the DVM /
   resource-allocation / fetch-policy modules must have a call-graph
   path to a ``bus.emit``.
-* **hidden-state** — attributes first bound outside ``__init__`` must
-  be restored by ``reset()`` (checked across helper methods and base
-  classes), and ``__slots__`` completeness is enforced across the MRO.
 
 Checkers register themselves in :mod:`repro.analysis.registry`; the
 engine (:mod:`repro.analysis.engine`) walks files behind an incremental

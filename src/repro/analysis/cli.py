@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     phase.add_argument(
         "--project-only",
         action="store_true",
-        help="run only the project-wide dataflow passes",
+        help="run only the project-wide passes",
     )
     parser.add_argument(
         "--baseline",

@@ -2,7 +2,7 @@
 
 Two layers share one parse per file:
 
-* the **per-file layer** (PR 1) hands every checker a
+* the **per-file layer** hands every checker a
   :class:`FileContext` (path, source, parsed AST) and collects
   :class:`Diagnostic` records, now behind a file-hash-keyed incremental
   cache (:mod:`repro.analysis.flow.cache`) and an optional ``jobs``
@@ -10,8 +10,8 @@ Two layers share one parse per file:
 * the **project layer** builds one
   :class:`~repro.analysis.flow.project.ProjectContext` from the same
   ``FileContext`` objects and runs every registered
-  :class:`~repro.analysis.registry.ProjectChecker` (call-graph and
-  CFG/dataflow passes) once per run.
+  :class:`~repro.analysis.registry.ProjectChecker` (the passes that
+  need symbol tables or the call graph) once per run.
 
 Both layers filter through the per-file suppression tables; suppression
 comments naming a rule the registry has never heard of earn a

@@ -1,15 +1,11 @@
-"""Project-wide dataflow analysis: symbol tables, CFGs, call graph.
+"""Project-wide analysis: symbol tables and call graph.
 
-The per-file engine of PR 1 sees one module at a time, which caps it at
+The per-file engine sees one module at a time, which caps it at
 syntax: it cannot know that a helper called three frames away emits a
-telemetry event, that an attribute is reset in a base class, or that a
-``set`` built in one statement leaks its iteration order into simulator
-state five lines later.  This package adds the project layer:
+telemetry event.  This package adds the project layer:
 
 * :mod:`repro.analysis.flow.symbols` — per-module symbol tables
   (classes, functions, import bindings) with dotted-module naming;
-* :mod:`repro.analysis.flow.cfg` — intra-procedural control-flow
-  graphs with a reaching-definitions solver;
 * :mod:`repro.analysis.flow.callgraph` — an import-resolved,
   inheritance-aware call graph over every scanned module;
 * :mod:`repro.analysis.flow.project` — :class:`ProjectContext`, the
@@ -21,7 +17,6 @@ state five lines later.  This package adds the project layer:
 
 from repro.analysis.flow.cache import DiagnosticCache
 from repro.analysis.flow.callgraph import CallGraph
-from repro.analysis.flow.cfg import FunctionFlow, build_flow
 from repro.analysis.flow.project import ProjectContext
 from repro.analysis.flow.symbols import ClassInfo, ModuleInfo, build_module_info
 
@@ -29,9 +24,7 @@ __all__ = [
     "CallGraph",
     "ClassInfo",
     "DiagnosticCache",
-    "FunctionFlow",
     "ModuleInfo",
     "ProjectContext",
-    "build_flow",
     "build_module_info",
 ]

@@ -8,19 +8,17 @@ to every registered :class:`~repro.analysis.registry.ProjectChecker`.
 
 from __future__ import annotations
 
-import ast
 from typing import TYPE_CHECKING, Iterator
 
 from repro.analysis.flow.callgraph import CallGraph
-from repro.analysis.flow.cfg import FunctionFlow, build_flow
-from repro.analysis.flow.symbols import ClassInfo, ModuleInfo, build_module_info
+from repro.analysis.flow.symbols import ModuleInfo, build_module_info
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.engine import FileContext
 
 
 class ProjectContext:
-    """Symbol tables, call graph and CFG access for a set of modules."""
+    """Symbol tables and call graph for a set of modules."""
 
     def __init__(self, files: "list[FileContext]"):
         #: path -> ModuleInfo, and dotted module name -> ModuleInfo.
@@ -32,23 +30,8 @@ class ProjectContext:
             by_name[info.name] = info
         self.modules_by_name = by_name
         self.call_graph = CallGraph(by_name)
-        self._flows: dict[int, FunctionFlow] = {}
 
-    # -- iteration helpers ---------------------------------------------
     def iter_modules(self) -> Iterator[ModuleInfo]:
         """Modules in deterministic (path) order."""
         for path in sorted(self.modules):
             yield self.modules[path]
-
-    def iter_classes(self) -> Iterator[tuple[ModuleInfo, ClassInfo]]:
-        for mod in self.iter_modules():
-            for name in sorted(mod.classes):
-                yield mod, mod.classes[name]
-
-    # -- dataflow ------------------------------------------------------
-    def flow(self, func: ast.FunctionDef | ast.AsyncFunctionDef) -> FunctionFlow:
-        """The (memoized) CFG + dataflow facts for one function."""
-        key = id(func)
-        if key not in self._flows:
-            self._flows[key] = build_flow(func)
-        return self._flows[key]

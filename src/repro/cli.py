@@ -46,6 +46,7 @@ from repro.harness.report import format_table, save_report
 from repro.harness.runner import (
     BenchScale,
     UsageError,
+    at_least_arg,
     build_pipeline,
     cycles_arg,
     dvm_target,
@@ -251,13 +252,22 @@ def _progress_printer(event) -> None:
 
 
 def _engine_kwargs(args) -> dict:
+    """The engine options of ``sweep``/``figures``.  Monitoring and the
+    per-point timeout act only on a worker pool, so asking for them at
+    ``--jobs`` 0 or 1 is a usage error rather than a silent no-op."""
+    if args.jobs < 2:
+        for flag, value in (
+            ("--serve", args.serve), ("--log", args.log), ("--timeout", args.timeout)
+        ):
+            if value is not None:
+                raise UsageError(f"{flag} needs --jobs 2 or more, got --jobs {args.jobs}")
     checkpoint: str | bool | None = True
-    if getattr(args, "no_checkpoint", False):
+    if args.no_checkpoint:
         checkpoint = None
-    elif getattr(args, "checkpoint", None):
+    elif args.checkpoint:
         checkpoint = args.checkpoint
     monitor: parallel_mod.MonitorConfig | None = None
-    if getattr(args, "serve", None) or getattr(args, "log", None):
+    if args.serve or args.log:
         from repro.telemetry.export import parse_serve_spec
 
         monitor = parallel_mod.MonitorConfig(
@@ -304,6 +314,7 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    engine_kwargs = _engine_kwargs(args)
     bus = EventBus()
     # Besides the engine's own harness.point stream, record whatever
     # pool workers relay onto the parent bus (interval samples, online
@@ -330,7 +341,7 @@ def cmd_sweep(args) -> int:
                 normalize_to,
                 strict=args.strict,
                 bus=bus,
-                **_engine_kwargs(args),
+                **engine_kwargs,
                 **fixed,
             )
     except (RuntimeError, ValueError) as exc:
@@ -367,12 +378,13 @@ def cmd_figures(args) -> int:
             file=sys.stderr,
         )
         return 2
+    engine_kwargs = _engine_kwargs(args)
     bus = EventBus()
     if not args.quiet:
         bus.subscribe(TOPIC_HARNESS_POINT, _progress_printer)
     try:
         run = parallel_mod.parallel_figures(
-            names, scale, strict=args.strict, bus=bus, **_engine_kwargs(args)
+            names, scale, strict=args.strict, bus=bus, **engine_kwargs
         )
     except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -534,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "e.g. scheduler=oldest,dispatch=none")
     p_sw.add_argument("--fixed", action="append", metavar="KWARGS",
                       help="fixed run_sim kwargs applied to every point")
-    p_sw.add_argument("--jobs", type=int, default=0,
+    p_sw.add_argument("--jobs", type=at_least_arg(int, 0), default=0,
                       help="worker processes (0/1 = run in-process)")
     p_sw.add_argument("--resume", action="store_true",
                       help="reuse completed points from the checkpoint shard")
@@ -542,9 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="checkpoint shard path (default: auto under reports/)")
     p_sw.add_argument("--no-checkpoint", action="store_true",
                       help="disable the on-disk checkpoint shard")
-    p_sw.add_argument("--timeout", type=float, default=None,
+    p_sw.add_argument("--timeout", type=positive_arg(float), default=None,
                       help="per-point wait timeout in seconds (pool mode only)")
-    p_sw.add_argument("--retries", type=int, default=2,
+    p_sw.add_argument("--retries", type=at_least_arg(int, 0), default=2,
                       help="retry rounds before a failing point is skipped")
     p_sw.add_argument("--strict", action="store_true",
                       help="fail instead of skipping exhausted points")
@@ -560,10 +572,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="export per-worker point tracks as Chrome trace JSON")
     p_sw.add_argument("--serve", metavar="[HOST]:PORT", default=None,
                       help="serve live /metrics (Prometheus) and /status "
-                           "(JSON) while the sweep runs, e.g. --serve :9099")
+                           "(JSON) while the sweep runs, e.g. --serve :9099 "
+                           "(pool mode only)")
     p_sw.add_argument("--log", metavar="PATH", default=None,
                       help="append structured JSONL run logs (engine + "
-                           "workers, correlated by run id)")
+                           "workers, correlated by run id; pool mode only)")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_fig = sub.add_parser(
@@ -571,12 +584,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fig.add_argument("experiments", nargs="*",
                        help="suites to run (default: all registered)")
-    p_fig.add_argument("--jobs", type=int, default=0)
+    p_fig.add_argument("--jobs", type=at_least_arg(int, 0), default=0)
     p_fig.add_argument("--resume", action="store_true")
     p_fig.add_argument("--checkpoint", metavar="PATH", default=None)
     p_fig.add_argument("--no-checkpoint", action="store_true")
-    p_fig.add_argument("--timeout", type=float, default=None)
-    p_fig.add_argument("--retries", type=int, default=1)
+    p_fig.add_argument("--timeout", type=positive_arg(float), default=None)
+    p_fig.add_argument("--retries", type=at_least_arg(int, 0), default=1)
     p_fig.add_argument("--strict", action="store_true")
     p_fig.add_argument("--cycles", type=cycles_arg, default=None)
     p_fig.add_argument("--seed", type=int, default=None)

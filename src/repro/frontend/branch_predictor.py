@@ -148,10 +148,3 @@ class BranchPredictor:
         """Zero the counters without disturbing the trained state (used
         after functional warm-up: warm-up predictions don't count)."""
         self.stats = BranchPredictorStats()
-
-    def reset(self) -> None:
-        self._pht = [2] * self.config.pht_entries
-        self._hist = [0] * self.num_threads
-        self._btb = [[] for _ in range(self._btb_sets)]
-        self._ras = [[] for _ in range(self.num_threads)]
-        self.stats = BranchPredictorStats()

@@ -93,9 +93,6 @@ class FetchPolicy:
     def on_load_left(self, core: CoreView, inst: DynInst) -> None:
         """A load left the pipeline (completed or squashed; PDG hook)."""
 
-    def reset(self) -> None:
-        """Clear policy-internal state between runs."""
-
 
 class ICountPolicy(FetchPolicy):
     name = "icount"
@@ -167,11 +164,6 @@ class PDGPolicy(FetchPolicy):
         self._table = [1] * table_size  # weakly no-miss
         self._pending: list[int] = []
         self._counted: set[int] = set()
-
-    def reset(self) -> None:
-        self._table = [1] * (self._mask + 1)
-        self._pending = []
-        self._counted = set()
 
     def _idx(self, pc: int) -> int:
         return (pc >> 2) & self._mask

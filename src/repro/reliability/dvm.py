@@ -58,21 +58,6 @@ class DVMStats:
             return 0.0
         return sum(self.ratio_history) / len(self.ratio_history)
 
-    def clear(self) -> None:
-        """Zero every field in place.
-
-        ``DVMController.reset()`` clears the *same* object rather than
-        rebinding ``self.stats`` so observers holding a reference (the
-        harness, tests) keep seeing the live statistics instead of a
-        stale pre-reset snapshot drifting away from the controller.
-        """
-        self.samples = 0
-        self.triggered_samples = 0
-        self.l2_triggers = 0
-        self.throttled_dispatch_checks = 0
-        self.restore_grants = 0
-        self.ratio_history.clear()
-
 
 class DVMController:
     """Runtime IQ vulnerability governor."""
@@ -203,20 +188,3 @@ class DVMController:
         """Restoration applies only while the estimate is back under the
         trigger threshold."""
         return self.last_estimate < self.trigger_threshold
-
-    def reset(self) -> None:
-        """Return to the power-on state: the adapted ratio, the armed
-        response mechanism, the restore-thread pick and the ratio gate
-        are all cleared, so the next sample re-arms the trigger from
-        scratch.  Statistics are cleared *in place* (see
-        :meth:`DVMStats.clear`) so references held by observers stay
-        live instead of drifting against the controller."""
-        self.wq_ratio = (
-            self.static_ratio if self.static_ratio is not None
-            else self.config.wq_ratio_initial
-        )
-        self.triggered = False
-        self._dispatch_ok = True
-        self.restore_thread = None
-        self.last_estimate = 0.0
-        self.stats.clear()

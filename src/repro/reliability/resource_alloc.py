@@ -68,9 +68,6 @@ class DispatchPolicy:
     def on_interval(self, snap: IntervalSnapshot) -> None:
         """Interval-boundary adaptation hook."""
 
-    def reset(self) -> None:
-        """Clear adaptive state."""
-
 
 class UnlimitedDispatch(DispatchPolicy):
     """Baseline: the full IQ is always allocatable."""
@@ -161,10 +158,6 @@ class DynamicIQAllocation(DispatchPolicy):
                 avg_ready_queue_len=snap.avg_ready_queue_len,
             )
 
-    def reset(self) -> None:
-        self._iql = self.iq_size
-        self.limit_history.clear()
-
 
 class L2MissSensitiveAllocation(DynamicIQAllocation):
     """Optimization 2 — Figure 4: Optimization 1 while L2 misses are
@@ -213,8 +206,3 @@ class L2MissSensitiveAllocation(DynamicIQAllocation):
                 l2_misses=snap.l2_misses,
                 threshold=self.t_cache_miss,
             )
-
-    def reset(self) -> None:
-        super().reset()
-        self._flush_mode = False
-        self.flush_intervals = 0

@@ -144,19 +144,6 @@ class TestRAS:
         assert bp.ras_pop(0) == 1
 
 
-class TestReset:
-    def test_reset_clears_everything(self):
-        bp = make_bp()
-        pred, idx = bp.predict_direction(0x1000, 0)
-        bp.update_direction(0x1000, 0, False, pred, idx)
-        bp.btb_update(0x1000, 5)
-        bp.ras_push(0, 9)
-        bp.reset()
-        assert bp.btb_lookup(0x1000) is None
-        assert bp.ras_pop(0) is None
-        assert bp.stats.direction_lookups == 0
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.booleans(), min_size=1, max_size=200))
 def test_property_stats_consistent(outcomes):

@@ -201,6 +201,49 @@ class TestCyclesRule:
         assert issubclass(runner.WindowTooShort, runner.UsageError)
 
 
+class TestEngineOptions:
+    """``sweep`` and ``figures`` refuse engine options they would ignore
+    and parse the engine's numbers as usage errors (exit 2)."""
+
+    COMMANDS = {
+        "sweep": ["sweep", "--mix", "CPU-A", "--axis", "scheduler=oldest"],
+        "figures": ["figures", "fig1"],
+    }
+
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "1"]], ids=["default", "jobs1"])
+    @pytest.mark.parametrize("option", [
+        ["--serve", ":0"], ["--log", "x.log"], ["--timeout", "30"],
+    ], ids=["serve", "log", "timeout"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_pool_only_option_without_a_pool_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, command, option, jobs
+    ):
+        # Regression: these exited 0 after simulating in-process, with
+        # nothing served, no log written and no timeout applied.
+        monkeypatch.chdir(tmp_path)
+        argv = [*self.COMMANDS[command], "--cycles", "1500", "--no-checkpoint",
+                "--quiet", *option, *jobs]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {option[0]} needs --jobs 2 or more" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option,value,rule", [
+        ("--jobs", "-1", "must be >= 0"),
+        ("--retries", "-1", "must be >= 0"),
+        ("--timeout", "0", "must be > 0"),
+        ("--timeout", "nan", "must be > 0"),
+    ])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_of_range_engine_number_is_usage_error(
+        self, capsys, command, option, value, rule
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.COMMANDS[command], option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}: {rule}" in capsys.readouterr().err
+
+
 class TestPartialExit:
     """A run that skips a point or suite after its retries exits 3, not 0;
     ``--strict`` turns the skip into a failure (exit 1)."""

@@ -264,6 +264,51 @@ class TestGoldenDigests:
 
 
 # ----------------------------------------------------------------------
+# Hash-seed independence.  Python salts str hashes per process, so a
+# set or dict keyed by strings iterates in an order PYTHONHASHSEED
+# picks; if that order reached a result, two processes would disagree.
+# ----------------------------------------------------------------------
+import os
+import subprocess
+import sys
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_HASH_SEED_PROBE = """
+from repro.harness.runner import BenchScale, run_sim
+from tests.test_differential import result_digest
+
+scale = BenchScale.from_env(3000)
+print(result_digest(run_sim("MIX-A", scale, scheduler="visa", dispatch="opt2")))
+print(result_digest(run_sim("MEM-A", scale, fetch_policy="pdg")))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_digests_agree_across_hash_seeds(self):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("REPRO_CYCLES", "REPRO_FULL")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(_ROOT, "src"), _ROOT, env.get("PYTHONPATH", "")]
+        )
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _HASH_SEED_PROBE],
+                cwd=_ROOT, env={**env, "PYTHONHASHSEED": seed},
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for seed in ("0", "1")
+        ]
+        outputs = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            outputs.append(out.split())
+        assert len(outputs[0]) == 2
+        assert outputs[0] == outputs[1]
+
+
+# ----------------------------------------------------------------------
 # Metric pins.  The digests leave out the metrics snapshot
 # (``compare=False``), so the counters the loop's inert-cycle skip
 # replicates in closed form are pinned here, on the DVM rows of the

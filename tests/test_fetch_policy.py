@@ -186,13 +186,6 @@ class TestPDG:
         p.on_load_dispatch(core, inst)  # untrained: predicted hit
         assert p.gated(core, 0) is False
 
-    def test_reset(self):
-        p = PDGPolicy()
-        inst = make_load()
-        p.on_load_resolved(FakeCore(), inst, l1_miss=True)
-        p.reset()
-        assert p._table.count(1) == len(p._table)
-
     def test_rejects_bad_table_size(self):
         with pytest.raises(ValueError):
             PDGPolicy(table_size=1000)

@@ -19,12 +19,19 @@ SRC = os.path.join(HERE, os.pardir, "src")
 ROOT = os.path.dirname(os.path.abspath(HERE))
 BASELINE = os.path.join(ROOT, "lint-baseline.json")
 
-#: rule -> its dedicated counterexample fixture.
+#: Every registered rule.
+RULES = {
+    "config-bounds",
+    "determinism",
+    "dimension-mismatch",
+    "emit-coverage",
+    "event-schema",
+    "paper-fidelity",
+}
+
+#: rule -> its dedicated counterexample fixture file.
 FIXTURE_OF = {
     "determinism": os.path.join(FIXTURES, "determinism_bad.py"),
-    "counter-balance": os.path.join(FIXTURES, "counter_balance_bad.py"),
-    "slots": os.path.join(FIXTURES, "slots_bad.py"),
-    "stage-purity": os.path.join(FIXTURES, "stage_purity", "pipeline.py"),
     "config-bounds": os.path.join(FIXTURES, "config_bounds", "config.py"),
     "event-schema": os.path.join(FIXTURES, "event_schema_bad.py"),
 }
@@ -35,8 +42,8 @@ def run_rule(rule, path):
 
 
 class TestRegistry:
-    def test_all_five_rules_registered(self):
-        assert set(FIXTURE_OF) <= set(all_rules())
+    def test_all_six_rules_registered(self):
+        assert set(all_rules()) == RULES
 
     def test_unknown_rule_raises(self):
         with pytest.raises(KeyError):
@@ -67,17 +74,6 @@ class TestCheckersFireOnFixtures:
         assert any("wall-clock" in m for m in messages)
         assert any("set expression" in m for m in messages)
 
-    def test_counter_balance_reports_both_failure_modes(self):
-        diags = run_rule("counter-balance", FIXTURE_OF["counter-balance"])
-        symbols = {d.symbol for d in diags}
-        assert "LeakyQueue.pred_ace_bits" in symbols
-        assert "LopsidedQueue.ready_pred_ace" in symbols
-        assert not any(s.startswith("BalancedQueue") for s in symbols)
-
-    def test_slots_names_the_missing_attribute(self):
-        diags = run_rule("slots", FIXTURE_OF["slots"])
-        assert {d.symbol for d in diags} == {"HotPathEntry.squash_cycle"}
-
     def test_event_schema_reports_every_failure_mode(self):
         messages = [
             d.message for d in run_rule("event-schema", FIXTURE_OF["event-schema"])
@@ -89,11 +85,6 @@ class TestCheckersFireOnFixtures:
         assert any("**kwargs splat" in m for m in messages)
         assert any("missing ['wq_ratio']" in m for m in messages)
         assert any("extra ['bogus']" in m for m in messages)
-
-    def test_stage_purity_flags_write_and_mutator_call(self):
-        diags = run_rule("stage-purity", FIXTURE_OF["stage-purity"])
-        methods = {d.symbol for d in diags}
-        assert methods == {"BrokenPipeline._issue", "BrokenPipeline._writeback"}
 
     def test_config_bounds_flags_field_and_missing_validate(self):
         diags = run_rule("config-bounds", FIXTURE_OF["config-bounds"])
@@ -124,7 +115,7 @@ class TestSuppressions:
         assert LintEngine(["determinism"]).check_source(src) == []
 
     def test_line_suppression_is_rule_specific(self):
-        src = "import random\nx = random.random()  # lint: disable=slots\n"
+        src = "import random\nx = random.random()  # lint: disable=config-bounds\n"
         diags = LintEngine(["determinism"]).check_source(src)
         assert len(diags) == 1
 
@@ -150,9 +141,9 @@ class TestSuppressions:
             "import random\n"
             "import time\n"
             "x = (random.random(), time.time())"
-            "  # lint: disable=determinism, slots\n"
+            "  # lint: disable=determinism, dimension-mismatch\n"
         )
-        assert LintEngine(["determinism", "slots"]).check_source(src) == []
+        assert LintEngine(["determinism", "dimension-mismatch"]).check_source(src) == []
 
     def test_unknown_rule_in_directive_warns(self):
         src = "x = 1  # lint: disable=not-a-rule\n"
@@ -191,7 +182,7 @@ class TestSuppressionBaselineInteraction:
         "import random\n"
         "import time\n"
         "x = (random.random(), time.time())"
-        "  # lint: disable=determinism, slots\n"
+        "  # lint: disable=determinism, dimension-mismatch\n"
     )
     #: same findings, no directive — what the baseline was written from.
     UNSUPPRESSED = (
@@ -230,7 +221,7 @@ class TestSuppressionBaselineInteraction:
         ) == 0
         two_sites.write_text(
             "import random\n"
-            "x = random.random()  # lint: disable=determinism, slots\n"
+            "x = random.random()  # lint: disable=determinism, dimension-mismatch\n"
             "y = random.random()\n"
         )
         capsys.readouterr()
@@ -250,7 +241,7 @@ class TestSuppressionBaselineInteraction:
         ) == 0
         mod.write_text(
             "import random\n"
-            "x = random.random()  # lint: disable=determinism, slots\n"
+            "x = random.random()  # lint: disable=determinism, dimension-mismatch\n"
             "y = random.random()\n"
             "z = random.random()\n"
         )
@@ -284,16 +275,16 @@ class TestEngine:
 
 class TestReporters:
     def test_json_report_round_trips(self):
-        diags = run_rule("slots", FIXTURE_OF["slots"])
+        diags = run_rule("determinism", FIXTURE_OF["determinism"])
         payload = json.loads(render(diags, "json"))
         assert payload["summary"]["total"] == len(diags)
-        assert payload["diagnostics"][0]["rule"] == "slots"
+        assert payload["diagnostics"][0]["rule"] == "determinism"
 
     def test_text_report_mentions_rule_and_location(self):
-        diags = run_rule("slots", FIXTURE_OF["slots"])
+        diags = run_rule("determinism", FIXTURE_OF["determinism"])
         text = render(diags, "text")
-        assert "[slots]" in text
-        assert "slots_bad.py" in text
+        assert "[determinism]" in text
+        assert "determinism_bad.py" in text
 
     def test_severity_str(self):
         assert str(Severity.ERROR) == "error"
@@ -301,14 +292,14 @@ class TestReporters:
         assert str(Severity.NOTE) == "note"
 
     def test_sarif_report_structure(self):
-        diags = run_rule("slots", FIXTURE_OF["slots"])
+        diags = run_rule("determinism", FIXTURE_OF["determinism"])
         doc = json.loads(render(diags, "sarif"))
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro.lint"
         assert len(run["results"]) == len(diags)
         rules = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "slots" in rules
+        assert "determinism" in rules
         result = run["results"][0]
         assert result["level"] == "error"
         assert result["locations"][0]["physicalLocation"]["region"]["startLine"] > 0
@@ -317,7 +308,7 @@ class TestReporters:
 class TestCLI:
     def test_exit_codes(self, capsys):
         assert lint_main(["--no-cache", "--baseline", BASELINE, SRC]) == 0
-        assert lint_main(["--no-cache", FIXTURE_OF["slots"]]) == 1
+        assert lint_main(["--no-cache", FIXTURE_OF["determinism"]]) == 1
         capsys.readouterr()
 
     def test_no_paths_and_no_default_roots_is_usage_error(
@@ -355,7 +346,7 @@ class TestCLI:
 
     def test_baseline_round_trip(self, capsys, tmp_path):
         baseline = tmp_path / "baseline.json"
-        fixture = FIXTURE_OF["slots"]
+        fixture = FIXTURE_OF["determinism"]
         assert lint_main(["--no-cache", "--write-baseline", str(baseline), fixture]) == 0
         assert lint_main(["--no-cache", "--baseline", str(baseline), fixture]) == 0
         capsys.readouterr()
@@ -363,12 +354,11 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in FIXTURE_OF:
-            assert rule in out
+        assert {line.split(":", 1)[0] for line in out.splitlines()} == RULES
 
     def test_rules_subset(self, capsys):
-        # Only the slots rule runs: the determinism fixture stays clean.
-        assert lint_main(["--rules", "slots", FIXTURE_OF["determinism"]]) == 0
+        # Only the event-schema rule runs: the determinism fixture stays clean.
+        assert lint_main(["--rules", "event-schema", FIXTURE_OF["determinism"]]) == 0
         capsys.readouterr()
 
     def test_unknown_rule_is_usage_error(self, capsys):
@@ -376,7 +366,7 @@ class TestCLI:
         capsys.readouterr()
 
     def test_json_format(self, capsys):
-        assert lint_main(["--format", "json", FIXTURE_OF["slots"]]) == 1
+        assert lint_main(["--format", "json", FIXTURE_OF["determinism"]]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["errors"] >= 1
 

@@ -1,6 +1,5 @@
-"""The project-wide dataflow layer: CFG + reaching definitions, the
-import-resolved call graph, and the four passes built on them
-(paper-fidelity, nondet-iteration, emit-coverage, hidden-state)."""
+"""The project-wide layer: the import-resolved call graph and the two
+passes built on the symbol tables (paper-fidelity, emit-coverage)."""
 
 import ast
 import os
@@ -10,7 +9,7 @@ import pytest
 
 from repro.analysis import LintEngine, Severity
 from repro.analysis.checkers.paper_fidelity import PAPER_CONSTANTS
-from repro.analysis.flow import CallGraph, build_flow, build_module_info
+from repro.analysis.flow import CallGraph, build_module_info
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "lint_fixtures")
@@ -23,117 +22,6 @@ def run_pass(rule, *paths):
 
 def fixture(name):
     return os.path.join(FIXTURES, name)
-
-
-def make_flow(body):
-    tree = ast.parse(textwrap.dedent(body))
-    func = tree.body[0]
-    assert isinstance(func, ast.FunctionDef)
-    return func, build_flow(func)
-
-
-def stmt_at(func, lineno):
-    for node in ast.walk(func):
-        if isinstance(node, ast.stmt) and getattr(node, "lineno", None) == lineno:
-            return node
-    raise AssertionError(f"no statement at line {lineno}")
-
-
-# ----------------------------------------------------------------------
-# CFG + reaching definitions + liveness
-# ----------------------------------------------------------------------
-class TestReachingDefinitions:
-    def test_straight_line_single_definition(self):
-        func, flow = make_flow(
-            """
-            def f():
-                x = 1
-                y = x
-                return y
-            """
-        )
-        use = stmt_at(func, 4)  # y = x
-        defs = flow.reaching_in(use)["x"]
-        assert [d.lineno for d in defs] == [3]
-
-    def test_if_else_join_merges_both_branches(self):
-        func, flow = make_flow(
-            """
-            def f(cond):
-                if cond:
-                    x = 1
-                else:
-                    x = 2
-                return x
-            """
-        )
-        ret = stmt_at(func, 7)
-        assert sorted(d.lineno for d in flow.reaching_in(ret)["x"]) == [4, 6]
-
-    def test_redefinition_kills_previous(self):
-        func, flow = make_flow(
-            """
-            def f():
-                x = 1
-                x = 2
-                return x
-            """
-        )
-        ret = stmt_at(func, 5)
-        assert [d.lineno for d in flow.reaching_in(ret)["x"]] == [4]
-
-    def test_loop_back_edge_brings_body_definition_to_header(self):
-        func, flow = make_flow(
-            """
-            def f(items):
-                acc = 0
-                for item in items:
-                    acc = acc + item
-                return acc
-            """
-        )
-        loop = stmt_at(func, 4)
-        lines = sorted(d.lineno for d in flow.reaching_in(loop)["acc"])
-        assert lines == [3, 5]  # initial def and the back-edge def
-
-    def test_parameters_reach_as_function_node(self):
-        func, flow = make_flow(
-            """
-            def f(n):
-                return n
-            """
-        )
-        ret = stmt_at(func, 3)
-        assert flow.reaching_in(ret)["n"] == [func]
-
-    def test_assigned_value_recovers_expression(self):
-        func, flow = make_flow(
-            """
-            def f(window):
-                pending = {w for w in window}
-                for tag in pending:
-                    pass
-            """
-        )
-        loop = stmt_at(func, 4)
-        (def_stmt,) = flow.reaching_in(loop)["pending"]
-        assert isinstance(flow.assigned_value(def_stmt, "pending"), ast.SetComp)
-
-    def test_try_except_handler_sees_body_definitions(self):
-        func, flow = make_flow(
-            """
-            def f():
-                x = 1
-                try:
-                    x = 2
-                except ValueError:
-                    y = x
-                return x
-            """
-        )
-        handler_stmt = stmt_at(func, 7)  # y = x
-        lines = sorted(d.lineno for d in flow.reaching_in(handler_stmt)["x"])
-        assert lines == [3, 5]  # the try body may or may not have run
 
 
 # ----------------------------------------------------------------------
@@ -374,39 +262,9 @@ class TestPaperFidelityPass:
         assert const.section in diags[0].message
 
 
-class TestNondetIterationPass:
-    def test_fires_on_all_three_leaks(self):
-        diags = run_pass("nondet-iteration", fixture("nondet_iteration_bad.py"))
-        symbols = {d.symbol for d in diags}
-        assert symbols == {"pending", "doomed", "ReadyTracker._pending"}
-        assert all(d.severity == Severity.ERROR for d in diags)
-        assert all("sorted" in d.message for d in diags)
-
-    def test_silent_on_laundered_or_local_iteration(self):
-        assert run_pass("nondet-iteration", fixture("nondet_iteration_ok.py")) == []
-
-
 class TestEmitCoveragePass:
     def test_flags_only_the_silent_mutating_hook(self):
         diags = run_pass("emit-coverage", os.path.join(FIXTURES, "emit_coverage"))
         assert {d.symbol for d in diags} == {"SilentDVM.on_sample"}
         assert diags[0].severity == Severity.WARNING
         assert "bus.emit" in diags[0].message
-
-
-class TestHiddenStatePass:
-    def test_fires_on_unreset_and_unslotted_attributes(self):
-        diags = run_pass("hidden-state", fixture("hidden_state_bad.py"))
-        by_symbol = {d.symbol: d for d in diags}
-        assert set(by_symbol) == {
-            "Controller._armed",
-            "HelperHidden.acc",
-            "SlottedDerived.b",
-        }
-        assert by_symbol["Controller._armed"].severity == Severity.WARNING
-        assert "reset() never restores" in by_symbol["HelperHidden.acc"].message
-        assert by_symbol["SlottedDerived.b"].severity == Severity.ERROR
-        assert "__slots__" in by_symbol["SlottedDerived.b"].message
-
-    def test_silent_on_covered_attributes(self):
-        assert run_pass("hidden-state", fixture("hidden_state_ok.py")) == []

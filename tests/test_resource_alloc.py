@@ -67,12 +67,6 @@ class TestFigure3Formula:
         self.d.on_interval(snap(ipc=7.0))
         assert len(self.d.limit_history) == 2
 
-    def test_reset(self):
-        self.d.on_interval(snap(ipc=1.0, rql=0.0))
-        self.d.reset()
-        assert self.d.iq_limit == 96
-        assert self.d.limit_history == []
-
     def test_general_region_count(self):
         d2 = DynamicIQAllocation(96, num_regions=2)
         d8 = DynamicIQAllocation(96, num_regions=8)
@@ -113,12 +107,6 @@ class TestOptimization2:
         self.d.on_interval(snap(ipc=1.0, l2=100))
         self.d.on_interval(snap(ipc=1.0, l2=100))
         assert self.d.flush_intervals == 2
-
-    def test_reset(self):
-        self.d.on_interval(snap(ipc=1.0, l2=100))
-        self.d.reset()
-        assert not self.d.flush_mode
-        assert self.d.flush_intervals == 0
 
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
