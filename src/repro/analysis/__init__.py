@@ -26,17 +26,12 @@ import-resolved call graph):
   path to a ``bus.emit``.
 
 Checkers register themselves in :mod:`repro.analysis.registry`; the
-engine (:mod:`repro.analysis.engine`) walks files behind an incremental
-file-hash cache (with a whole-project snapshot giving the project
-passes transitive invalidation, and a dependency map powering
-``--changed``), applies ``# lint: disable=<rule>`` suppressions, and
-hands diagnostics to the text/JSON/SARIF reporters; ``--baseline``
-(:mod:`repro.analysis.baseline`) gates CI on new findings only, and
-:mod:`repro.analysis.sarif_schema` structurally validates the SARIF
-output in CI.
+engine (:mod:`repro.analysis.engine`) parses each file once, runs the
+per-file rules and then the project passes in one serial pass, applies
+``# lint: disable=<rule>`` suppressions, and hands the diagnostics to
+the text or JSON reporter.
 """
 
-from repro.analysis.baseline import filter_new, load_baseline, write_baseline
 from repro.analysis.diagnostics import Diagnostic, Severity, parse_severity
 from repro.analysis.engine import FileContext, LintEngine
 from repro.analysis.registry import (
@@ -55,10 +50,7 @@ __all__ = [
     "ProjectChecker",
     "Severity",
     "all_rules",
-    "filter_new",
     "get_checker",
-    "load_baseline",
     "parse_severity",
     "register",
-    "write_baseline",
 ]

@@ -39,10 +39,10 @@ class Diagnostic:
     offending entity (class, attribute, field) for machine consumers.
 
     ``line``/``col`` follow the AST convention (1-based line, 0-based
-    column); reporters convert to their target convention.  The
-    optional ``end_line``/``end_col`` bound the region when the checker
-    knows it (``end_col`` exclusive, matching ``ast.end_col_offset``);
-    zero means "unset" and reporters fall back to a point region.
+    column) in both reports.  The optional ``end_line``/``end_col``
+    bound the region when the checker knows it (``end_col`` exclusive,
+    matching ``ast.end_col_offset``); zero means "unset" and the JSON
+    report leaves them out.
     """
 
     path: str

@@ -10,12 +10,9 @@ telemetry event.  This package adds the project layer:
   inheritance-aware call graph over every scanned module;
 * :mod:`repro.analysis.flow.project` — :class:`ProjectContext`, the
   facade the engine builds once per run and hands to every
-  :class:`~repro.analysis.registry.ProjectChecker`;
-* :mod:`repro.analysis.flow.cache` — the file-hash-keyed incremental
-  diagnostic cache under ``.repro-lint-cache/``.
+  :class:`~repro.analysis.registry.ProjectChecker`.
 """
 
-from repro.analysis.flow.cache import DiagnosticCache
 from repro.analysis.flow.callgraph import CallGraph
 from repro.analysis.flow.project import ProjectContext
 from repro.analysis.flow.symbols import ClassInfo, ModuleInfo, build_module_info
@@ -23,7 +20,6 @@ from repro.analysis.flow.symbols import ClassInfo, ModuleInfo, build_module_info
 __all__ = [
     "CallGraph",
     "ClassInfo",
-    "DiagnosticCache",
     "ModuleInfo",
     "ProjectContext",
     "build_module_info",

@@ -88,9 +88,10 @@ def get_checker(rule: str) -> type[BaseChecker]:
 
 
 def make_checkers(rules: Iterable[str] | None = None) -> list[BaseChecker]:
-    """Instantiate the selected checkers (all registered ones by default)."""
+    """Instantiate the selected checkers (all registered ones by default),
+    one per rule however often it is named."""
     _ensure_builtin_checkers()
-    names = all_rules() if rules is None else list(rules)
+    names = all_rules() if rules is None else list(dict.fromkeys(rules))
     return [get_checker(name)() for name in names]
 
 

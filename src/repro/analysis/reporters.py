@@ -1,15 +1,11 @@
-"""Text, JSON and SARIF diagnostic reporters."""
+"""Text and JSON diagnostic reporters."""
 
 from __future__ import annotations
 
 import json
-import os
 from typing import Sequence
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-
-#: SARIF 2.1.0 result levels, by severity.
-_SARIF_LEVEL = {Severity.NOTE: "note", Severity.WARNING: "warning", Severity.ERROR: "error"}
 
 
 def _counts(diags: Sequence[Diagnostic]) -> dict[str, int]:
@@ -45,83 +41,7 @@ def render_json(diags: Sequence[Diagnostic]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def render_sarif(diags: Sequence[Diagnostic]) -> str:
-    """SARIF 2.1.0 — the format GitHub code scanning ingests for inline
-    PR annotations.  One run, one result per diagnostic, rule metadata
-    drawn from the live registry."""
-    from repro.analysis.registry import all_rules, get_checker
-
-    rules_meta = []
-    for rule in all_rules():
-        checker = get_checker(rule)
-        rules_meta.append(
-            {
-                "id": rule,
-                "shortDescription": {"text": checker.description or rule},
-            }
-        )
-    rule_index = {meta["id"]: i for i, meta in enumerate(rules_meta)}
-
-    results = []
-    for diag in diags:
-        uri = diag.path
-        if os.path.isabs(uri):
-            try:
-                uri = os.path.relpath(uri)
-            except ValueError:
-                pass
-        uri = uri.replace(os.sep, "/")
-        # SARIF regions are 1-based and end-inclusive; diagnostics
-        # carry the AST convention (0-based columns, exclusive end).
-        start_line = max(diag.line, 1)
-        region = {
-            "startLine": start_line,
-            "startColumn": diag.col + 1,
-        }
-        if diag.end_line:
-            region["endLine"] = max(diag.end_line, start_line)
-            region["endColumn"] = max(diag.end_col + 1, 1)
-            if region["endLine"] == start_line:
-                region["endColumn"] = max(region["endColumn"], region["startColumn"])
-        result = {
-            "ruleId": diag.rule,
-            "level": _SARIF_LEVEL[diag.severity],
-            "message": {"text": diag.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": uri},
-                        "region": region,
-                    }
-                }
-            ],
-        }
-        if diag.rule in rule_index:
-            result["ruleIndex"] = rule_index[diag.rule]
-        if diag.symbol:
-            result["partialFingerprints"] = {"symbol": diag.symbol}
-        results.append(result)
-
-    payload = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro.lint",
-                        "informationUri": "https://example.invalid/repro-lint",
-                        "rules": rules_meta,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-_RENDERERS = {"text": render_text, "json": render_json, "sarif": render_sarif}
+_RENDERERS = {"text": render_text, "json": render_json}
 
 
 def render(diags: Sequence[Diagnostic], fmt: str) -> str:
