@@ -87,11 +87,9 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
             raise FileNotFoundError(f"no such file or directory: {path}")
 
 
-def default_roots(cwd: str | None = None) -> list[str]:
-    """The :data:`DEFAULT_ROOTS` that exist under ``cwd``."""
-    base = cwd or os.getcwd()
-    return [os.path.join(base, r) if cwd else r for r in DEFAULT_ROOTS
-            if os.path.isdir(os.path.join(base, r))]
+def default_roots() -> list[str]:
+    """The :data:`DEFAULT_ROOTS` that exist under the working directory."""
+    return [r for r in DEFAULT_ROOTS if os.path.isdir(r)]
 
 
 def _syntax_diagnostic(path: str, exc: SyntaxError) -> Diagnostic:

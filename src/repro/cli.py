@@ -5,12 +5,11 @@ Commands
 ``run``         simulate one workload mix under a chosen configuration
 ``timeline``    render the merged interval/decision timeline of one run
 ``sweep``       run a parameter grid (optionally parallel, checkpointed)
-``figures``     run several figure/table suites (optionally parallel)
+``figures``     regenerate the paper's tables/figures (optionally parallel)
 ``monitor``     attach to a live (or finished) sweep's status document
 ``perf``        performance observability: bench suite, regression gate,
                 Chrome-trace export (see ``repro.perf.cli``)
 ``profile``     offline per-PC vulnerability profiling of one benchmark
-``reproduce``   regenerate one of the paper's tables/figures
 ``list``        enumerate benchmarks, mixes, policies and experiments
 ``lint``        simulator-aware static analysis (alias of
                 ``python -m repro.lint``)
@@ -29,7 +28,6 @@ Examples::
     python -m repro perf compare --tolerance 0.25
     python -m repro perf trace --mix MEM-A --dvm 0.5 -o trace.json
     python -m repro profile mesa --instructions 50000
-    python -m repro reproduce fig5
     python -m repro list
 """
 
@@ -78,8 +76,10 @@ from repro.reliability.avf import Structure
 from repro.reliability.profiling import profile_program
 from repro.workloads import MIXES
 
-#: ``reproduce``/``figures`` share the suite registry with the engine.
-_EXPERIMENTS = dict(experiments.SUITES)
+#: The choices of the single-run policy options.
+FETCH_POLICIES = ("icount", "stall", "flush", "dg", "pdg", "rr")
+SCHEDULERS = ("oldest", "visa")
+DISPATCH_MODES = ("opt1", "opt1-linear", "opt2")
 
 #: Exit code of ``sweep``/``figures`` when the run finished but skipped
 #: at least one point or suite after its retries (``--strict`` exits 1).
@@ -96,12 +96,26 @@ def _scale_from_args(args) -> BenchScale:
     return dataclasses.replace(scale, **overrides)
 
 
-def pipeline_from_args(args, scale: BenchScale, profiled: bool = True):
-    """The pipeline a single-run command (``run``, ``timeline``,
-    ``perf trace``, ``avf report``) simulates."""
+def add_single_run_options(parser: argparse.ArgumentParser, mix: str) -> None:
+    """The configuration options of a single-run command (``run``,
+    ``timeline``, ``perf trace``, ``avf report``); ``mix`` is the
+    command's default ``--mix``."""
+    parser.add_argument("--mix", default=mix, choices=sorted(MIXES))
+    parser.add_argument("--fetch-policy", default="icount", choices=FETCH_POLICIES)
+    parser.add_argument("--scheduler", default="oldest", choices=SCHEDULERS)
+    parser.add_argument("--dispatch", default=None, choices=DISPATCH_MODES)
+    parser.add_argument("--dvm", type=positive_arg(float), default=None, metavar="FRAC",
+                        help="enable DVM targeting FRAC * baseline MaxAVF")
+    parser.add_argument("--cycles", type=cycles_arg, default=None,
+                        help="override the cycle budget")
+
+
+def pipeline_from_args(args, scale: BenchScale):
+    """The pipeline a single-run command (``timeline``, ``perf trace``,
+    ``avf report``) simulates."""
     target = dvm_target(args.mix, scale, args.dvm, args.fetch_policy)
     return build_pipeline(
-        get_programs(args.mix, scale, profiled),
+        get_programs(args.mix, scale),
         scale,
         fetch_policy=args.fetch_policy,
         scheduler=args.scheduler,
@@ -112,22 +126,15 @@ def pipeline_from_args(args, scale: BenchScale, profiled: bool = True):
 
 def cmd_run(args) -> int:
     scale = _scale_from_args(args)
-    if args.record:
-        pipe = pipeline_from_args(args, scale, profiled=not args.no_profile)
-        with TimelineRecorder(pipe.bus) as recorder:
-            res = pipe.run()
-        n = recorder.to_jsonl(args.record, manifest=res.manifest)
-        print(f"recorded {n} events to {args.record}")
-    else:
-        res = run_sim(
-            args.mix,
-            scale,
-            fetch_policy=args.fetch_policy,
-            scheduler=args.scheduler,
-            dispatch=args.dispatch,
-            dvm_target=dvm_target(args.mix, scale, args.dvm, args.fetch_policy),
-            profiled=not args.no_profile,
-        )
+    res = run_sim(
+        args.mix,
+        scale,
+        fetch_policy=args.fetch_policy,
+        scheduler=args.scheduler,
+        dispatch=args.dispatch,
+        dvm_target=dvm_target(args.mix, scale, args.dvm, args.fetch_policy),
+        profiled=not args.no_profile,
+    )
     mix = MIXES[args.mix]
     print(f"mix {args.mix} ({', '.join(mix.benchmarks)})")
     print(f"  cycles                {res.cycles}  (warm-up {res.warmup_cycles})")
@@ -256,9 +263,7 @@ def _engine_kwargs(args) -> dict:
     per-point timeout act only on a worker pool, so asking for them at
     ``--jobs`` 0 or 1 is a usage error rather than a silent no-op."""
     if args.jobs < 2:
-        for flag, value in (
-            ("--serve", args.serve), ("--log", args.log), ("--timeout", args.timeout)
-        ):
+        for flag, value in (("--serve", args.serve), ("--timeout", args.timeout)):
             if value is not None:
                 raise UsageError(f"{flag} needs --jobs 2 or more, got --jobs {args.jobs}")
     checkpoint: str | bool | None = True
@@ -267,13 +272,10 @@ def _engine_kwargs(args) -> dict:
     elif args.checkpoint:
         checkpoint = args.checkpoint
     monitor: parallel_mod.MonitorConfig | None = None
-    if args.serve or args.log:
+    if args.serve:
         from repro.telemetry.export import parse_serve_spec
 
-        monitor = parallel_mod.MonitorConfig(
-            serve=parse_serve_spec(args.serve) if args.serve else None,
-            log_path=args.log,
-        )
+        monitor = parallel_mod.MonitorConfig(serve=parse_serve_spec(args.serve))
     return dict(
         jobs=args.jobs,
         checkpoint=checkpoint,
@@ -370,11 +372,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_figures(args) -> int:
     scale = _scale_from_args(args)
-    names = args.experiments or sorted(_EXPERIMENTS)
-    unknown = sorted(set(names) - set(_EXPERIMENTS))
+    suites = experiments.SUITES
+    names = args.experiments or sorted(suites)
+    unknown = sorted(set(names) - set(suites))
     if unknown:
         print(
-            f"unknown experiment(s) {unknown}; one of {sorted(_EXPERIMENTS)}",
+            f"unknown experiment(s) {unknown}; one of {sorted(suites)}",
             file=sys.stderr,
         )
         return 2
@@ -392,10 +395,7 @@ def cmd_figures(args) -> int:
     for name in names:
         if name not in run.results:
             continue
-        rows = run.results[name]
-        if isinstance(rows, dict):
-            rows = [rows]
-        text = format_table(rows, _EXPERIMENTS[name][1])
+        text = format_table(run.results[name], suites[name][1])
         print(text)
         if args.save:
             path = save_report(name, text)
@@ -443,26 +443,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_reproduce(args) -> int:
-    if args.experiment not in _EXPERIMENTS:
-        print(
-            f"unknown experiment {args.experiment!r}; one of {sorted(_EXPERIMENTS)}",
-            file=sys.stderr,
-        )
-        return 2
-    func, title = _EXPERIMENTS[args.experiment]
-    scale = _scale_from_args(args)
-    rows = func(scale)
-    if isinstance(rows, dict):  # fig2-style payloads
-        rows = [rows]
-    text = format_table(rows, title)
-    print(text)
-    if args.save:
-        path = save_report(args.experiment, text)
-        print(f"saved to {path}")
-    return 0
-
-
 def cmd_list(_args) -> int:
     print("benchmarks (Table 1 personalities):")
     for name, p in sorted(PERSONALITIES.items()):
@@ -470,10 +450,10 @@ def cmd_list(_args) -> int:
     print("\nmixes (Table 3):")
     for name, mix in sorted(MIXES.items()):
         print(f"  {name:6s} {', '.join(mix.benchmarks)}")
-    print("\nfetch policies:  icount, stall, flush, dg, pdg, rr")
-    print("schedulers:      oldest, visa")
-    print("dispatch:        none, opt1, opt1-linear, opt2")
-    print("experiments:     " + ", ".join(sorted(_EXPERIMENTS)))
+    print("\nfetch policies:  " + ", ".join(FETCH_POLICIES))
+    print("schedulers:      " + ", ".join(SCHEDULERS))
+    print("dispatch:        " + ", ".join(("none", *DISPATCH_MODES)))
+    print("experiments:     " + ", ".join(sorted(experiments.SUITES)))
     return 0
 
 
@@ -485,34 +465,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate one workload mix")
-    p_run.add_argument("--mix", default="CPU-A", choices=sorted(MIXES))
-    p_run.add_argument("--fetch-policy", default="icount",
-                       choices=["icount", "stall", "flush", "dg", "pdg", "rr"])
-    p_run.add_argument("--scheduler", default="oldest", choices=["oldest", "visa"])
-    p_run.add_argument("--dispatch", default=None,
-                       choices=["opt1", "opt1-linear", "opt2"])
-    p_run.add_argument("--dvm", type=positive_arg(float), default=None, metavar="FRAC",
-                       help="enable DVM targeting FRAC * baseline MaxAVF")
-    p_run.add_argument("--cycles", type=cycles_arg, default=None)
+    add_single_run_options(p_run, mix="CPU-A")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--no-profile", action="store_true",
                        help="skip offline ACE profiling (all hints = ACE)")
-    p_run.add_argument("--record", metavar="PATH", default=None,
-                       help="save the decision/interval event stream as JSONL")
     p_run.set_defaults(func=cmd_run)
 
     p_tl = sub.add_parser(
         "timeline", help="merged interval/decision timeline of one run"
     )
-    p_tl.add_argument("--mix", default="MEM-A", choices=sorted(MIXES))
-    p_tl.add_argument("--fetch-policy", default="icount",
-                      choices=["icount", "stall", "flush", "dg", "pdg", "rr"])
-    p_tl.add_argument("--scheduler", default="oldest", choices=["oldest", "visa"])
-    p_tl.add_argument("--dispatch", default=None,
-                      choices=["opt1", "opt1-linear", "opt2"])
-    p_tl.add_argument("--dvm", type=positive_arg(float), default=None, metavar="FRAC",
-                      help="enable DVM targeting FRAC * baseline MaxAVF")
-    p_tl.add_argument("--cycles", type=cycles_arg, default=None)
+    add_single_run_options(p_tl, mix="MEM-A")
     p_tl.add_argument("--seed", type=int, default=None)
     p_tl.add_argument("--input", metavar="PATH", default=None,
                       help="render a previously recorded JSONL instead of simulating")
@@ -574,13 +536,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="serve live /metrics (Prometheus) and /status "
                            "(JSON) while the sweep runs, e.g. --serve :9099 "
                            "(pool mode only)")
-    p_sw.add_argument("--log", metavar="PATH", default=None,
-                      help="append structured JSONL run logs (engine + "
-                           "workers, correlated by run id; pool mode only)")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_fig = sub.add_parser(
-        "figures", help="run several figure/table suites (parallel)"
+        "figures", help="regenerate paper tables/figures (optionally parallel)"
     )
     p_fig.add_argument("experiments", nargs="*",
                        help="suites to run (default: all registered)")
@@ -600,8 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--quiet", action="store_true")
     p_fig.add_argument("--serve", metavar="[HOST]:PORT", default=None,
                        help="serve live /metrics and /status while running")
-    p_fig.add_argument("--log", metavar="PATH", default=None,
-                       help="append structured JSONL run logs")
     p_fig.set_defaults(func=cmd_figures)
 
     p_mon = sub.add_parser(
@@ -624,15 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--window", type=int, default=8_000)
     p_prof.add_argument("--seed", type=int, default=1)
     p_prof.set_defaults(func=cmd_profile)
-
-    p_rep = sub.add_parser("reproduce", help="regenerate a paper table/figure")
-    p_rep.add_argument("experiment")
-    p_rep.add_argument("--cycles", type=cycles_arg, default=None)
-    p_rep.add_argument("--seed", type=int, default=None)
-    p_rep.add_argument("--full", action="store_true",
-                       help="all Table 3 groups (paper averaging)")
-    p_rep.add_argument("--save", action="store_true", help="write reports/<name>.txt")
-    p_rep.set_defaults(func=cmd_reproduce)
 
     p_list = sub.add_parser("list", help="enumerate benchmarks/mixes/experiments")
     p_list.set_defaults(func=cmd_list)

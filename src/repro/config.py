@@ -27,15 +27,13 @@ class CacheConfig:
     """Geometry and timing of one cache level.
 
     ``size`` is in bytes; ``line_size`` in bytes; ``assoc`` is the set
-    associativity; ``latency`` the hit latency in cycles; ``ports`` the
-    number of accesses serviceable per cycle.
+    associativity; ``latency`` the hit latency in cycles.
     """
 
     size: int
     assoc: int
     line_size: int
     latency: int
-    ports: int = 2
 
     @property
     def num_lines(self) -> int:
@@ -48,8 +46,8 @@ class CacheConfig:
     def validate(self) -> None:
         if self.size <= 0 or self.line_size <= 0 or self.assoc <= 0:
             raise ValueError("cache size, line size and associativity must be positive")
-        if self.latency < 0 or self.ports <= 0:
-            raise ValueError("cache latency must be non-negative and ports positive")
+        if self.latency < 0:
+            raise ValueError("cache latency must be non-negative")
         if self.size % self.line_size:
             raise ValueError("cache size must be a multiple of the line size")
         if self.num_lines % self.assoc:
@@ -145,7 +143,7 @@ class MachineConfig:
     )
     l2: CacheConfig = field(
         default_factory=lambda: CacheConfig(
-            size=2 * 1024 * 1024, assoc=4, line_size=128, latency=12, ports=1
+            size=2 * 1024 * 1024, assoc=4, line_size=128, latency=12
         )
     )
     memory_latency: int = 200
@@ -267,7 +265,6 @@ class SimulationConfig:
     seed: int = 42
     reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
     collect_ready_queue_histogram: bool = False
-    collect_interval_stats: bool = True
 
     def validate(self) -> None:
         if self.max_cycles <= 0:
@@ -310,7 +307,6 @@ class SimulationConfig:
             # the L2 and stay miss-bound regardless).
             bp_warmup_instructions=100_000,
             reliability=rel,
-            collect_interval_stats=True,
         )
 
 

@@ -19,7 +19,6 @@ from repro.harness.parallel import (
     CheckpointShard,
     SweepRun,
     parallel_figures,
-    parallel_replicate,
     parallel_sweep,
 )
 
@@ -43,6 +42,5 @@ __all__ = [
     "CheckpointShard",
     "SweepRun",
     "parallel_figures",
-    "parallel_replicate",
     "parallel_sweep",
 ]

@@ -369,7 +369,7 @@ def ablation_interval_size(scale: BenchScale, intervals=(500, 2_000, 7_000)) -> 
 
 
 # ----------------------------------------------------------------------
-# Suite registry (CLI ``reproduce``/``figures`` and the parallel engine)
+# Suite registry (CLI ``figures`` and the parallel engine)
 # ----------------------------------------------------------------------
 #: name -> (driver, title).  Each driver takes a BenchScale and returns
 #: a list of row dicts; the parallel engine runs one suite per worker.

@@ -81,8 +81,6 @@ class MonitorConfig:
     #: Minimum seconds between live status-document rewrites (the final
     #: write and checkpoint-append writes bypass the throttle).
     status_write_s: float = 1.0
-    #: JSONL run-log path, appended to by the engine and every worker.
-    log_path: str | None = None
 
 
 def rss_kb() -> float:

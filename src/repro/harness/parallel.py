@@ -59,7 +59,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.harness import replication as replication_mod
 from repro.harness import sweep as sweep_mod
 from repro.harness.health import HealthMonitor, HeartbeatEmitter, MonitorConfig
 from repro.harness.runner import (
@@ -72,7 +71,6 @@ from repro.telemetry.bus import EventBus
 from repro.telemetry.export import MetricsServer, status_path_for, write_status
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.relay import RelayDrain, WorkerRelay
-from repro.telemetry.runlog import get_run_logger, setup_run_logging
 from repro.telemetry.topics import TOPIC_HARNESS_POINT
 
 #: Checkpoint shard format version (header field ``version``).
@@ -94,7 +92,7 @@ BACKOFF_CAP_S = 4.0
 #: heartbeat went out).
 FAULT_ENV = "REPRO_PARALLEL_FAULT"
 
-#: Poll cadence of the monitored pool wait loop: each tick pumps the
+#: Poll cadence of the pool wait loop: each tick pumps the
 #: relay queue, refreshes the status document, and checks for stalls.
 POLL_S = 0.05
 
@@ -135,10 +133,10 @@ class EngineRun:
     checkpoint_path: str | None = None
     executed: int = 0
     cached: int = 0
-    #: Where the live status document was written (monitored runs only).
+    #: Where the live status document was written (pool runs only).
     status_path: str | None = None
     #: Final metrics snapshot (relay counters, worker gauges) of a
-    #: monitored run — the programmatic twin of ``GET /metrics``.
+    #: pool run — the programmatic twin of ``GET /metrics``.
     telemetry: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -336,12 +334,12 @@ class _WorkerObs:
     heartbeat: HeartbeatEmitter
 
 
-#: This worker's observability bundle (None outside monitored pools).
+#: This worker's observability bundle (None outside pool workers).
 _WORKER_OBS: _WorkerObs | None = None
 
 
-def _init_worker(warm: tuple, obs_spec: tuple | None = None) -> None:
-    """Pool initializer: memo caches plus (optionally) observability.
+def _init_worker(warm: tuple, obs_spec: tuple) -> None:
+    """Pool initializer: memo caches plus observability.
 
     ``warm`` broadcasts the sweep's (mix, scale, profiled) tuples so
     each worker generates and profiles its programs once up front; the
@@ -359,9 +357,7 @@ def _init_worker(warm: tuple, obs_spec: tuple | None = None) -> None:
     global _WORKER_OBS
     for mix_name, scale, profiled in warm:
         get_programs(mix_name, scale, profiled)
-    if obs_spec is None:
-        return
-    queue, topics, batch_size, heartbeat_s, run_id, config_hash, log_path = obs_spec
+    queue, topics, batch_size, heartbeat_s = obs_spec
     bus = EventBus()
     relay = WorkerRelay(queue, batch_size=batch_size)
     relay.attach(bus, tuple(topics))
@@ -370,9 +366,6 @@ def _init_worker(warm: tuple, obs_spec: tuple | None = None) -> None:
     set_ambient_bus(bus)
     # Deliberate per-process worker state, installed once per pool child.
     _WORKER_OBS = _WorkerObs(bus, relay, heartbeat)
-    if log_path:
-        setup_run_logging(run_id, config_hash, path=log_path)
-        get_run_logger("worker").info("worker online", extra={"pid": os.getpid()})
 
 
 def _figure_suite(name: str) -> Callable[[BenchScale], list[dict]]:
@@ -418,7 +411,7 @@ def _execute_task(task: Task) -> tuple[Any, float, float, int]:
 # Engine
 # ----------------------------------------------------------------------
 #: ``harness.point`` payload fields → keys of a point's reduced metric
-#: dict.  Sweep/replicate points reduce to ``{metric: float}`` dicts;
+#: dict.  Sweep points reduce to ``{metric: float}`` dicts;
 #: when one carries an IQ or ROB AVF the progress stream surfaces it so
 #: a live sweep shows vulnerability alongside throughput.  A new metric
 #: rides along by adding a (field, metric-key) pair here *and* the
@@ -496,11 +489,9 @@ class _Stalled(Exception):
 
 @dataclass
 class _Fleet:
-    """Parent-side observability bundle for one monitored pool run."""
+    """Parent-side observability bundle for one pool run."""
 
-    cfg: MonitorConfig
     t0: float
-    queue: Any
     drain: RelayDrain
     health: HealthMonitor
     obs_spec: tuple
@@ -515,8 +506,6 @@ def _make_fleet(
     bus: EventBus | None,
     emitter: "_PointEmitter",
     t0: float,
-    run_id: str,
-    signature: str,
     write_status_cb: Callable[[], None],
 ) -> _Fleet:
     """Build the relay queue + drain for one pool run.
@@ -534,16 +523,8 @@ def _make_fleet(
         metrics=metrics,
         on_health=health.on_health,
     )
-    obs_spec = (
-        queue,
-        tuple(cfg.relay_topics),
-        cfg.batch_size,
-        cfg.heartbeat_s,
-        run_id,
-        signature,
-        cfg.log_path,
-    )
-    return _Fleet(cfg, t0, queue, drain, health, obs_spec, write_status_cb)
+    obs_spec = (queue, tuple(cfg.relay_topics), cfg.batch_size, cfg.heartbeat_s)
+    return _Fleet(t0, drain, health, obs_spec, write_status_cb)
 
 
 def execute_tasks(
@@ -561,7 +542,7 @@ def execute_tasks(
     strict: bool = False,
     bus: EventBus | None = None,
     warm: Sequence[tuple[str, BenchScale, bool]] = (),
-    monitor: "MonitorConfig | bool | None" = None,
+    monitor: MonitorConfig | None = None,
 ) -> EngineRun:
     """Execute ``tasks`` (deduplicated by caller), merging deterministically.
 
@@ -575,11 +556,10 @@ def execute_tasks(
     ``checkpoint`` may be a path, ``True`` (auto path under
     ``reports/``), or ``None``/``False`` to disable checkpointing.
 
-    ``monitor`` controls fleet observability, which applies only to
-    pool runs (``jobs >= 2``): ``None``/``True`` turn it on with
-    defaults, ``False`` turns it off, and a :class:`MonitorConfig`
-    customizes it (relay topics, heartbeat cadence, stall threshold,
-    ``--serve`` endpoint, status/log paths).
+    ``monitor`` customizes the fleet observability that every pool run
+    (``jobs >= 2``) gets: relay topics, heartbeat cadence, stall
+    threshold, ``--serve`` endpoint and status path; ``None`` takes the
+    :class:`MonitorConfig` defaults.
     """
     if jobs < 0:
         raise ValueError("jobs must be non-negative")
@@ -597,12 +577,7 @@ def execute_tasks(
     run_id = signature[:12]
     run = EngineRun()
 
-    cfg: MonitorConfig | None = None
-    if jobs >= 2 and monitor is not False:
-        cfg = monitor if isinstance(monitor, MonitorConfig) else MonitorConfig()
-    if cfg is not None and cfg.log_path:
-        setup_run_logging(run_id, signature, path=cfg.log_path)
-    log = get_run_logger("engine")
+    cfg = (monitor or MonitorConfig()) if jobs >= 2 else None
 
     shard: CheckpointShard | None = None
     completed: dict[str, dict] = {}
@@ -674,8 +649,6 @@ def execute_tasks(
                 bus=bus,
                 emitter=emitter,
                 t0=t0,
-                run_id=run_id,
-                signature=signature,
                 write_status_cb=_write_status_now,
             )
             if bus is not None:
@@ -685,14 +658,6 @@ def execute_tasks(
                 server = MetricsServer(
                     metrics_registry, _status_doc, host=host, port=port
                 ).start()
-                log.info(
-                    "serving /metrics and /status",
-                    extra={"host": server.host, "port": server.port},
-                )
-            log.info(
-                "run starting",
-                extra={"kind": kind, "jobs": jobs, "points": len(tasks)},
-            )
             _write_status_now(force=True)
 
         todo: list[Task] = []
@@ -762,14 +727,11 @@ def execute_tasks(
                         "attempt": attempt,
                     }
                 )
-            log.warning(
-                "point skipped", extra={"label": task.label, "error": error}
-            )
             emitter.emit(task, "skipped", attempt=attempt)
             _write_status_now(force=True)
 
         if todo:
-            if jobs <= 1:
+            if fleet is None:  # jobs 0 or 1
                 _run_inline(todo, _complete, _skip, emitter, retries, backoff)
             else:
                 _run_pool(
@@ -787,14 +749,6 @@ def execute_tasks(
         if cfg is not None:
             run.telemetry = metrics_registry.snapshot()
             _write_status_now(force=True, state="finished")
-            log.info(
-                "run finished",
-                extra={
-                    "executed": run.executed,
-                    "cached": run.cached,
-                    "relay_dropped": int(fleet.drain.dropped) if fleet else 0,
-                },
-            )
 
     run.reports.sort(key=lambda r: r.index)
     if strict and run.skipped:
@@ -828,11 +782,10 @@ def _run_inline(todo, complete, skip, emitter: _PointEmitter, retries, backoff) 
             break
 
 
-def _await_result(fut, task: Task, timeout, fleet: _Fleet | None):
+def _await_result(fut, task: Task, timeout, fleet: _Fleet):
     """Wait for one future, servicing the fleet while it runs.
 
-    Without a fleet this is exactly ``fut.result(timeout=timeout)``.
-    With one, the wait becomes a poll loop: each :data:`POLL_S` tick
+    The wait is a poll loop: each :data:`POLL_S` tick
     pumps the relay queue (re-publishing worker events and folding
     heartbeats), refreshes the throttled status document, and asks the
     health monitor whether the worker holding *this* point has gone
@@ -841,8 +794,6 @@ def _await_result(fut, task: Task, timeout, fleet: _Fleet | None):
     Stall detection needs a start beat, so it covers started points;
     a point queued behind a hung sibling is bounded by ``timeout``.
     """
-    if fleet is None:
-        return fut.result(timeout=timeout)
     deadline = time.time() + timeout if timeout is not None else None
     while True:
         try:
@@ -865,21 +816,20 @@ def _await_result(fut, task: Task, timeout, fleet: _Fleet | None):
 
 def _run_pool(
     todo, complete, skip, emitter: _PointEmitter,
-    *, jobs, timeout, retries, backoff, warm, fleet: _Fleet | None = None,
+    *, jobs, timeout, retries, backoff, warm, fleet: _Fleet,
 ) -> None:
     pending: list[tuple[Task, int]] = [(task, 1) for task in todo]
     round_index = 0
     while pending:
         failures: list[tuple[Task, int, str]] = []
         dirty = False  # a timed-out or crashed worker may still be running
-        if fleet is not None:
-            # Forget last round's point attribution: a stale "running"
-            # record from a dead pool must not stall a retried point.
-            fleet.health.begin_round()
+        # Forget last round's point attribution: a stale "running"
+        # record from a dead pool must not stall a retried point.
+        fleet.health.begin_round()
         pool = ProcessPoolExecutor(
             max_workers=min(jobs, len(pending)),
             initializer=_init_worker,
-            initargs=(warm, fleet.obs_spec) if fleet is not None else (warm,),
+            initargs=(warm, fleet.obs_spec),
         )
         try:
             futures = [
@@ -908,9 +858,8 @@ def _run_pool(
                     # point; innocents complete on the next round while
                     # a genuinely poisoned point exhausts its retries.
                     dirty = True
-                    if fleet is not None:
-                        fleet.drain.pump()  # the victim's last heartbeats
-                    if fleet is not None and fleet.health.started(task.key):
+                    fleet.drain.pump()  # the victim's last heartbeats
+                    if fleet.health.started(task.key):
                         # A worker sent the start beat for this point and
                         # then the pool broke: the death is attributable,
                         # i.e. a stall, not an anonymous casualty.
@@ -928,8 +877,7 @@ def _run_pool(
                     complete(task, attempt, raw, start_ts, end_ts, pid)
         finally:
             pool.shutdown(wait=not dirty, cancel_futures=True)
-        if fleet is not None:
-            fleet.drain.pump()
+        fleet.drain.pump()
         pending = []
         for task, attempt, error in failures:
             if attempt <= retries:
@@ -943,7 +891,7 @@ def _run_pool(
 
 
 # ----------------------------------------------------------------------
-# Sweep / replicate / figures front-ends
+# Sweep / figures front-ends
 # ----------------------------------------------------------------------
 @dataclass
 class SweepRun:
@@ -954,9 +902,9 @@ class SweepRun:
     checkpoint_path: str | None
     executed: int
     cached: int
-    #: Where the live status document was written (monitored runs only).
+    #: Where the live status document was written (pool runs only).
     status_path: str | None = None
-    #: Final metrics snapshot of a monitored run (see EngineRun.telemetry).
+    #: Final metrics snapshot of a pool run (see EngineRun.telemetry).
     telemetry: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -986,7 +934,7 @@ def parallel_sweep(
     backoff: float = 0.25,
     strict: bool = False,
     bus: EventBus | None = None,
-    monitor: MonitorConfig | bool | None = None,
+    monitor: MonitorConfig | None = None,
     **fixed,
 ) -> SweepRun:
     """:func:`repro.harness.sweep.sweep` semantics over a process pool.
@@ -1083,82 +1031,6 @@ def parallel_sweep(
     )
 
 
-def parallel_replicate(
-    mix_name: str,
-    scale: BenchScale,
-    seeds: Sequence[int],
-    metrics: Mapping[str, Callable] | None = None,
-    *,
-    jobs: int = 0,
-    checkpoint: str | bool | None = None,
-    resume: bool = False,
-    timeout: float | None = None,
-    retries: int = 2,
-    backoff: float = 0.25,
-    strict: bool = True,
-    bus: EventBus | None = None,
-    monitor: MonitorConfig | bool | None = None,
-    **run_kwargs,
-) -> dict[str, "replication_mod.Replicated"]:
-    """:func:`repro.harness.replication.replicate` over a process pool.
-
-    ``strict`` defaults to True here: a silently missing seed would
-    bias the mean/stddev aggregates, which is worse than failing.
-    """
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    metrics = dict(metrics or replication_mod.DEFAULT_METRICS)
-    seeded_scales = [dataclasses.replace(scale, seed=seed) for seed in seeds]
-    tasks = []
-    keys = []
-    for i, seeded in enumerate(seeded_scales):
-        key = config_key(mix_name, seeded, run_kwargs)
-        keys.append(key)
-        tasks.append(
-            Task(
-                index=i, key=key, label=f"seed={seeded.seed}", kind="sim",
-                payload=(mix_name, seeded, tuple(sorted(run_kwargs.items()))),
-            )
-        )
-    run = execute_tasks(
-        tasks,
-        reduce=lambda task, result: sweep_mod.extract_metrics(metrics, result),
-        jobs=jobs,
-        checkpoint=checkpoint,
-        resume=resume,
-        signature_doc={
-            "kind": "replicate",
-            "mix": mix_name,
-            "scale": scale,
-            "seeds": list(seeds),
-            "metrics": sorted(metrics),
-            "kwargs": run_kwargs,
-        },
-        kind="replicate",
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-        strict=strict,
-        bus=bus,
-        warm=tuple(
-            (mix_name, seeded, bool(run_kwargs.get("profiled", True)))
-            for seeded in seeded_scales
-        ),
-        monitor=monitor,
-    )
-    samples: dict[str, list[float]] = {name: [] for name in metrics}
-    for key in keys:
-        raw = run.values.get(key)
-        if raw is None:
-            continue  # skipped seed (strict=False); aggregates shrink
-        for name in metrics:
-            samples[name].append(raw[name])
-    return {
-        name: replication_mod.Replicated(metric=name, values=tuple(vals))
-        for name, vals in samples.items()
-    }
-
-
 @dataclass
 class FiguresRun:
     """Per-figure row payloads plus execution audit."""
@@ -1186,7 +1058,7 @@ def parallel_figures(
     backoff: float = 0.25,
     strict: bool = False,
     bus: EventBus | None = None,
-    monitor: MonitorConfig | bool | None = None,
+    monitor: MonitorConfig | None = None,
 ) -> FiguresRun:
     """Run whole figure/table suites as pool tasks (one task per figure).
 
@@ -1259,7 +1131,6 @@ __all__ = [
     "default_checkpoint_path",
     "execute_tasks",
     "parallel_figures",
-    "parallel_replicate",
     "parallel_sweep",
     "point_label",
     "signature_of",

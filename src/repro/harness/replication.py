@@ -19,7 +19,7 @@ from repro.core.pipeline import SimulationResult
 from repro.harness.runner import BenchScale, run_sim
 from repro.harness.sweep import normalize_value
 
-#: Default extractors shared with :func:`repro.harness.parallel.parallel_replicate`.
+#: Default extractors of :func:`replicate`.
 DEFAULT_METRICS: dict[str, Callable[[SimulationResult], float]] = {
     "ipc": lambda r: r.ipc,
     "iq_avf": lambda r: r.iq_avf,

@@ -24,7 +24,7 @@ import json
 import sys
 from typing import Any
 
-from repro.harness.runner import BenchScale, at_least_arg, cycles_arg, positive_arg
+from repro.harness.runner import BenchScale, at_least_arg, cycles_arg
 from repro.perf import history as perf_history
 from repro.perf.bench import (
     BENCH_NAMES,
@@ -35,7 +35,6 @@ from repro.perf.bench import (
 from repro.perf.chrome_trace import TracingProfiler, write_chrome_trace
 from repro.perf.compare import compare_results
 from repro.telemetry.provenance import collect_manifest
-from repro.workloads import MIXES
 
 
 def _suite_scale(args: argparse.Namespace) -> BenchScale:
@@ -151,6 +150,8 @@ def cmd_perf_trace(args: argparse.Namespace) -> int:
 
 def register_perf_cli(sub: argparse._SubParsersAction) -> None:
     """Attach the ``perf`` command tree to the top-level subparsers."""
+    from repro.cli import add_single_run_options  # repro.cli imports this module
+
     p_perf = sub.add_parser(
         "perf", help="performance observability: bench suite, gate, tracing"
     )
@@ -190,15 +191,7 @@ def register_perf_cli(sub: argparse._SubParsersAction) -> None:
     p_tr = perf_sub.add_parser(
         "trace", help="export a Chrome trace (Perfetto) of one simulation"
     )
-    p_tr.add_argument("--mix", default="MEM-A", choices=sorted(MIXES))
-    p_tr.add_argument("--fetch-policy", default="icount",
-                      choices=["icount", "stall", "flush", "dg", "pdg", "rr"])
-    p_tr.add_argument("--scheduler", default="oldest", choices=["oldest", "visa"])
-    p_tr.add_argument("--dispatch", default=None,
-                      choices=["opt1", "opt1-linear", "opt2"])
-    p_tr.add_argument("--dvm", type=positive_arg(float), default=None, metavar="FRAC",
-                      help="enable DVM targeting FRAC * baseline MaxAVF")
-    p_tr.add_argument("--cycles", type=cycles_arg, default=None)
+    add_single_run_options(p_tr, mix="MEM-A")
     p_tr.add_argument("--traced-cycles", type=at_least_arg(int, 0), default=2_000,
                       help="cycles to record stage slices for (default 2000)")
     p_tr.add_argument("-o", "--out", metavar="PATH", default="repro-trace.json",

@@ -26,7 +26,7 @@ import contextlib
 import json
 import sys
 
-from repro.harness.runner import BenchScale, cycles_arg, positive_arg
+from repro.harness.runner import BenchScale, at_least_arg, cycles_arg
 from repro.perf.history import load_history
 from repro.reliability import gate
 from repro.telemetry.topics import (
@@ -122,7 +122,14 @@ def cmd_avf_compare(args: argparse.Namespace) -> int:
         return 2
     if args.results:
         with open(args.results) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                print(f"error: {args.results}: not valid JSON ({exc})", file=sys.stderr)
+                return 2
+        if not isinstance(doc, dict):
+            print(f"error: {args.results}: not a results document", file=sys.stderr)
+            return 2
         current = {
             name: float(v["value"] if isinstance(v, dict) else v)
             for name, v in doc.get("results", doc).items()
@@ -144,6 +151,8 @@ def cmd_avf_compare(args: argparse.Namespace) -> int:
 
 def register_avf_cli(sub: argparse._SubParsersAction) -> None:
     """Attach the ``avf`` command tree to the top-level subparsers."""
+    from repro.cli import add_single_run_options  # repro.cli imports this module
+
     p_avf = sub.add_parser(
         "avf", help="reliability observability: vulnerability report, drift gate"
     )
@@ -152,16 +161,7 @@ def register_avf_cli(sub: argparse._SubParsersAction) -> None:
     p_rep = avf_sub.add_parser(
         "report", help="per-run vulnerability report (heatmaps, AVF series)"
     )
-    p_rep.add_argument("--mix", default=gate.HEADLINE_MIX, choices=sorted(MIXES))
-    p_rep.add_argument("--fetch-policy", default="icount",
-                       choices=["icount", "stall", "flush", "dg", "pdg", "rr"])
-    p_rep.add_argument("--scheduler", default="oldest", choices=["oldest", "visa"])
-    p_rep.add_argument("--dispatch", default=None,
-                       choices=["opt1", "opt1-linear", "opt2"])
-    p_rep.add_argument("--dvm", type=positive_arg(float), default=None, metavar="FRAC",
-                       help="enable DVM targeting FRAC * baseline MaxAVF")
-    p_rep.add_argument("--cycles", type=cycles_arg, default=None,
-                       help="override the cycle budget")
+    add_single_run_options(p_rep, mix=gate.HEADLINE_MIX)
     p_rep.add_argument("--json", action="store_true",
                        help="emit the JSON report instead of the text rendering")
     p_rep.add_argument("-o", "--out", metavar="PATH", default=None,
@@ -189,9 +189,9 @@ def register_avf_cli(sub: argparse._SubParsersAction) -> None:
                        help="compute and print only; do not append an entry")
     p_run.set_defaults(func=cmd_avf_run)
 
-    p_cmp.add_argument("--tolerance", type=float, default=0.05,
+    p_cmp.add_argument("--tolerance", type=at_least_arg(float, 0.0), default=0.05,
                        help="allowed two-sided relative drift (default 0.05)")
-    p_cmp.add_argument("--window", type=int, default=5,
+    p_cmp.add_argument("--window", type=at_least_arg(int, 1), default=5,
                        help="history entries forming the baseline (default 5)")
     p_cmp.add_argument("--results", metavar="PATH", default=None,
                        help="compare a saved results JSON instead of re-running")

@@ -17,9 +17,7 @@ Layers (see ``docs/observability.md``):
 * :mod:`repro.telemetry.relay` — the worker→parent cross-process
   event forwarder (bounded queue, batch+drop backpressure);
 * :mod:`repro.telemetry.export` — Prometheus text exposition, JSON
-  status documents and the ``--serve`` HTTP thread;
-* :mod:`repro.telemetry.runlog` — run-scoped JSONL logging with
-  run-id/config-hash correlation.
+  status documents and the ``--serve`` HTTP thread.
 """
 
 from repro.telemetry.bus import Event, EventBus, EventOrigin, Subscription

@@ -30,8 +30,8 @@ class TestParser:
         assert args.instructions == 500
 
     def test_reproduce_args(self):
-        args = build_parser().parse_args(["reproduce", "fig5", "--full", "--save"])
-        assert args.experiment == "fig5" and args.full and args.save
+        args = build_parser().parse_args(["figures", "fig5", "--full", "--save"])
+        assert args.experiments == ["fig5"] and args.full and args.save
 
 
 class TestCommands:
@@ -59,7 +59,8 @@ class TestCommands:
         clear_caches()
 
     def test_reproduce_unknown(self, capsys):
-        assert main(["reproduce", "fig99"]) == 2
+        assert main(["figures", "fig99"]) == 2
+        assert "unknown experiment(s) ['fig99']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "spec",
@@ -74,38 +75,32 @@ class TestCommands:
 
 
 class TestReproduceCommand:
+    """One paper table or figure is reproduced by ``repro figures NAME``."""
+
     def test_reproduce_with_stub(self, capsys, monkeypatch, tmp_path):
-        import repro.cli as cli
+        from repro.harness import experiments
 
         monkeypatch.setitem(
-            cli._EXPERIMENTS, "stub",
+            experiments.SUITES, "stub",
             (lambda scale: [{"a": 1.0, "b": 2.0}], "Stub experiment"),
         )
         monkeypatch.chdir(tmp_path)
-        assert main(["reproduce", "stub", "--save"]) == 0
-        out = capsys.readouterr().out
-        assert "Stub experiment" in out and "saved to" in out
-        assert (tmp_path / "reports" / "stub.txt").exists()
-
-    def test_reproduce_dict_payload(self, capsys, monkeypatch):
-        import repro.cli as cli
-
-        monkeypatch.setitem(
-            cli._EXPERIMENTS, "stub2",
-            (lambda scale: {"x": 3}, "Dict experiment"),
-        )
-        assert main(["reproduce", "stub2"]) == 0
-        assert "Dict experiment" in capsys.readouterr().out
+        assert main(["figures", "stub", "--save", "--no-checkpoint", "--quiet"]) == 0
+        captured = capsys.readouterr()
+        assert "Stub experiment" in captured.out
+        assert "saved to reports/stub.txt" in captured.err
+        assert "Stub experiment" in (tmp_path / "reports" / "stub.txt").read_text()
 
     def test_scale_overrides(self, monkeypatch):
-        import repro.cli as cli
+        from repro.harness import experiments
 
         captured = {}
         monkeypatch.setitem(
-            cli._EXPERIMENTS, "stub3",
+            experiments.SUITES, "stub3",
             (lambda scale: captured.setdefault("scale", scale) and [], "S"),
         )
-        main(["reproduce", "stub3", "--cycles", "5000", "--seed", "9", "--full"])
+        main(["figures", "stub3", "--cycles", "5000", "--seed", "9", "--full",
+              "--no-checkpoint", "--quiet"])
         scale = captured["scale"]
         assert scale.max_cycles == 5000
         assert scale.seed == 9
@@ -124,13 +119,13 @@ class TestCyclesRule:
         from_env = BenchScale.from_env()
         monkeypatch.delenv("REPRO_CYCLES")
         for argv in (["run"], ["timeline"], ["sweep", "--axis", "seed=1"],
-                     ["figures"], ["reproduce", "fig1"]):
+                     ["figures"]):
             args = build_parser().parse_args([*argv, "--cycles", str(n)])
             assert _scale_from_args(args) == from_env
 
     @pytest.mark.parametrize("argv", [
         ["run"], ["timeline"], ["sweep", "--axis", "seed=1"], ["figures"],
-        ["reproduce", "fig1"], ["perf", "trace"], ["perf", "run"],
+        ["avf", "compare"], ["perf", "trace"], ["perf", "run"],
         ["avf", "report"], ["avf", "run"],
     ])
     def test_zero_cycles_is_usage_error(self, capsys, argv):
@@ -212,14 +207,14 @@ class TestEngineOptions:
 
     @pytest.mark.parametrize("jobs", [[], ["--jobs", "1"]], ids=["default", "jobs1"])
     @pytest.mark.parametrize("option", [
-        ["--serve", ":0"], ["--log", "x.log"], ["--timeout", "30"],
-    ], ids=["serve", "log", "timeout"])
+        ["--serve", ":0"], ["--timeout", "30"],
+    ], ids=["serve", "timeout"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_pool_only_option_without_a_pool_is_usage_error(
         self, capsys, tmp_path, monkeypatch, command, option, jobs
     ):
         # Regression: these exited 0 after simulating in-process, with
-        # nothing served, no log written and no timeout applied.
+        # nothing served and no timeout applied.
         monkeypatch.chdir(tmp_path)
         argv = [*self.COMMANDS[command], "--cycles", "1500", "--no-checkpoint",
                 "--quiet", *option, *jobs]

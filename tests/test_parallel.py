@@ -14,10 +14,8 @@ from repro.harness.parallel import (
     config_key,
     execute_tasks,
     parallel_figures,
-    parallel_replicate,
     parallel_sweep,
 )
-from repro.harness.replication import replicate
 from repro.harness.runner import BenchScale, clear_caches
 from repro.harness.sweep import sweep
 from repro.telemetry.bus import EventBus
@@ -88,15 +86,6 @@ class TestEquivalence:
         run = parallel_sweep("CPU-A", TINY, AXES, checkpoint=None)
         assert run.rows == serial_rows
         assert run.checkpoint_path is None
-
-    def test_replicate_matches_serial(self, tmp_path):
-        serial = replicate("CPU-A", TINY, seeds=[1, 2])
-        out = parallel_replicate(
-            "CPU-A", TINY, seeds=[1, 2], checkpoint=_ck(tmp_path)
-        )
-        assert {k: v.values for k, v in out.items()} == {
-            k: v.values for k, v in serial.items()
-        }
 
 
 # ----------------------------------------------------------------------
@@ -263,10 +252,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="at least one axis"):
             parallel_sweep("CPU-A", TINY, {})
 
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(ValueError, match="at least one seed"):
-            parallel_replicate("CPU-A", TINY, seeds=[])
-
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             parallel_sweep("CPU-A", TINY, AXES, jobs=-1, checkpoint=None)
@@ -400,14 +385,14 @@ class TestCLI:
         assert "Table 1" in capsys.readouterr().out
         assert main(["figures", "nope"]) == 2
 
-    def test_serve_and_log_flags_build_monitor_config(self):
-        from repro.cli import build_parser
+    def test_serve_flag_builds_monitor_config(self):
+        from repro.cli import _engine_kwargs, build_parser
 
         args = build_parser().parse_args(
             ["sweep", "--axis", "scheduler=oldest", "--jobs", "2",
-             "--serve", ":9099", "--log", "run.log"]
+             "--serve", ":9099"]
         )
-        assert args.serve == ":9099" and args.log == "run.log"
+        assert _engine_kwargs(args)["monitor"].serve == ("127.0.0.1", 9099)
         args = build_parser().parse_args(["monitor", "ck.jsonl", "--once"])
         assert args.checkpoint == "ck.jsonl" and args.once
         assert args.interval == 2.0

@@ -475,13 +475,6 @@ class TestLiveFleet:
         raw = json.load(open(run.status_path))
         assert raw == doc
 
-    def test_monitor_false_disables_fleet(self, tmp_path):
-        run = parallel_sweep(
-            "CPU-A", TINY, {"scheduler": ["oldest"]},
-            jobs=2, checkpoint=str(tmp_path / "off.jsonl"), monitor=False,
-        )
-        assert run.telemetry == {} and run.status_path is None
-
 
 # ----------------------------------------------------------------------
 # Degraded fleets: hangs and deaths classified as stalls

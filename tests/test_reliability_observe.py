@@ -414,6 +414,35 @@ class TestAvfCli:
                    "--results", str(saved)])
         assert rc == 2
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--tolerance", "nan", "argument --tolerance: must be >= 0.0, got nan"),
+        ("--tolerance", "-1", "argument --tolerance: must be >= 0.0, got -1"),
+        ("--window", "0", "argument --window: must be >= 1, got 0"),
+        ("--results", "not-json", "not valid JSON"),
+    ])
+    def test_compare_bad_argument_is_usage_error(self, tmp_path, capsys,
+                                                 option, value, message):
+        # Regression: nan passed the drift gate (exit 0); -1 and 0 ended
+        # in a ValueError traceback and a non-JSON --results file in a
+        # JSONDecodeError traceback (exit 1).
+        hist = tmp_path / "BENCH_reliability.json"
+        record_reliability(str(hist), {"baseline_iq_avf": 0.2}, context={})
+        saved = tmp_path / "current.json"
+        saved.write_text(json.dumps({"results": {"baseline_iq_avf": 0.2}}))
+        (tmp_path / "not-json").write_text("{not json")
+        if option == "--results":
+            value = str(tmp_path / value)
+        argv = ["avf", "compare", "--history", str(hist), "--results", str(saved),
+                option, value]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err.strip().splitlines()[-1]
+
     def test_run_appends_history_entry(self, tmp_path, capsys):
         hist = tmp_path / "BENCH_reliability.json"
         rc = main(["avf", "run", "--cycles", "3000",
