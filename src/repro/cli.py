@@ -577,8 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser("profile", help="offline vulnerability profiling")
     p_prof.add_argument("benchmark")
-    p_prof.add_argument("--instructions", type=int, default=40_000)
-    p_prof.add_argument("--window", type=int, default=8_000)
+    p_prof.add_argument("--instructions", type=at_least_arg(int, 1), default=40_000)
+    p_prof.add_argument("--window", type=at_least_arg(int, 1), default=8_000)
     p_prof.add_argument("--seed", type=int, default=1)
     p_prof.set_defaults(func=cmd_profile)
 

@@ -1,14 +1,15 @@
 """Deterministic hot-path benchmark suite (min-of-N wall clock).
 
-The cases cover the paths every perf-sensitive PR touches: the bare
-pipeline cycle loop, issue/select scheduling, the DVM controller's
-interval-rate decision path, the interval resource allocator and the
-telemetry relay round-trip.  Each case's ``make`` factory builds *all*
-state up front and returns a closure whose body is only the hot path,
-so the timed region measures the code under test and nothing else.
-Inputs are fixed by :data:`PERF_SCALE` (or an explicit scale) and seeded
-generators, so two runs of a case execute the identical work — the
-wall-clock is the only nondeterminism, and min-of-N strips most of it.
+The cases cover the paths every perf-sensitive change touches: the
+bare pipeline cycle loop, issue/select scheduling, the DVM controller's
+interval-rate decision path, the interval resource allocator, offline
+ACE profiling and the telemetry relay round-trip.  Each case's
+``make`` factory builds *all* state up front and returns a closure
+whose body is only the hot path, so the timed region measures the code
+under test and nothing else.  Inputs are fixed by :data:`PERF_SCALE`
+(or an explicit scale) and seeded generators, so two runs of a case
+execute the identical work — the wall-clock is the only
+nondeterminism, and min-of-N strips most of it.
 
 Results feed :mod:`repro.perf.history` (the committed
 ``BENCH_perf.json`` trajectory) and :mod:`repro.perf.compare` (the
@@ -33,6 +34,7 @@ from repro.harness.runner import BenchScale, get_programs
 from repro.isa.generator import generate_program
 from repro.isa.instruction import DynInst
 from repro.reliability.dvm import DVMController
+from repro.reliability.profiling import profile_program
 from repro.reliability.resource_alloc import (
     IntervalSnapshot,
     L2MissSensitiveAllocation,
@@ -176,6 +178,19 @@ def _make_resource_alloc(scale: BenchScale) -> Callable[[], None]:
     return run
 
 
+def _make_offline_profile(scale: BenchScale) -> Callable[[], None]:
+    """Offline ACE profiling of the first MIX-A program over the
+    scale's profiling window (40K instructions, 8K window at
+    :data:`PERF_SCALE`): the per-program set-up every process pays."""
+    benchmark, program_seed = get_mix(_BENCH_MIX).instances(scale.seed)[0]
+    program = generate_program(benchmark, seed=program_seed)
+
+    def run() -> None:
+        profile_program(program, scale.profile_instructions, scale.profile_window)
+
+    return run
+
+
 def _make_relay_roundtrip(scale: BenchScale) -> Callable[[], None]:
     """Telemetry relay worker→parent round-trip, no process pool.
 
@@ -249,6 +264,11 @@ BENCH_CASES: tuple[BenchCase, ...] = (
         "resource_alloc",
         "Opt2 interval-close allocation decisions",
         _make_resource_alloc,
+    ),
+    BenchCase(
+        "offline_profile",
+        "offline ACE profiling of one MIX-A program (40K instructions, 8K window)",
+        _make_offline_profile,
     ),
     BenchCase(
         "relay_roundtrip",

@@ -82,23 +82,15 @@ def cmd_perf_run(args: argparse.Namespace) -> int:
 
 
 def cmd_perf_compare(args: argparse.Namespace) -> int:
+    current: dict[str, Any] | None = None
     try:
         history = perf_history.load_history(args.history)
+        if args.results:
+            current = perf_history.load_results_document(args.results)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.results:
-        with open(args.results) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                print(f"error: {args.results}: not valid JSON ({exc})", file=sys.stderr)
-                return 2
-        if not isinstance(doc, dict):
-            print(f"error: {args.results}: not a results document", file=sys.stderr)
-            return 2
-        current: dict[str, Any] = doc.get("results", doc)
-    else:
+    if current is None:
         scale = _suite_scale(args)
         current = run_benchmarks(args.bench or None, scale=scale, repeats=args.repeats)
         if args.out:

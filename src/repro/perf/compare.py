@@ -38,7 +38,7 @@ def _current_seconds(value: Any) -> float:
     if hasattr(value, "best_s"):
         return float(value.best_s)
     if isinstance(value, Mapping):
-        return float(value.get("best_s", math.nan))
+        value = value.get("best_s", math.nan)
     try:
         return float(value)
     except (TypeError, ValueError):

@@ -73,6 +73,24 @@ def load_history(path: str) -> dict[str, Any]:
     return doc
 
 
+def load_results_document(path: str) -> dict[str, Any]:
+    """The per-case results of a saved ``perf``/``avf`` results JSON:
+    its ``results`` mapping, or the document itself when it has none.
+
+    Raises ``ValueError`` when the file is not JSON or the results are
+    not a mapping of case names.
+    """
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    results = doc.get("results", doc) if isinstance(doc, dict) else None
+    if not isinstance(results, dict):
+        raise ValueError(f"{path}: not a results document")
+    return results
+
+
 def entries_of_kind(history: Mapping[str, Any], kind: str = KIND_PERF_SUITE) -> list[dict[str, Any]]:
     """The history's entries of one kind, oldest first."""
     return [

@@ -30,13 +30,13 @@ from repro.telemetry.bus import EventBus
 from repro.telemetry.topics import TOPIC_RELIABILITY_LATE_ACE
 
 #: Opclasses whose committed instances are ACE roots.
-_ROOTS = frozenset(
+ACE_ROOTS = frozenset(
     {OpClass.STORE, OpClass.BRANCH, OpClass.JUMP, OpClass.CALL, OpClass.RET}
 )
 #: Opclasses that are never ACE and whose register reads do not
 #: propagate liveness (a corrupted prefetch address cannot corrupt
 #: program output).
-_NEVER_ACE = frozenset({OpClass.NOP, OpClass.PREFETCH})
+NEVER_ACE = frozenset({OpClass.NOP, OpClass.PREFETCH})
 
 
 class _Record:
@@ -105,7 +105,7 @@ class _ThreadAnalyzer:
         rec = _Record(dyn, cycle)
         st = dyn.static
         op = st.opclass
-        never_ace = op in _NEVER_ACE
+        never_ace = op in NEVER_ACE
         last_writer = self.last_writer
 
         # Link to producers (reads precede the write below in program
@@ -136,7 +136,7 @@ class _ThreadAnalyzer:
             stats.unace += 1
             if self._resolve_cb is not None:
                 self._resolve_cb(dyn)
-        elif op in _ROOTS or st.is_output:
+        elif op in ACE_ROOTS or st.is_output:
             rec.ace = True
             if rec.producers:
                 self._mark_ace(rec.producers)

@@ -27,7 +27,7 @@ import json
 import sys
 
 from repro.harness.runner import BenchScale, at_least_arg, cycles_arg
-from repro.perf.history import load_history
+from repro.perf.history import load_history, load_results_document
 from repro.reliability import gate
 from repro.telemetry.topics import (
     TOPIC_DVM_SAMPLE,
@@ -114,27 +114,30 @@ def cmd_avf_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _saved_numbers(path: str) -> dict[str, float]:
+    """The headline numbers of a saved results JSON (bare or
+    ``{"value": v}``); ``ValueError`` names the first that is not a
+    number."""
+    current: dict[str, float] = {}
+    for name, v in load_results_document(path).items():
+        value = v.get("value") if isinstance(v, dict) else v
+        try:
+            current[name] = float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: result {name!r} is not a number: {value!r}") from None
+    return current
+
+
 def cmd_avf_compare(args: argparse.Namespace) -> int:
+    current: dict[str, float] | None = None
     try:
         history = load_history(args.history)
+        if args.results:
+            current = _saved_numbers(args.results)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.results:
-        with open(args.results) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                print(f"error: {args.results}: not valid JSON ({exc})", file=sys.stderr)
-                return 2
-        if not isinstance(doc, dict):
-            print(f"error: {args.results}: not a results document", file=sys.stderr)
-            return 2
-        current = {
-            name: float(v["value"] if isinstance(v, dict) else v)
-            for name, v in doc.get("results", doc).items()
-        }
-    else:
+    if current is None:
         scale = BenchScale.from_env(args.cycles)
         current = gate.headline_numbers(scale, mix=args.mix)
         if args.out:

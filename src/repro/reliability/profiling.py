@@ -15,13 +15,12 @@ mispredicted paths are excluded from classification, as in the paper).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.isa.instruction import OP_IS_CONTROL, DynInst, DynState, collector_paused
+from repro.isa.instruction import OP_IS_CONTROL, StaticInst
 from repro.isa.program import SyntheticProgram, ThreadContext
-from repro.reliability.ace import ACEAnalyzer
-
-_COMMITTED = DynState.COMMITTED
+from repro.reliability.ace import ACE_ROOTS, NEVER_ACE
 
 
 @dataclass
@@ -75,47 +74,81 @@ def profile_program(
 ) -> ProfileResult:
     """Run the offline vulnerability profiling pass.
 
-    Walks the architecturally correct path for ``n_instructions``,
-    feeding the committed stream through the post-retirement ACE
-    analyzer, and aggregates per-PC instance counts.
+    Walks the architecturally correct path for ``n_instructions`` and
+    classifies every committed instance as the post-retirement
+    :class:`~repro.reliability.ace.ACEAnalyzer` would, with a
+    ``window``-instruction post-graduation window, then aggregates
+    per-PC instance counts.
+
+    The whole committed stream is known up front, so the classification
+    is one backward sweep instead of the analyzer's streaming def-use
+    graph.  ``need[r]`` is the earliest commit index at which a later
+    reader of the current writer of register ``r`` becomes ACE (a root
+    at its own commit, any other instruction when its own result is
+    first needed).  Instance ``i`` is ACE iff that index ``m`` lies no
+    later than ``i + window``: the analyzer resolves ``i`` when
+    instruction ``i + window`` commits, after that commit's marks, and
+    flushes what is left after the last commit.
     """
     if n_instructions <= 0:
         raise ValueError("n_instructions must be positive")
-    result = ProfileResult(program_name=program.name, instructions=n_instructions)
-    ace_instances = result.ace_instances
-    unace_instances = result.unace_instances
-    pc_table = result.pc_table
+    if window <= 0:
+        raise ValueError("window must be positive")
 
-    def on_resolve(dyn: DynInst) -> None:
-        pc = dyn.static.pc
-        if dyn.ace:
-            ace_instances[pc] = ace_instances.get(pc, 0) + 1
-            pc_table[pc] = True
-        else:
-            unace_instances[pc] = unace_instances.get(pc, 0) + 1
-            pc_table.setdefault(pc, False)
-
-    analyzer = ACEAnalyzer(num_threads=1, window_size=window, resolve_cb=on_resolve)
-    commit = analyzer.commit
+    # Forward: the committed stream, one StaticInst per instance.
+    trace: list[StaticInst] = []
+    append = trace.append
     ctx = ThreadContext(program, seed=seed)
     peek = ctx.peek
     resolve_control = ctx.resolve_control
     advance_control = ctx.advance_control
     advance = ctx.advance
-    with collector_paused():
-        for i in range(n_instructions):
-            st = peek()
-            dyn = DynInst(
-                tag=i, thread=0, static=st, stream_pos=ctx.stream_pos, state=_COMMITTED
-            )
-            if OP_IS_CONTROL[st.opclass]:
-                taken, target = resolve_control(st)
-                advance_control(st, taken, target)
-            else:
-                advance()
-            commit(dyn, i)
-    analyzer.flush(final_cycle=n_instructions)
-    return result
+    for _ in range(n_instructions):
+        st = peek()
+        append(st)
+        if OP_IS_CONTROL[st.opclass]:
+            taken, target = resolve_control(st)
+            advance_control(st, taken, target)
+        else:
+            advance()
+
+    # Backward: need[] per register; ``never`` exceeds every i + window.
+    never = n_instructions + window
+    need: dict[int, int] = {}
+    ace_pcs: list[int] = []
+    unace_pcs: list[int] = []
+    for i in range(n_instructions - 1, -1, -1):
+        st = trace[i]
+        op = st.opclass
+        dest = st.dest
+        if op in NEVER_ACE:
+            m = never
+        elif op in ACE_ROOTS or st.is_output:
+            m = i
+        else:
+            m = need.get(dest, never)  # no destination (-1): never needed
+        if dest >= 0:
+            need.pop(dest, None)
+        if m - i <= window:
+            ace_pcs.append(st.pc)
+        else:
+            unace_pcs.append(st.pc)
+        if m < never:
+            for r in st.srcs:
+                if m < need.get(r, never):
+                    need[r] = m
+
+    ace_instances = dict(Counter(ace_pcs))
+    unace_instances = dict(Counter(unace_pcs))
+    pc_table = dict.fromkeys(unace_instances, False)
+    pc_table.update(dict.fromkeys(ace_instances, True))
+    return ProfileResult(
+        program_name=program.name,
+        instructions=n_instructions,
+        pc_table=pc_table,
+        ace_instances=ace_instances,
+        unace_instances=unace_instances,
+    )
 
 
 def apply_profile(program: SyntheticProgram, profile: ProfileResult) -> int:

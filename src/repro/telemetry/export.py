@@ -29,7 +29,6 @@ import os
 import re
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, TextIO
 
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -236,7 +235,10 @@ class MetricsServer:
         host: str = "127.0.0.1",
         port: int = 9099,
     ) -> None:
-        server = self
+        # Imported here, its only use: ``http.server`` pulls in ``email``,
+        # ``html`` and ``socketserver``, and every ``import repro`` would
+        # pay for them.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -267,7 +269,6 @@ class MetricsServer:
             def log_message(self, *args: Any) -> None:
                 del args  # scrapes should not spam the progress line
 
-        del server
         self._httpd = ThreadingHTTPServer((host, port), Handler)
         self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None

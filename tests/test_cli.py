@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -47,6 +49,38 @@ class TestCommands:
 
     def test_profile_unknown_benchmark(self, capsys):
         assert main(["profile", "doom"]) == 2
+
+    @pytest.mark.parametrize("option", ["--instructions", "--window"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_profile_nonpositive_size_is_usage_error(self, capsys, option, value):
+        # Regression: both ended in a ValueError traceback (exit 1).
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "gcc", option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"argument {option}: must be >= 1, got {value}" in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("avf", {"results": [1]}, "not a results document"),
+        ("avf", {"results": {"baseline_iq_avf": "abc"}},
+         "result 'baseline_iq_avf' is not a number: 'abc'"),
+        ("avf", {"results": {"baseline_iq_avf": {"value": None}}},
+         "result 'baseline_iq_avf' is not a number: None"),
+        ("perf", {"results": [1]}, "not a results document"),
+    ], ids=["avf-list", "avf-string", "avf-null", "perf-list"])
+    def test_compare_non_results_document_is_usage_error(
+        self, capsys, tmp_path, command, doc, message
+    ):
+        # Regression: JSON that is not a results document ended in an
+        # AttributeError, ValueError, TypeError or IndexError traceback.
+        saved = tmp_path / "current.json"
+        saved.write_text(json.dumps(doc))
+        rc = main([command, "compare", "--history", str(tmp_path / "none.json"),
+                   "--results", str(saved)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0], err
 
     def test_run_small(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CYCLES", "2500")

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 
@@ -168,6 +171,18 @@ class TestServe:
             parse_serve_spec("localhost:http")
         with pytest.raises(ValueError, match="port out of range"):
             parse_serve_spec(":70000")
+
+    def test_import_does_not_load_http_server(self):
+        # http.server (with email, html and socketserver) is imported by
+        # MetricsServer alone, not by every `import repro`.
+        probe = "import sys, repro.harness; print('http.server' in sys.modules)"
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env=env,
+        ).stdout
+        assert out.strip() == "False"
 
     def test_server_serves_metrics_and_status(self):
         reg = MetricsRegistry()

@@ -3,24 +3,25 @@
 A committed ``DynInst`` is freed by reference counting once nothing in
 flight, the rename map or the ACE window holds it: commit clears its
 squash-repair link (``prev_producer``), so the rename map no longer
-chains back to every earlier writer of a register.  The run loop and
-offline profiling run with the cyclic collector paused
-(``collector_paused``); these tests check that this is safe: no
-instruction or ACE record is ever cyclic garbage, the garbage a run does
-leave does not grow with its length, and the collector's state is
-restored whatever happens.
+chains back to every earlier writer of a register.  The run loop runs
+with the cyclic collector paused (``collector_paused``); these tests
+check that this is safe: no instruction or ACE record is ever cyclic
+garbage, the garbage a run does leave does not grow with its length,
+and the collector's state is restored whatever happens.  Offline
+profiling allocates no per-instruction objects at all; its traced peak
+is bounded instead.
 """
 
 from __future__ import annotations
 
 import gc
+import tracemalloc
 
 import pytest
 
 from repro.harness.runner import BenchScale, build_pipeline, get_programs
 from repro.isa.generator import NUM_FP_REGS, NUM_INT_REGS, generate_program
 from repro.isa.instruction import DynInst, collector_paused
-from repro.reliability import profiling
 from repro.reliability.ace import _Record
 from repro.reliability.profiling import profile_program
 from repro.telemetry.topics import TOPIC_COMMIT
@@ -74,6 +75,18 @@ class TestInstructionLifetime:
             del pipe
         assert counts[12_000] <= bound, counts
         assert counts[3_000] <= bound, counts
+
+    def test_profiling_traced_peak_is_bounded(self):
+        # The backward pass holds one list slot per instance (0.85 MB at
+        # 40K); a DynInst and an ACE record per instance took 4.56 MB.
+        program = generate_program("gcc", seed=21)
+        tracemalloc.start()
+        try:
+            profile_program(program, 40_000, 8_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, peak
 
     def test_commit_clears_the_squash_repair_link(self):
         scale = BenchScale.from_env(2_000)
@@ -133,27 +146,6 @@ class TestCollectorPaused:
         gc.enable()
         with pytest.raises(RuntimeError, match="fetch failed"):
             pipe.run()
-        assert gc.isenabled()
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_profiling_restores_the_collector(self, collector_state, enabled):
-        program = generate_program("gap", seed=5)
-        gc.enable() if enabled else gc.disable()
-        profile_program(program, n_instructions=2_000, window=500)
-        assert gc.isenabled() is enabled
-
-    def test_profiling_restores_the_collector_when_it_raises(
-        self, collector_state, monkeypatch
-    ):
-        class BrokenAnalyzer(profiling.ACEAnalyzer):
-            def commit(self, dyn: DynInst, cycle: int) -> None:
-                assert not gc.isenabled()
-                raise RuntimeError("analyzer failed")
-
-        monkeypatch.setattr(profiling, "ACEAnalyzer", BrokenAnalyzer)
-        gc.enable()
-        with pytest.raises(RuntimeError, match="analyzer failed"):
-            profile_program(generate_program("gap", seed=5), n_instructions=100)
         assert gc.isenabled()
 
     @pytest.mark.parametrize("enabled", [True, False])

@@ -410,6 +410,12 @@ class TestComparator:
         assert c.status == STATUS_INVALID
         assert not report.ok
 
+    @pytest.mark.parametrize("current", ["abc", {"best_s": "abc"}, {"best_s": None}])
+    def test_non_numeric_current_is_invalid(self, current):
+        # Regression: a mapping with a non-numeric best_s raised ValueError.
+        (c,) = compare_results(_history_with([0.1]), {"case": current}).cases
+        assert c.status == STATUS_INVALID
+
     def test_missing_case_in_history_is_new(self):
         report = compare_results(_history_with([0.1], name="other"), {"case": 0.1})
         assert report.cases[0].status == STATUS_NEW
@@ -446,6 +452,7 @@ class TestBenchSuite:
             "issue_select",
             "dvm_interval",
             "resource_alloc",
+            "offline_profile",
             "relay_roundtrip",
         }
         assert all(c.description for c in BENCH_CASES)
@@ -463,9 +470,9 @@ class TestBenchSuite:
     def test_run_fast_cases(self):
         scale = BenchScale(max_cycles=400, warmup_cycles=100)
         results = run_benchmarks(
-            ["dvm_interval", "resource_alloc"], scale=scale, repeats=1
+            ["dvm_interval", "resource_alloc", "offline_profile"], scale=scale, repeats=1
         )
-        assert sorted(results) == ["dvm_interval", "resource_alloc"]
+        assert sorted(results) == ["dvm_interval", "offline_profile", "resource_alloc"]
         assert all(r.best_s > 0 and r.repeats == 1 for r in results.values())
         text = format_results(results)
         assert "dvm_interval" in text

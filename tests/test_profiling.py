@@ -4,13 +4,65 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.harness.runner import BenchScale
 from repro.isa.generator import generate_program
+from repro.isa.instruction import OP_IS_CONTROL, DynInst, DynState
+from repro.isa.personalities import PERSONALITIES
+from repro.isa.program import SyntheticProgram, ThreadContext
+from repro.reliability.ace import ACEAnalyzer
 from repro.reliability.profiling import (
     ProfileResult,
     apply_profile,
     profile_and_apply,
     profile_program,
 )
+from repro.workloads.mixes import get_mix
+
+
+def streaming_profile(
+    program: SyntheticProgram, n_instructions: int, window: int, seed: int = 0
+) -> ProfileResult:
+    """The oracle for ``profile_program``: the same correct-path walk,
+    one ``DynInst`` per committed instance fed through the pipeline's
+    streaming ``ACEAnalyzer``, with each instance counted when the
+    analyzer resolves it."""
+    result = ProfileResult(program_name=program.name, instructions=n_instructions)
+
+    def on_resolve(dyn: DynInst) -> None:
+        pc = dyn.static.pc
+        if dyn.ace:
+            result.ace_instances[pc] = result.ace_instances.get(pc, 0) + 1
+            result.pc_table[pc] = True
+        else:
+            result.unace_instances[pc] = result.unace_instances.get(pc, 0) + 1
+            result.pc_table.setdefault(pc, False)
+
+    analyzer = ACEAnalyzer(num_threads=1, window_size=window, resolve_cb=on_resolve)
+    ctx = ThreadContext(program, seed=seed)
+    for i in range(n_instructions):
+        inst = ctx.peek()
+        dyn = DynInst(
+            tag=i, thread=0, static=inst, stream_pos=ctx.stream_pos,
+            state=DynState.COMMITTED,
+        )
+        if OP_IS_CONTROL[inst.opclass]:
+            taken, target = ctx.resolve_control(inst)
+            ctx.advance_control(inst, taken, target)
+        else:
+            ctx.advance()
+        analyzer.commit(dyn, i)
+    analyzer.flush(final_cycle=n_instructions)
+    return result
+
+
+def assert_matches_oracle(
+    program: SyntheticProgram, n_instructions: int, window: int, seed: int = 0
+) -> None:
+    got = profile_program(program, n_instructions, window, seed)
+    want = streaming_profile(program, n_instructions, window, seed)
+    assert got.pc_table == want.pc_table
+    assert got.ace_instances == want.ace_instances
+    assert got.unace_instances == want.unace_instances
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +95,56 @@ class TestProfileRun:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             profile_program(generate_program("gap", seed=5), n_instructions=0)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_rejects_bad_window(self, window):
+        with pytest.raises(ValueError, match="window"):
+            profile_program(generate_program("gap", seed=5), 100, window=window)
+
+
+class TestMatchesStreamingAnalyzer:
+    """The backward pass classifies every instance as the streaming
+    analyzer does, window rule included."""
+
+    @pytest.mark.parametrize("name", ["gcc", "mcf", "swim", "mesa"])
+    @pytest.mark.parametrize("n, window", [
+        (1, 1),  # one instruction, flushed at once
+        (1, 8),
+        (500, 1),  # every record leaves the window one commit later
+        (3_000, 1),
+        (2_000, 2_000),  # window == n: nothing leaves before the flush
+        (2_000, 5_000),  # window > n
+    ])
+    def test_edge_sizes(self, name, n, window):
+        assert_matches_oracle(generate_program(name, seed=4), n, window)
+
+    def test_bench_scale_programs(self):
+        """Every program CPU-A, MIX-A and MEM-A run, at ``BenchScale``'s
+        profiling size."""
+        scale = BenchScale()
+        instances = {
+            inst
+            for mix in ("CPU-A", "MIX-A", "MEM-A")
+            for inst in get_mix(mix).instances(scale.seed)
+        }
+        for benchmark, program_seed in sorted(instances):
+            assert_matches_oracle(
+                generate_program(benchmark, seed=program_seed),
+                scale.profile_instructions, scale.profile_window,
+            )
+
+
+@st.composite
+def _sizes(draw):
+    n = draw(st.integers(1, 6_000))
+    return n, draw(st.integers(1, 2 * n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(PERSONALITIES)), st.integers(0, 50), _sizes())
+def test_property_matches_streaming_analyzer(name, seed, sizes):
+    n, window = sizes
+    assert_matches_oracle(generate_program(name, seed=seed), n, window, seed=seed)
 
 
 class TestFalsePositiveOnly:
