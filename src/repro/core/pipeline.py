@@ -290,8 +290,8 @@ class SMTPipeline:
         self.analyzer = ACEAnalyzer(
             n,
             window_size=rel.ace_window,
-            resolve_cb=self.avf.on_resolved,
-            rf_cb=self.avf.on_rf_lifetime,
+            resolve_cb=self.avf.attribute,
+            rf_cb=self.avf.attribute_rf,
         )
         self.iq = IssueQueue(self.machine.iq_size, n, bits_of=self.avf.iq_bits_pred)
         self.robs = [ReorderBuffer(self.machine.rob_size_per_thread, t) for t in range(n)]
@@ -1082,7 +1082,7 @@ class SMTPipeline:
         The whole run holds the cyclic garbage collector paused
         (:func:`~repro.isa.instruction.collector_paused`): no instruction
         is part of a reference cycle, so reference counting frees each
-        one once it has committed and left the ACE window.
+        one once it has committed and the ACE analyzer has classified it.
         """
         with collector_paused():
             warm_start(self)

@@ -2,9 +2,12 @@
 
 ``PipelineTracer`` attaches to an :class:`~repro.core.pipeline.SMTPipeline`
 and records one event row per retired (or squashed) instruction:
-per-stage timestamps, ACE-ness, memory/branch outcomes. Traces can be
-filtered, summarized (stage-latency breakdowns), and exported as JSONL
-for external analysis.
+per-stage timestamps, ACE-ness, memory/branch outcomes. A retired
+instruction's ACE-ness is the oracle's final value, filled in when the
+ACE analyzer classifies it (a block of commits later, or at the end of
+the run); a squashed one's is ``None``. Traces can be filtered,
+summarized (stage-latency breakdowns), and exported as JSONL for
+external analysis.
 
 This is a debugging/teaching aid, not part of the measured
 experiments: tracing costs memory proportional to the number of
@@ -22,13 +25,17 @@ Example::
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from repro.core.pipeline import SMTPipeline
 from repro.isa.instruction import DynInst, DynState
 from repro.telemetry.bus import Event, Subscription
 from repro.telemetry.provenance import collect_manifest
-from repro.telemetry.topics import TOPIC_COMMIT, TOPIC_SQUASH
+from repro.telemetry.topics import (
+    TOPIC_COMMIT,
+    TOPIC_RELIABILITY_ATTRIBUTION,
+    TOPIC_SQUASH,
+)
 
 
 @dataclass(frozen=True)
@@ -93,8 +100,10 @@ class PipelineTracer:
     The tracer subscribes to the ``pipeline.commit`` and
     ``pipeline.squash`` topics (it used to monkey-patch the pipeline's
     commit/squash methods; the bus gives the same per-instruction
-    stream without touching pipeline internals).  The traced pipeline
-    must have telemetry enabled (the default).
+    stream without touching pipeline internals), and to
+    ``reliability.attribution`` for the final ACE-ness of each recorded
+    commit.  The traced pipeline must have telemetry enabled (the
+    default).
     """
 
     def __init__(self, pipeline: SMTPipeline, limit: int = 100_000,
@@ -105,12 +114,21 @@ class PipelineTracer:
         self.limit = limit
         self.include_squashed = include_squashed
         self.events: list[TraceEvent] = []
+        # Tag -> index of a recorded commit still waiting for its ACE-ness.
+        self._unclassified: dict[int, int] = {}
         self._subs: list[Subscription] = []
 
     # ------------------------------------------------------------------
     def _on_commit(self, event: Event) -> None:
         if len(self.events) < self.limit:
-            self.events.append(_event_of(event["inst"]))
+            dyn = event["inst"]
+            self._unclassified[dyn.tag] = len(self.events)
+            self.events.append(_event_of(dyn))
+
+    def _on_attribution(self, event: Event) -> None:
+        index = self._unclassified.pop(event["tag"], None)
+        if index is not None:
+            self.events[index] = replace(self.events[index], ace=event["ace"])
 
     def _on_squash(self, event: Event) -> None:
         for dyn in event["insts"]:
@@ -121,7 +139,10 @@ class PipelineTracer:
     def __enter__(self) -> "PipelineTracer":
         if not self._subs:
             bus = self.pipeline.bus
-            self._subs = [bus.subscribe(TOPIC_COMMIT, self._on_commit)]
+            self._subs = [
+                bus.subscribe(TOPIC_COMMIT, self._on_commit),
+                bus.subscribe(TOPIC_RELIABILITY_ATTRIBUTION, self._on_attribution),
+            ]
             if self.include_squashed:
                 self._subs.append(bus.subscribe(TOPIC_SQUASH, self._on_squash))
         return self

@@ -274,8 +274,8 @@ class DynInst:
 def collector_paused() -> Iterator[None]:
     """Run the block with Python's cyclic garbage collector disabled.
 
-    The run loop allocates a :class:`DynInst` (and an ACE record) per
-    instruction; none of them is part of a reference cycle, so
+    The run loop allocates a :class:`DynInst` per fetched instruction;
+    none of them is part of a reference cycle, so
     reference counting alone frees them, and generation-0 collections
     triggered by the allocation rate only rescan live objects.  The
     collector is re-enabled on exit only if it was enabled on entry, so

@@ -77,14 +77,16 @@ def load_results_document(path: str) -> dict[str, Any]:
     """The per-case results of a saved ``perf``/``avf`` results JSON:
     its ``results`` mapping, or the document itself when it has none.
 
-    Raises ``ValueError`` when the file is not JSON or the results are
-    not a mapping of case names.
+    Raises ``ValueError`` when the file cannot be read, is not JSON, or
+    its results are not a mapping of case names.
     """
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
     results = doc.get("results", doc) if isinstance(doc, dict) else None
     if not isinstance(results, dict):
         raise ValueError(f"{path}: not a results document")

@@ -9,8 +9,8 @@ contributes the ACE subset of those bits for every cycle of residency.
 
 Two accountings coexist, exactly as in the paper:
 
-* the **oracle** AVF used for evaluation — attributed retroactively via
-  the ACE analyzer's resolution callback (a committed un-ACE
+* the **oracle** AVF used for evaluation — attributed retroactively,
+  one call per ACE-analyzer sweep (a committed un-ACE
   instruction still contributes its control/opcode bits; a squashed
   wrong-path instruction contributes nothing);
 * the **online estimate** used by DVM (Section 5.1) — a running counter
@@ -30,27 +30,19 @@ When an :class:`~repro.telemetry.bus.EventBus` is attached (the
 pipeline does this when telemetry is on), every finalized attribution
 is also published as a ``reliability.attribution`` /
 ``reliability.rf`` event, guarded by cached ``wants()`` flags so the
-zero-subscriber path pays one integer compare per resolution.
+zero-subscriber path pays one integer compare per sweep.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Protocol
 
 from repro.config import MachineConfig
 from repro.isa.instruction import OP_IS_MEM, DynInst, DynState, OpClass
 from repro.telemetry.bus import EventBus
 from repro.telemetry.topics import TOPIC_RELIABILITY_ATTRIBUTION, TOPIC_RELIABILITY_RF
-
-
-class RegisterLifetime(Protocol):
-    """What the RF accounting needs from an ACE-analyzer record."""
-
-    commit_cycle: int
-    last_read_cycle: int
-    dyn: DynInst
 
 
 def interval_bucket(last_resident_cycle: int, interval_cycles: int) -> int:
@@ -216,9 +208,10 @@ class AVFAccount:
     # ------------------------------------------------------------------
     # Attribution
     # ------------------------------------------------------------------
-    def on_resolved(self, dyn: DynInst) -> None:
-        """ACE-analyzer resolution callback: attribute all residencies of
-        a committed instruction.
+    def attribute(self, insts: Iterable[DynInst]) -> None:
+        """Attribute all residencies of each committed instruction in
+        ``insts`` whose oracle ACE-ness just became final (the ACE
+        analyzer's per-sweep callback).
 
         Each residency is bucketed by its *last resident cycle* (leave
         cycle minus one), matching the cycle the online counters charged
@@ -226,90 +219,102 @@ class AVFAccount:
         added, and those imply a residency that started at cycle >= 0,
         so the bucket is :func:`interval_bucket` without its clamp.
         """
-        iq_bits, rob_bits, fu_bits = self._oracle_bits(dyn)
         acc = self._acc
-        interval_acc = self._interval_acc
+        iq_acc, rob_acc, fu_acc = (
+            self._interval_acc[_IQ], self._interval_acc[_ROB], self._interval_acc[_FU]
+        )
         interval = self.interval_cycles
-        iq_bc = rob_bc = fu_bc = 0
-        dispatch = dyn.dispatch_cycle
-        if dispatch >= 0:
-            leave = dyn.iq_leave_cycle
-            if leave >= 0:
-                iq_bc = iq_bits * (leave - dispatch)
-                if iq_bc > 0:
-                    acc[_IQ] += iq_bc
-                    bucket = (leave - 1) // interval
-                    intervals = interval_acc[_IQ]
-                    intervals[bucket] = intervals.get(bucket, 0) + iq_bc
-            commit = dyn.commit_cycle
-            if commit >= 0:
-                rob_bc = rob_bits * (commit - dispatch)
-                if rob_bc > 0:
-                    acc[_ROB] += rob_bc
-                    bucket = (commit - 1) // interval
-                    intervals = interval_acc[_ROB]
-                    intervals[bucket] = intervals.get(bucket, 0) + rob_bc
-        issue = dyn.issue_cycle
-        if issue >= 0:
-            # Memory operations occupy their load/store unit only for
-            # address generation; the (pipelined) cache fill does not
-            # hold operand latches in the FU.
-            res = 1 if OP_IS_MEM[dyn.static.opclass] else max(dyn.exec_latency, 1)
-            fu_bc = fu_bits * res
-            if fu_bc > 0:
-                acc[_FU] += fu_bc
-                bucket = (issue + res - 1) // interval
-                intervals = interval_acc[_FU]
-                intervals[bucket] = intervals.get(bucket, 0) + fu_bc
+        oracle_bits = self._oracle_bits
         bus = self.bus
-        if bus is None:
-            return
-        if bus.version != self._bus_version:
+        if bus is not None and bus.version != self._bus_version:
             self._refresh_wants(bus)
-        if self._want_attr:
-            bus.emit(
-                TOPIC_RELIABILITY_ATTRIBUTION,
-                thread=dyn.thread,
-                ace=bool(dyn.ace),
-                quiet=dyn.static.opclass in _QUIET,
-                iq_slot=dyn.iq_slot,
-                iq_bit_cycles=iq_bc,
-                rob_bit_cycles=rob_bc,
-                fu_bit_cycles=fu_bc,
-                dispatch_cycle=dyn.dispatch_cycle,
-                issue_cycle=dyn.issue_cycle,
-                iq_leave_cycle=dyn.iq_leave_cycle,
-                commit_cycle=dyn.commit_cycle,
-            )
+        if not self._want_attr:
+            bus = None
+        for dyn in insts:
+            iq_bits, rob_bits, fu_bits = oracle_bits(dyn)
+            iq_bc = rob_bc = fu_bc = 0
+            dispatch = dyn.dispatch_cycle
+            if dispatch >= 0:
+                leave = dyn.iq_leave_cycle
+                if leave >= 0:
+                    iq_bc = iq_bits * (leave - dispatch)
+                    if iq_bc > 0:
+                        acc[_IQ] += iq_bc
+                        bucket = (leave - 1) // interval
+                        iq_acc[bucket] = iq_acc.get(bucket, 0) + iq_bc
+                commit = dyn.commit_cycle
+                if commit >= 0:
+                    rob_bc = rob_bits * (commit - dispatch)
+                    if rob_bc > 0:
+                        acc[_ROB] += rob_bc
+                        bucket = (commit - 1) // interval
+                        rob_acc[bucket] = rob_acc.get(bucket, 0) + rob_bc
+            issue = dyn.issue_cycle
+            if issue >= 0:
+                # Memory operations occupy their load/store unit only for
+                # address generation; the (pipelined) cache fill does not
+                # hold operand latches in the FU.
+                res = 1 if OP_IS_MEM[dyn.static.opclass] else max(dyn.exec_latency, 1)
+                fu_bc = fu_bits * res
+                if fu_bc > 0:
+                    acc[_FU] += fu_bc
+                    bucket = (issue + res - 1) // interval
+                    fu_acc[bucket] = fu_acc.get(bucket, 0) + fu_bc
+            if bus is not None:
+                bus.emit(
+                    TOPIC_RELIABILITY_ATTRIBUTION,
+                    thread=dyn.thread,
+                    tag=dyn.tag,
+                    ace=bool(dyn.ace),
+                    quiet=dyn.static.opclass in _QUIET,
+                    iq_slot=dyn.iq_slot,
+                    iq_bit_cycles=iq_bc,
+                    rob_bit_cycles=rob_bc,
+                    fu_bit_cycles=fu_bc,
+                    dispatch_cycle=dyn.dispatch_cycle,
+                    issue_cycle=dyn.issue_cycle,
+                    iq_leave_cycle=dyn.iq_leave_cycle,
+                    commit_cycle=dyn.commit_cycle,
+                )
 
-    def on_rf_lifetime(self, rec: RegisterLifetime, end_cycle: int) -> None:
-        """Register-lifetime callback from the ACE analyzer.
+    def on_resolved(self, dyn: DynInst) -> None:
+        """:meth:`attribute` for one instruction."""
+        self.attribute((dyn,))
+
+    def attribute_rf(self, thread: int, lifetimes: Iterable[tuple[int, int, int]]) -> None:
+        """Attribute ``thread``'s closed register lifetimes, each
+        (producer commit cycle, last read cycle, closing cycle): the ACE
+        analyzer's per-sweep register-file callback.
 
         A register's bits are counted ACE from the producer's commit to
         its last read (the interval in which a strike would corrupt a
         consumed value).  Never-read values contribute nothing.
         """
-        last_read = rec.last_read_cycle
-        if last_read > rec.commit_cycle:
-            bit_cycles = self.layout.rf_reg_bits * (last_read - rec.commit_cycle)
-            if bit_cycles > 0:
-                self._acc[_RF] += bit_cycles
-                bucket = (last_read - 1) // self.interval_cycles
-                intervals = self._interval_acc[_RF]
-                intervals[bucket] = intervals.get(bucket, 0) + bit_cycles
-            bus = self.bus
-            if bus is None:
-                return
-            if bus.version != self._bus_version:
-                self._refresh_wants(bus)
-            if self._want_rf:
+        reg_bits = self.layout.rf_reg_bits
+        interval = self.interval_cycles
+        intervals = self._interval_acc[_RF]
+        total = 0
+        bus = self.bus
+        if bus is not None and bus.version != self._bus_version:
+            self._refresh_wants(bus)
+        if not self._want_rf:
+            bus = None
+        for commit, last_read, _ in lifetimes:
+            if last_read <= commit:
+                continue
+            bit_cycles = reg_bits * (last_read - commit)
+            total += bit_cycles
+            bucket = (last_read - 1) // interval
+            intervals[bucket] = intervals.get(bucket, 0) + bit_cycles
+            if bus is not None:
                 bus.emit(
                     TOPIC_RELIABILITY_RF,
-                    thread=rec.dyn.thread,
-                    commit_cycle=rec.commit_cycle,
-                    last_read_cycle=rec.last_read_cycle,
+                    thread=thread,
+                    commit_cycle=commit,
+                    last_read_cycle=last_read,
                     bit_cycles=bit_cycles,
                 )
+        self._acc[_RF] += total
 
     def close(self, total_cycles: int) -> None:
         self.total_cycles = total_cycles

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 
 from repro.isa.instruction import OP_IS_CONTROL, StaticInst
 from repro.isa.program import SyntheticProgram, ThreadContext
-from repro.reliability.ace import ACE_ROOTS, NEVER_ACE
+from repro.reliability.ace import sweep
 
 
 @dataclass
@@ -75,20 +76,14 @@ def profile_program(
     """Run the offline vulnerability profiling pass.
 
     Walks the architecturally correct path for ``n_instructions`` and
-    classifies every committed instance as the post-retirement
-    :class:`~repro.reliability.ace.ACEAnalyzer` would, with a
-    ``window``-instruction post-graduation window, then aggregates
-    per-PC instance counts.
+    classifies every committed instance with a ``window``-instruction
+    post-graduation window, then aggregates per-PC instance counts.
 
-    The whole committed stream is known up front, so the classification
-    is one backward sweep instead of the analyzer's streaming def-use
-    graph.  ``need[r]`` is the earliest commit index at which a later
-    reader of the current writer of register ``r`` becomes ACE (a root
-    at its own commit, any other instruction when its own result is
-    first needed).  Instance ``i`` is ACE iff that index ``m`` lies no
-    later than ``i + window``: the analyzer resolves ``i`` when
-    instruction ``i + window`` commits, after that commit's marks, and
-    flushes what is left after the last commit.
+    The classification is the pipeline analyzer's backward sweep
+    (:func:`~repro.reliability.ace.sweep`) over the whole trace as one
+    final block: instance ``i`` is ACE iff the earliest commit index
+    ``m`` at which a later reader of its result becomes ACE lies no
+    later than ``i + window``.
     """
     if n_instructions <= 0:
         raise ValueError("n_instructions must be positive")
@@ -112,34 +107,12 @@ def profile_program(
         else:
             advance()
 
-    # Backward: need[] per register; ``never`` exceeds every i + window.
-    never = n_instructions + window
-    need: dict[int, int] = {}
-    ace_pcs: list[int] = []
-    unace_pcs: list[int] = []
-    for i in range(n_instructions - 1, -1, -1):
-        st = trace[i]
-        op = st.opclass
-        dest = st.dest
-        if op in NEVER_ACE:
-            m = never
-        elif op in ACE_ROOTS or st.is_output:
-            m = i
-        else:
-            m = need.get(dest, never)  # no destination (-1): never needed
-        if dest >= 0:
-            need.pop(dest, None)
-        if m - i <= window:
-            ace_pcs.append(st.pc)
-        else:
-            unace_pcs.append(st.pc)
-        if m < never:
-            for r in st.srcs:
-                if m < need.get(r, never):
-                    need[r] = m
-
-    ace_instances = dict(Counter(ace_pcs))
-    unace_instances = dict(Counter(unace_pcs))
+    # Backward: the whole trace is one final block.  Counting from the
+    # end keeps the per-PC tables in the order a backward pass meets them.
+    flags = sweep(trace, 0, window, live=False).flags[::-1]
+    pcs = [st.pc for st in reversed(trace)]
+    ace_instances = dict(Counter(compress(pcs, flags)))
+    unace_instances = dict(Counter(compress(pcs, [not flag for flag in flags])))
     pc_table = dict.fromkeys(unace_instances, False)
     pc_table.update(dict.fromkeys(ace_instances, True))
     return ProfileResult(

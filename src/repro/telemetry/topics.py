@@ -216,6 +216,7 @@ TOPIC_RELIABILITY_ATTRIBUTION = _topic(
     "reliability.attribution",
     (
         "thread",
+        "tag",
         "ace",
         "quiet",
         "iq_slot",
@@ -227,23 +228,25 @@ TOPIC_RELIABILITY_ATTRIBUTION = _topic(
         "iq_leave_cycle",
         "commit_cycle",
     ),
-    "the oracle ACE-ness of one committed instruction became final: the "
-    "AVF accountant attributed its IQ/ROB/FU ACE-bit-cycles (hot; "
-    "guarded by a cached wants() flag in the accountant)",
+    "the oracle ACE-ness of one committed instruction (its tag) became "
+    "final: the AVF accountant attributed its IQ/ROB/FU ACE-bit-cycles "
+    "(once per instruction, delivered a sweep's worth at a time; guarded "
+    "by a cached wants() flag in the accountant)",
 )
 
 TOPIC_RELIABILITY_RF = _topic(
     "reliability.rf",
     ("thread", "commit_cycle", "last_read_cycle", "bit_cycles"),
     "one architectural register lifetime closed (register-file ACE-bit "
-    "attribution, producer commit to last read)",
+    "attribution, producer commit to last read; delivered per sweep)",
 )
 
 TOPIC_RELIABILITY_LATE_ACE = _topic(
     "reliability.late_ace",
     ("thread", "total"),
-    "an instruction was marked ACE after already resolving un-ACE — the "
-    "post-graduation ACE window was too small (total is the running count)",
+    "an instruction's result was needed by an ACE reader only after its "
+    "post-graduation window, so it stays un-ACE — the window was too "
+    "small (total is the running count; delivered per sweep)",
 )
 
 TOPIC_RELIABILITY_ESTIMATE = _topic(

@@ -1,7 +1,21 @@
-"""Post-retirement ACE analysis: ground-truth liveness semantics."""
+"""Post-retirement ACE analysis: ground-truth liveness semantics.
+
+The semantic cases run the block analyzer with its block size
+monkeypatched to 1 and to 2, so every stream crosses block edges; the
+property holds it equal to the streaming reference
+(``tests/ace_reference.py``) on random multi-thread streams.
+"""
+
+import hashlib
+import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
+from repro.config import MachineConfig
 from repro.isa.instruction import (
     DynInst,
     DynState,
@@ -10,7 +24,10 @@ from repro.isa.instruction import (
     OpClass,
     StaticInst,
 )
+from repro.reliability import ace
 from repro.reliability.ace import ACEAnalyzer
+from repro.reliability.avf import AVFAccount, Structure
+from tests.ace_reference import StreamingACEAnalyzer
 
 
 def make_dyn(tag, opclass, dest=-1, srcs=(), thread=0):
@@ -29,26 +46,70 @@ def make_dyn(tag, opclass, dest=-1, srcs=(), thread=0):
     return d
 
 
+def analyzer_with_block(block, *args, **kwargs):
+    """An ``ACEAnalyzer`` that sweeps every ``block`` commits."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ace, "BLOCK", block)
+        return ACEAnalyzer(*args, **kwargs)
+
+
+#: Block sizes the semantic cases run under.
+BLOCKS = (1, 2)
+
+
 class Harness:
-    """Feeds a committed stream and records resolutions."""
+    """Feeds one committed stream, one cycle per instruction, to an
+    analyzer per block size in :data:`BLOCKS` and records what each
+    classifies and which register lifetimes it closes."""
 
     def __init__(self, threads=1, window=1000):
-        self.resolved = {}
-        self.analyzer = ACEAnalyzer(
-            threads, window_size=window, resolve_cb=self._cb
-        )
+        self.runs = []
+        for block in BLOCKS:
+            run = SimpleNamespace(resolved={}, lifetimes=[])
+            run.analyzer = analyzer_with_block(
+                block, threads, window_size=window,
+                resolve_cb=lambda insts, run=run: run.resolved.update(
+                    (d.tag, d.ace) for d in insts
+                ),
+                rf_cb=lambda t, closed, run=run: run.lifetimes.extend(closed),
+            )
+            self.runs.append(run)
         self._cycle = 0
 
-    def _cb(self, dyn):
-        self.resolved[dyn.tag] = dyn.ace
+    def commit(self, dyn, cycle):
+        for run in self.runs:
+            run.analyzer.commit(replace(dyn), cycle)
 
     def feed(self, *dyns):
         for d in dyns:
-            self.analyzer.commit(d, self._cycle)
+            self.commit(d, self._cycle)
             self._cycle += 1
 
-    def finish(self):
-        self.analyzer.flush(self._cycle)
+    def finish(self, cycle=None):
+        for run in self.runs:
+            run.analyzer.flush(self._cycle if cycle is None else cycle)
+
+    @property
+    def resolved(self):
+        """Tag -> ACE-ness of every instance each block size has
+        classified; they must agree."""
+        first, *rest = (run.resolved for run in self.runs)
+        common = {t: a for t, a in first.items() if all(t in r for r in rest)}
+        for r in rest:
+            assert {t: r[t] for t in common} == common
+        return common
+
+    @property
+    def stats(self):
+        first, *rest = (run.analyzer.stats for run in self.runs)
+        assert all(s == first for s in rest)
+        return first
+
+    @property
+    def lifetimes(self):
+        first, *rest = (sorted(run.lifetimes) for run in self.runs)
+        assert all(r == first for r in rest)
+        return first
 
 
 class TestRoots:
@@ -195,10 +256,9 @@ class TestWindow:
         h.feed(make_dyn(1, OpClass.IALU, dest=5, srcs=()))
         h.feed(make_dyn(2, OpClass.IALU, dest=6, srcs=()))
         h.feed(make_dyn(3, OpClass.IALU, dest=6, srcs=()))
-        assert h.resolved[1] is False
         h.feed(make_dyn(4, OpClass.STORE, srcs=(5,)))
         h.finish()
-        assert h.analyzer.stats.late_ace >= 1
+        assert h.stats.late_ace == 1
         assert h.resolved[1] is False  # resolution is final
 
     def test_rejects_bad_window(self):
@@ -226,7 +286,7 @@ class TestStats:
             make_dyn(3, OpClass.NOP),
         )
         h.finish()
-        s = h.analyzer.stats
+        s = h.stats
         assert s.committed == 3
         assert s.ace == 2
         assert s.unace == 1
@@ -235,24 +295,144 @@ class TestStats:
 
 class TestRegisterLifetimes:
     def test_rf_callback_on_overwrite(self):
-        lifetimes = []
-        analyzer = ACEAnalyzer(
-            1, window_size=100,
-            rf_cb=lambda rec, end: lifetimes.append((rec.commit_cycle, rec.last_read_cycle, end)),
-        )
-        d1 = make_dyn(1, OpClass.IALU, dest=5, srcs=())
-        d2 = make_dyn(2, OpClass.STORE, srcs=(5,))
-        d3 = make_dyn(3, OpClass.IALU, dest=5, srcs=())
-        analyzer.commit(d1, 10)
-        analyzer.commit(d2, 20)
-        analyzer.commit(d3, 30)
-        assert lifetimes == [(10, 20, 30)]
+        h = Harness()
+        h.commit(make_dyn(1, OpClass.IALU, dest=5, srcs=()), 10)
+        h.commit(make_dyn(2, OpClass.STORE, srcs=(5,)), 20)
+        h.commit(make_dyn(3, OpClass.IALU, dest=5, srcs=()), 30)
+        h.finish(99)
+        assert h.lifetimes == [(10, 20, 30), (30, -1, 99)]
 
     def test_rf_callback_on_flush(self):
-        lifetimes = []
-        analyzer = ACEAnalyzer(
-            1, window_size=100, rf_cb=lambda rec, end: lifetimes.append(end)
-        )
-        analyzer.commit(make_dyn(1, OpClass.IALU, dest=5, srcs=()), 10)
-        analyzer.flush(99)
-        assert lifetimes == [99]
+        h = Harness()
+        h.commit(make_dyn(1, OpClass.IALU, dest=5, srcs=()), 10)
+        h.finish(99)
+        assert [end for _, _, end in h.lifetimes] == [99]
+
+
+# ----------------------------------------------------------------------
+# Equal to the streaming reference
+# ----------------------------------------------------------------------
+#: Registers drawn mostly from a few, so values meet readers, but over
+#: the whole architectural range.
+_REGS = st.one_of(st.integers(0, 3), st.integers(0, 63))
+#: One committed instruction: opclass, destination, sources, thread
+#: (modulo the thread count), output flag (when 0), cycles since the
+#: previous commit, ROB and IQ residency, execution latency (0: never
+#: issued).
+_INST = st.tuples(
+    st.sampled_from(list(OpClass)),
+    st.one_of(st.integers(-1, 3), st.integers(-1, 63)),
+    st.lists(_REGS, max_size=2),
+    st.integers(0, 3),
+    st.integers(0, 9),
+    st.integers(0, 3),
+    st.integers(0, 30),
+    st.integers(0, 30),
+    st.integers(0, 4),
+)
+
+
+@st.composite
+def _streams(draw):
+    """1-4 interleaved threads' committed stream with its timing."""
+    threads = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 60))
+    rows = draw(st.lists(_INST, min_size=n, max_size=n))
+    cycle = 0
+    insts = []
+    for tag, (op, dest, srcs, thread, output, gap, rob, iq, latency) in enumerate(rows, 1):
+        d = make_dyn(tag, op, dest=dest, srcs=tuple(srcs), thread=thread % threads)
+        d.static.is_output = output == 0
+        cycle += gap
+        d.dispatch_cycle = max(cycle - rob, 0)
+        d.iq_leave_cycle = min(d.dispatch_cycle + iq, cycle)
+        if latency:
+            d.issue_cycle = d.iq_leave_cycle
+            d.exec_latency = latency
+        insts.append((d, cycle))
+    # Short windows often, so that readers land exactly on a window's end.
+    window = draw(st.one_of(st.integers(1, min(4, 2 * n)), st.integers(1, 2 * n)))
+    block = draw(st.sampled_from([1, 2, 17, n + 1]))
+    return threads, insts, window, block
+
+
+def _avf_figures(acct, total_cycles):
+    acct.close(total_cycles)
+    return {
+        s: (acct.overall_avf(s), acct.interval_avf(s)) for s in Structure
+    }
+
+
+# Without the explain phase, which re-runs a failing example's every
+# draw for minutes before the report.
+@given(_streams())
+@settings(
+    max_examples=200, deadline=None, phases=[p for p in Phase if p is not Phase.explain]
+)
+def test_property_matches_streaming_reference(stream):
+    threads, insts, window, block = stream
+    final_cycle = insts[-1][1] + 1
+    machine = MachineConfig(num_threads=threads)
+
+    ref_acct = AVFAccount(machine, interval_cycles=7)
+    ref_lifetimes = []
+    reference = StreamingACEAnalyzer(
+        threads, window, resolve_cb=ref_acct.on_resolved,
+        rf_cb=lambda rec, end: (
+            ref_lifetimes.append(
+                (rec.dyn.thread, rec.commit_cycle, rec.last_read_cycle, end)
+            ),
+            ref_acct.attribute_rf(
+                rec.dyn.thread, [(rec.commit_cycle, rec.last_read_cycle, end)]
+            ),
+        ),
+    )
+    acct = AVFAccount(machine, interval_cycles=7)
+    lifetimes = []
+    analyzer = analyzer_with_block(
+        block, threads, window_size=window, resolve_cb=acct.attribute,
+        rf_cb=lambda t, closed: (
+            lifetimes.extend((t, *life) for life in closed),
+            acct.attribute_rf(t, closed),
+        ),
+    )
+    ref_insts = []
+    block_insts = []
+    per_thread = [[] for _ in range(threads)]
+    for d, cycle in insts:
+        for sink, copies in ((reference, ref_insts), (analyzer, block_insts)):
+            c = replace(d, commit_cycle=cycle)
+            copies.append(c)
+            sink.commit(c, cycle)
+        # Classified by the first sweep after its window has passed.
+        stream = per_thread[d.thread]
+        stream.append(block_insts[-1])
+        swept = len(stream) - len(stream) % block
+        assert None not in [c.ace for c in stream[:max(swept - window, 0)]]
+    reference.flush(final_cycle)
+    analyzer.flush(final_cycle)
+
+    assert [d.ace for d in block_insts] == [d.ace for d in ref_insts]
+    assert None not in [d.ace for d in block_insts]
+    assert analyzer.stats == reference.stats
+    assert sorted(lifetimes) == sorted(ref_lifetimes)
+    assert _avf_figures(acct, final_cycle) == _avf_figures(ref_acct, final_cycle)
+
+
+def test_late_ace_run_report_is_pinned():
+    """Late ACE through the pipeline: a MEM-A run with a 37-instruction
+    window, whose observer report matches the streaming analyzer's."""
+    from repro.harness.runner import BenchScale, build_pipeline, get_programs
+    from repro.reliability.observe import ReliabilityObserver
+
+    scale = replace(BenchScale(), ace_window=37).with_cycles(4_000)
+    pipe = build_pipeline(get_programs("MEM-A", scale), scale)
+    with ReliabilityObserver.for_pipeline(pipe) as observer:
+        result = pipe.run()
+    report = observer.report(result.cycles).to_dict()
+    assert pipe.analyzer.stats == ace.ACEStats(
+        committed=4043, ace=3122, unace=921, late_ace=84
+    )
+    assert report["late_ace"] == {"1": 52, "3": 32}
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == "167fb2e01ea173cb"

@@ -119,20 +119,13 @@ class TestAttribution:
         assert acct.overall_avf(Structure.FU) == acct2.overall_avf(Structure.FU)
 
     def test_rf_lifetime(self, acct):
-        class Rec:
-            commit_cycle = 10
-            last_read_cycle = 40
-
-        acct.on_rf_lifetime(Rec(), end_cycle=50)
+        # (producer commit, last read, closing cycle)
+        acct.attribute_rf(0, [(10, 40, 50)])
         acct.close(100)
         assert acct.overall_avf(Structure.RF) > 0
 
     def test_rf_never_read_contributes_nothing(self, acct):
-        class Rec:
-            commit_cycle = 10
-            last_read_cycle = -1
-
-        acct.on_rf_lifetime(Rec(), end_cycle=50)
+        acct.attribute_rf(0, [(10, -1, 50)])
         acct.close(100)
         assert acct.overall_avf(Structure.RF) == 0
 
@@ -214,11 +207,7 @@ class TestIntervalBoundary:
         assert series[1] == 0.0
 
     def test_rf_last_read_on_edge_lands_in_previous_interval(self, acct):
-        class Rec:
-            commit_cycle = 60
-            last_read_cycle = 100
-
-        acct.on_rf_lifetime(Rec(), end_cycle=200)
+        acct.attribute_rf(0, [(60, 100, 200)])
         acct.close(200)
         series = acct.interval_avf(Structure.RF)
         assert series[0] > 0.0
@@ -284,11 +273,6 @@ class TestBusEmission:
         bus, events = self._bus_with(TOPIC_RELIABILITY_RF)
         acct.bus = bus
 
-        class Rec:
-            commit_cycle = 10
-            last_read_cycle = 40
-            dyn = make_dyn()
-
-        acct.on_rf_lifetime(Rec(), end_cycle=50)
+        acct.attribute_rf(0, [(10, 40, 50)])
         assert len(events) == 1
         assert events[0].payload["bit_cycles"] == acct.layout.rf_reg_bits * 30

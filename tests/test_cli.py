@@ -68,14 +68,18 @@ class TestCommands:
         ("avf", {"results": {"baseline_iq_avf": {"value": None}}},
          "result 'baseline_iq_avf' is not a number: None"),
         ("perf", {"results": [1]}, "not a results document"),
-    ], ids=["avf-list", "avf-string", "avf-null", "perf-list"])
+        ("avf", None, "cannot read (No such file or directory)"),
+        ("perf", None, "cannot read (No such file or directory)"),
+    ], ids=["avf-list", "avf-string", "avf-null", "perf-list", "avf-missing", "perf-missing"])
     def test_compare_non_results_document_is_usage_error(
         self, capsys, tmp_path, command, doc, message
     ):
         # Regression: JSON that is not a results document ended in an
-        # AttributeError, ValueError, TypeError or IndexError traceback.
+        # AttributeError, ValueError, TypeError or IndexError traceback,
+        # and a missing file (doc None) in a FileNotFoundError one.
         saved = tmp_path / "current.json"
-        saved.write_text(json.dumps(doc))
+        if doc is not None:
+            saved.write_text(json.dumps(doc))
         rc = main([command, "compare", "--history", str(tmp_path / "none.json"),
                    "--results", str(saved)])
         assert rc == 2

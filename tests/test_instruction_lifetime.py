@@ -1,11 +1,11 @@
 """Instruction lifetime and the paused cyclic collector.
 
 A committed ``DynInst`` is freed by reference counting once nothing in
-flight, the rename map or the ACE window holds it: commit clears its
-squash-repair link (``prev_producer``), so the rename map no longer
-chains back to every earlier writer of a register.  The run loop runs
-with the cyclic collector paused (``collector_paused``); these tests
-check that this is safe: no instruction or ACE record is ever cyclic
+flight, the rename map or the ACE analyzer's unswept block holds it:
+commit clears its squash-repair link (``prev_producer``), so the rename
+map no longer chains back to every earlier writer of a register.  The
+run loop runs with the cyclic collector paused (``collector_paused``);
+these tests check that this is safe: no instruction is ever cyclic
 garbage, the garbage a run does leave does not grow with its length,
 and the collector's state is restored whatever happens.  Offline
 profiling allocates no per-instruction objects at all; its traced peak
@@ -22,7 +22,6 @@ import pytest
 from repro.harness.runner import BenchScale, build_pipeline, get_programs
 from repro.isa.generator import NUM_FP_REGS, NUM_INT_REGS, generate_program
 from repro.isa.instruction import DynInst, collector_paused
-from repro.reliability.ace import _Record
 from repro.reliability.profiling import profile_program
 from repro.telemetry.topics import TOPIC_COMMIT
 
@@ -112,7 +111,7 @@ class TestCollectorPaused:
         garbage(3_000)  # fill the per-process program and warm-state caches
         short, long = garbage(3_000), garbage(6_000)
         for objs in (short, long):
-            assert not [o for o in objs if isinstance(o, (DynInst, _Record))]
+            assert not [o for o in objs if isinstance(o, DynInst)]
         # The pipeline's own object graph, not per-instruction state.
         assert len(short) == len(long)
 
@@ -121,7 +120,7 @@ class TestCollectorPaused:
         short = _cyclic_garbage(lambda: profile_program(program, 5_000, window=1_000))
         long = _cyclic_garbage(lambda: profile_program(program, 10_000, window=1_000))
         for objs in (short, long):
-            assert not [o for o in objs if isinstance(o, (DynInst, _Record))]
+            assert not [o for o in objs if isinstance(o, DynInst)]
         assert len(short) == len(long)
 
     @pytest.mark.parametrize("enabled", [True, False])

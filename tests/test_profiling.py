@@ -9,7 +9,6 @@ from repro.isa.generator import generate_program
 from repro.isa.instruction import OP_IS_CONTROL, DynInst, DynState
 from repro.isa.personalities import PERSONALITIES
 from repro.isa.program import SyntheticProgram, ThreadContext
-from repro.reliability.ace import ACEAnalyzer
 from repro.reliability.profiling import (
     ProfileResult,
     apply_profile,
@@ -17,15 +16,16 @@ from repro.reliability.profiling import (
     profile_program,
 )
 from repro.workloads.mixes import get_mix
+from tests.ace_reference import StreamingACEAnalyzer
 
 
 def streaming_profile(
     program: SyntheticProgram, n_instructions: int, window: int, seed: int = 0
 ) -> ProfileResult:
     """The oracle for ``profile_program``: the same correct-path walk,
-    one ``DynInst`` per committed instance fed through the pipeline's
-    streaming ``ACEAnalyzer``, with each instance counted when the
-    analyzer resolves it."""
+    one ``DynInst`` per committed instance fed through the streaming
+    reference analyzer, with each instance counted when the analyzer
+    resolves it."""
     result = ProfileResult(program_name=program.name, instructions=n_instructions)
 
     def on_resolve(dyn: DynInst) -> None:
@@ -37,7 +37,7 @@ def streaming_profile(
             result.unace_instances[pc] = result.unace_instances.get(pc, 0) + 1
             result.pc_table.setdefault(pc, False)
 
-    analyzer = ACEAnalyzer(num_threads=1, window_size=window, resolve_cb=on_resolve)
+    analyzer = StreamingACEAnalyzer(1, window, resolve_cb=on_resolve)
     ctx = ThreadContext(program, seed=seed)
     for i in range(n_instructions):
         inst = ctx.peek()

@@ -100,12 +100,7 @@ class TestObserverStream:
     def test_rf_stream(self):
         acct, _, obs = _observed_account()
 
-        class Rec:
-            commit_cycle = 10
-            last_read_cycle = 40
-            dyn = _dyn(thread=1)
-
-        acct.on_rf_lifetime(Rec(), end_cycle=50)
+        acct.attribute_rf(1, [(10, 40, 50)])
         acct.close(L)
         rep = obs.report(L)
         assert rep.rf_lifetimes == 1

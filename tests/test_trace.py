@@ -79,6 +79,16 @@ class TestSummary:
         assert s["mean_iq_residency"] >= 0
         assert 0 <= s["ace_fraction"] <= 1
 
+    def test_ace_fraction_is_the_oracle_value(self, traced):
+        # Nothing is classified at commit; every committed event carries
+        # the analyzer's final ACE-ness, so an untruncated trace agrees
+        # with the run.
+        tracer, result = traced
+        assert len(tracer.events) < tracer.limit
+        assert all(e.ace is not None for e in tracer.committed())
+        assert all(e.ace is None for e in tracer.events if e.squashed)
+        assert tracer.summary()["ace_fraction"] == result.ace_fraction
+
     def test_empty_summary(self):
         pipe = make_pipe(cycles=300)
         tracer = PipelineTracer(pipe)
