@@ -7,40 +7,16 @@ efficiency.  We use static ratios in this paper due to their
 simplicity."  This bench verifies the similar-efficiency claim.
 """
 
-import numpy as np
-
-from repro.harness.runner import run_sim
-from repro.workloads import CATEGORIES
-
-
-def _sweep(scale, dispatch):
-    out = {}
-    for cat in CATEGORIES:
-        avfs, ipcs = [], []
-        for mix in scale.mixes(cat):
-            base = run_sim(mix.name, scale)
-            res = run_sim(mix.name, scale, scheduler="visa", dispatch=dispatch)
-            avfs.append(res.iq_avf / max(base.iq_avf, 1e-9))
-            ipcs.append(res.ipc / max(base.ipc, 1e-9))
-        out[cat] = (float(np.mean(avfs)), float(np.mean(ipcs)))
-    return out
+from repro.harness import experiments
 
 
 def test_ablation_ratio_mode(benchmark, scale, report):
-    def run():
-        return _sweep(scale, "opt1"), _sweep(scale, "opt1-linear")
-
-    static, linear = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = []
-    for cat in CATEGORIES:
-        rows.append({
-            "category": cat,
-            "static_norm_avf": static[cat][0], "static_norm_ipc": static[cat][1],
-            "linear_norm_avf": linear[cat][0], "linear_norm_ipc": linear[cat][1],
-        })
+    rows = benchmark.pedantic(
+        experiments.ablation_ratio_mode, args=(scale,), rounds=1, iterations=1
+    )
     report("ablation_ratio_mode", rows, "Ablation — opt1 static vs linear ratio setup")
 
     # The paper's claim: similar efficiency.
-    for cat in CATEGORIES:
-        assert abs(static[cat][0] - linear[cat][0]) < 0.25, (cat, static[cat], linear[cat])
-        assert abs(static[cat][1] - linear[cat][1]) < 0.25, (cat, static[cat], linear[cat])
+    for r in rows:
+        assert abs(r["static_norm_avf"] - r["linear_norm_avf"]) < 0.25, r
+        assert abs(r["static_norm_ipc"] - r["linear_norm_ipc"]) < 0.25, r

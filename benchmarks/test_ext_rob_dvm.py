@@ -6,30 +6,15 @@ same trigger/response machinery pointed at an online ROB ACE-bit
 counter controls the ROB's runtime vulnerability.
 """
 
-import dataclasses
-
-from repro.config import ReliabilityConfig, SimulationConfig
-from repro.core.pipeline import SMTPipeline
 from repro.harness import experiments
-from repro.harness.runner import get_programs
+from repro.harness.runner import build_pipeline, get_programs
 from repro.reliability.avf import Structure
-from repro.reliability.dvm import DVMController
 from repro.workloads import CATEGORIES
 
 
 def _run(programs, scale, dvm_target=None):
-    rel = ReliabilityConfig(
-        interval_cycles=scale.interval_cycles,
-        ace_window=scale.ace_window,
-        t_cache_miss=scale.t_cache_miss,
-    )
-    sim = SimulationConfig(
-        max_cycles=scale.max_cycles, warmup_cycles=scale.warmup_cycles,
-        seed=scale.seed, reliability=rel,
-    )
-    dvm = DVMController(dvm_target, config=rel) if dvm_target else None
-    return SMTPipeline(
-        programs, sim=sim, dvm=dvm, dvm_structure=Structure.ROB
+    return build_pipeline(
+        programs, scale, dvm_target=dvm_target, dvm_structure=Structure.ROB
     ).run()
 
 

@@ -5,8 +5,9 @@ exactly the paper's configuration and measures simulator construction
 and simulation throughput on it (cycles/second of the cycle loop).
 """
 
-from repro.config import MachineConfig, SimulationConfig
+from repro.config import MachineConfig
 from repro.core.pipeline import SMTPipeline
+from repro.harness.runner import BenchScale
 from repro.workloads import get_mix
 
 
@@ -38,7 +39,7 @@ def test_table2_defaults(benchmark, report):
 def test_simulator_throughput(benchmark):
     """pytest-benchmark timing of the core cycle loop itself."""
     programs = get_mix("CPU-A").programs(seed=1)
-    sim = SimulationConfig.scaled_for_bench(max_cycles=2_000, warmup_cycles=200)
+    sim = BenchScale(max_cycles=2_000, warmup_cycles=200).sim_config()
 
     def run():
         return SMTPipeline(programs, sim=sim).run().committed

@@ -15,12 +15,12 @@ Usage::
 
 from repro import (
     MachineConfig,
-    SimulationConfig,
     SMTPipeline,
     Structure,
     generate_program,
     profile_and_apply,
 )
+from repro.harness.runner import BenchScale
 
 
 def main() -> None:
@@ -40,7 +40,7 @@ def main() -> None:
     for p in programs:
         profile_and_apply(p, n_instructions=20_000, window=4_000)
 
-    sim = SimulationConfig.scaled_for_bench(max_cycles=10_000, warmup_cycles=2_000)
+    sim = BenchScale(max_cycles=10_000, warmup_cycles=2_000).sim_config()
 
     print(f"{'policy':8s} {'IPC':>6s} {'gcc':>6s} {'mcf':>6s} {'IQ AVF':>8s} {'flushes':>8s}")
     for policy in ("icount", "stall", "flush", "dg", "pdg"):

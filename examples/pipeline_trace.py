@@ -15,12 +15,13 @@ Usage::
 
 import sys
 
-from repro import SimulationConfig, SMTPipeline, get_mix, profile_and_apply
+from repro import SMTPipeline, get_mix, profile_and_apply
+from repro.harness.runner import BenchScale
 from repro.harness.trace import PipelineTracer
 
 
 def run_traced(programs, scheduler, cycles):
-    sim = SimulationConfig.scaled_for_bench(max_cycles=cycles, warmup_cycles=cycles // 6)
+    sim = BenchScale(max_cycles=cycles, warmup_cycles=cycles // 6).sim_config()
     pipe = SMTPipeline(programs, sim=sim, scheduler=scheduler)
     with PipelineTracer(pipe, limit=200_000) as tracer:
         pipe.run()

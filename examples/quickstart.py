@@ -14,11 +14,11 @@ Usage::
 import sys
 
 from repro import (
-    SimulationConfig,
     SMTPipeline,
     get_mix,
     profile_and_apply,
 )
+from repro.harness.runner import BenchScale
 
 
 def main() -> None:
@@ -39,7 +39,7 @@ def main() -> None:
         )
 
     # 3. Simulate: baseline scheduler, then VISA.
-    sim = SimulationConfig.scaled_for_bench(max_cycles=cycles, warmup_cycles=cycles // 6)
+    sim = BenchScale(max_cycles=cycles, warmup_cycles=cycles // 6).sim_config()
     results = {}
     for scheduler in ("oldest", "visa"):
         result = SMTPipeline(programs, sim=sim, scheduler=scheduler).run()

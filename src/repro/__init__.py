@@ -18,9 +18,10 @@ The package provides:
 
 Quickstart::
 
-    from repro import SMTPipeline, SimulationConfig, get_mix
+    from repro import SMTPipeline, get_mix
+    from repro.harness.runner import BenchScale
     programs = get_mix("CPU-A").programs(seed=1)
-    result = SMTPipeline(programs, sim=SimulationConfig.scaled_for_bench()).run()
+    result = SMTPipeline(programs, sim=BenchScale().sim_config()).run()
     print(result.ipc, result.iq_avf)
 """
 

@@ -105,8 +105,6 @@ class DimensionFinding:
 
     line: int
     col: int
-    end_line: int
-    end_col: int
     message: str
 
 
@@ -295,8 +293,6 @@ def _finding(node: ast.AST, message: str) -> DimensionFinding:
     return DimensionFinding(
         line=getattr(node, "lineno", 1),
         col=getattr(node, "col_offset", 0),
-        end_line=getattr(node, "end_lineno", None) or 0,
-        end_col=getattr(node, "end_col_offset", None) or 0,
         message=message,
     )
 
@@ -339,6 +335,4 @@ class DimensionChecker(BaseChecker):
                     message=finding.message,
                     severity=Severity.ERROR,
                     symbol=node.name,
-                    end_line=finding.end_line,
-                    end_col=finding.end_col,
                 )

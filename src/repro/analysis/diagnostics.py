@@ -39,10 +39,7 @@ class Diagnostic:
     offending entity (class, attribute, field) for machine consumers.
 
     ``line``/``col`` follow the AST convention (1-based line, 0-based
-    column) in both reports.  The optional ``end_line``/``end_col``
-    bound the region when the checker knows it (``end_col`` exclusive,
-    matching ``ast.end_col_offset``); zero means "unset" and the JSON
-    report leaves them out.
+    column) in both reports.
     """
 
     path: str
@@ -52,14 +49,12 @@ class Diagnostic:
     message: str
     severity: Severity = Severity.ERROR
     symbol: str = field(default="")
-    end_line: int = 0
-    end_col: int = 0
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.severity} [{self.rule}] {self.message}"
 
     def to_json(self) -> dict[str, object]:
-        payload: dict[str, object] = {
+        return {
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -68,10 +63,6 @@ class Diagnostic:
             "message": self.message,
             "symbol": self.symbol,
         }
-        if self.end_line:
-            payload["end_line"] = self.end_line
-            payload["end_col"] = self.end_col
-        return payload
 
 
 def sort_key(diag: Diagnostic) -> tuple[str, int, int, str]:

@@ -10,9 +10,10 @@ unified 2MB L2 and a 200-cycle memory.
 :class:`SimulationConfig` bundles the run-length and interval knobs used
 by the reliability mechanisms (Section 2.2 and Section 5 of the paper).
 The paper's values (10K-cycle intervals, 40K-instruction ACE analysis
-window, 400M-instruction runs) are the defaults; ``scaled_for_bench``
-returns a proportionally scaled configuration so that the pure-Python
-simulator regenerates every figure in minutes rather than weeks.
+window, 400M-instruction runs) are the defaults;
+``repro.harness.runner.BenchScale.sim_config`` returns the
+proportionally scaled configuration that lets the pure-Python simulator
+regenerate every figure in minutes rather than weeks.
 """
 
 from __future__ import annotations
@@ -278,36 +279,6 @@ class SimulationConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         self.reliability.validate()
-
-    @staticmethod
-    def scaled_for_bench(
-        max_cycles: int = 20_000,
-        warmup_cycles: int = 2_000,
-        seed: int = 42,
-        **reliability_overrides: Any,
-    ) -> "SimulationConfig":
-        """A configuration scaled so every figure regenerates quickly.
-
-        Interval mechanisms shrink from the paper's 10K cycles to 2K so a
-        20K-cycle run still spans ~10 adaptation intervals, matching the
-        control-loop dynamics of the paper's 400M-instruction runs.
-        """
-        rel = ReliabilityConfig(
-            interval_cycles=2_000,
-            ace_window=4_000,
-            dvm_ratio_period=50,
-            **reliability_overrides,
-        )
-        return SimulationConfig(
-            max_cycles=max_cycles,
-            warmup_cycles=warmup_cycles,
-            seed=seed,
-            # Long functional fast-forward: CPU-class data footprints
-            # must be L2-resident before timing (MEM footprints exceed
-            # the L2 and stay miss-bound regardless).
-            bp_warmup_instructions=100_000,
-            reliability=rel,
-        )
 
 
 DEFAULT_MACHINE = MachineConfig()

@@ -10,7 +10,6 @@ from repro.harness.runner import (
 from repro.harness import experiments
 from repro.harness.report import format_table, save_report
 from repro.harness.charts import hbar_chart, sparkline, strip_chart
-from repro.harness.replication import Replicated, replicate, replicated_ratio
 from repro.harness.trace import PipelineTracer, TraceEvent
 
 # Imported last: the parallel engine builds on the sweep helpers and the
@@ -34,9 +33,6 @@ __all__ = [
     "sparkline",
     "hbar_chart",
     "strip_chart",
-    "replicate",
-    "replicated_ratio",
-    "Replicated",
     "PipelineTracer",
     "TraceEvent",
     "CheckpointShard",

@@ -5,28 +5,36 @@ paper and returns plain data structures (lists of dicts) that the
 bench harness formats and records in EXPERIMENTS.md.  Paper reference
 values are attached where the paper states them, so every bench can
 check reproduction *shape* (who wins, by roughly what factor).
+
+The paper reports every figure as a per-category average over the
+Table 3 mixes, so each category-averaged driver is a *cell* — what one
+mix contributes — handed to the one reducer, :func:`by_category`.  A
+metric normalized to a baseline goes through
+:func:`repro.harness.sweep.normalize_value`, the one normalization rule.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 
 import numpy as np
 
 from repro.harness.runner import (
     BenchScale,
+    WindowTooShort,
     build_pipeline,
     dvm_target,
     get_programs,
     mix_harmonic_ipc,
     profile_scaled,
     run_sim,
-    single_thread_ipc,
 )
+from repro.harness.sweep import normalize_value
 from repro.isa.generator import generate_program
 from repro.isa.personalities import PERSONALITIES
 from repro.reliability.avf import Structure
-from repro.workloads import CATEGORIES, get_mix
+from repro.workloads import CATEGORIES
 
 #: The three VISA configurations of Figures 5/6 (plus the baseline).
 VISA_CONFIGS = {
@@ -40,6 +48,49 @@ FETCH_POLICIES = ("stall", "dg", "pdg", "flush")
 
 DVM_THRESHOLD_FRACTIONS = (0.7, 0.6, 0.5, 0.4, 0.3)
 
+#: What one mix contributes to a category-averaged table: an ordered
+#: list of ``(key columns, value columns)``, one pair per row.
+Cell = Callable[[str], list[tuple[dict, dict]]]
+
+
+def by_category(scale: BenchScale, cell: Cell) -> list[dict]:
+    """Average ``cell`` over each category's mixes, as the paper reports.
+
+    ``cell(mix_name)`` returns the same keys, in the same order, for
+    every mix.  Row *i* of a category is ``{"category": cat, **keys}``
+    of pair *i*, then the ``np.mean`` of each of its value columns over
+    ``scale.mixes(cat)``, in that order.
+    """
+    rows = []
+    for cat in CATEGORIES:
+        per_mix = [cell(mix.name) for mix in scale.mixes(cat)]
+        for pairs in zip(*per_mix, strict=True):
+            keys, values = pairs[0]
+            means = {name: float(np.mean([v[name] for _, v in pairs])) for name in values}
+            rows.append({"category": cat, **keys, **means})
+    return rows
+
+
+def _vs_baseline(
+    scale: BenchScale, schemes: list[tuple[dict, dict]], fetch_policy: str = "icount"
+) -> Cell:
+    """The cell of each ``(key columns, run_sim kwargs)`` scheme's IQ AVF
+    and IPC, normalized to the same mix's baseline run."""
+
+    def cell(mix_name: str) -> list[tuple[dict, dict]]:
+        base = run_sim(mix_name, scale, fetch_policy=fetch_policy)
+        out = []
+        for keys, kw in schemes:
+            res = run_sim(mix_name, scale, fetch_policy=fetch_policy, **kw)
+            norm = {
+                "norm_iq_avf": normalize_value(res.iq_avf, base.iq_avf, "iq_avf"),
+                "norm_ipc": normalize_value(res.ipc, base.ipc, "ipc"),
+            }
+            out.append((keys, norm))
+        return out
+
+    return cell
+
 
 # ----------------------------------------------------------------------
 # Figure 1 — structure AVF profile
@@ -50,20 +101,12 @@ def fig1_structure_avf(scale: BenchScale) -> list[dict]:
     Paper: the IQ is the hot-spot (highest AVF of the structures
     studied) on every category.
     """
-    rows = []
-    for cat in CATEGORIES:
-        accum = {s: [] for s in Structure}
-        for mix in scale.mixes(cat):
-            res = run_sim(mix.name, scale)
-            for s in Structure:
-                accum[s].append(res.overall_avf[s])
-        rows.append(
-            {
-                "category": cat,
-                **{s.name: float(np.mean(accum[s])) for s in Structure},
-            }
-        )
-    return rows
+
+    def cell(mix_name: str) -> list[tuple[dict, dict]]:
+        res = run_sim(mix_name, scale)
+        return [({}, {s.name: res.overall_avf[s] for s in Structure})]
+
+    return by_category(scale, cell)
 
 
 # ----------------------------------------------------------------------
@@ -127,30 +170,12 @@ def fig5_visa_configs(scale: BenchScale, fetch_policy: str = "icount") -> list[d
     on CPU at equal IPC but hurts MIX/MEM; VISA+opt2 ≈ 0.52x AVF at
     1.01x IPC on average (CPU 0.67x, MIX/MEM 0.44x).
     """
-    rows = []
-    for cat in CATEGORIES:
-        base_avf, base_ipc = {}, {}
-        for mix in scale.mixes(cat):
-            res = run_sim(mix.name, scale, fetch_policy=fetch_policy)
-            base_avf[mix.name], base_ipc[mix.name] = res.iq_avf, res.ipc
-        for config_name, kw in VISA_CONFIGS.items():
-            if config_name == "baseline":
-                continue
-            avfs, ipcs = [], []
-            for mix in scale.mixes(cat):
-                res = run_sim(mix.name, scale, fetch_policy=fetch_policy, **kw)
-                avfs.append(res.iq_avf / max(base_avf[mix.name], 1e-9))
-                ipcs.append(res.ipc / max(base_ipc[mix.name], 1e-9))
-            rows.append(
-                {
-                    "category": cat,
-                    "config": config_name,
-                    "fetch_policy": fetch_policy,
-                    "norm_iq_avf": float(np.mean(avfs)),
-                    "norm_ipc": float(np.mean(ipcs)),
-                }
-            )
-    return rows
+    schemes = [
+        ({"config": name, "fetch_policy": fetch_policy}, kw)
+        for name, kw in VISA_CONFIGS.items()
+        if name != "baseline"
+    ]
+    return by_category(scale, _vs_baseline(scale, schemes, fetch_policy))
 
 
 def fig6_fetch_policies(scale: BenchScale) -> list[dict]:
@@ -188,38 +213,29 @@ def fig8_dvm(scale: BenchScale, fetch_policy: str = "icount") -> list[dict]:
     (fairness bias toward CPU-bound threads).
     """
     scale = dvm_scale(scale)
-    rows = []
-    for cat in CATEGORIES:
+
+    def cell(mix_name: str) -> list[tuple[dict, dict]]:
+        base = run_sim(mix_name, scale, fetch_policy=fetch_policy)
+        h_base = mix_harmonic_ipc(mix_name, scale, base, fetch_policy)
+        out = []
         for frac in DVM_THRESHOLD_FRACTIONS:
-            pve_base, pve_dvm, dthr, dhar = [], [], [], []
-            for mix in scale.mixes(cat):
-                base = run_sim(mix.name, scale, fetch_policy=fetch_policy)
-                # PVE is judged against the measured (oracle) AVF; the
-                # controller's internal target is the same fraction of
-                # the hardware-observable online maximum.
-                target = frac * base.max_iq_avf
-                online_target = dvm_target(mix.name, scale, frac, fetch_policy)
-                dvm = run_sim(
-                    mix.name, scale, fetch_policy=fetch_policy, dvm_target=online_target
-                )
-                pve_base.append(base.pve(target))
-                pve_dvm.append(dvm.pve(target))
-                dthr.append(1.0 - dvm.ipc / max(base.ipc, 1e-9))
-                h_base = mix_harmonic_ipc(mix.name, scale, base, fetch_policy)
-                h_dvm = mix_harmonic_ipc(mix.name, scale, dvm, fetch_policy)
-                dhar.append(1.0 - h_dvm / max(h_base, 1e-9))
-            rows.append(
-                {
-                    "category": cat,
-                    "threshold": frac,
-                    "fetch_policy": fetch_policy,
-                    "pve_baseline": float(np.mean(pve_base)),
-                    "pve_dvm": float(np.mean(pve_dvm)),
-                    "throughput_degradation": float(np.mean(dthr)),
-                    "harmonic_degradation": float(np.mean(dhar)),
-                }
-            )
-    return rows
+            # PVE is judged against the measured (oracle) AVF; the
+            # controller's internal target is the same fraction of
+            # the hardware-observable online maximum.
+            target = frac * base.max_iq_avf
+            online_target = dvm_target(mix_name, scale, frac, fetch_policy)
+            dvm = run_sim(mix_name, scale, fetch_policy=fetch_policy, dvm_target=online_target)
+            h_dvm = mix_harmonic_ipc(mix_name, scale, dvm, fetch_policy)
+            values = {
+                "pve_baseline": base.pve(target),
+                "pve_dvm": dvm.pve(target),
+                "throughput_degradation": 1.0 - normalize_value(dvm.ipc, base.ipc, "ipc"),
+                "harmonic_degradation": 1.0 - normalize_value(h_dvm, h_base, "harmonic_ipc"),
+            }
+            out.append(({"threshold": frac, "fetch_policy": fetch_policy}, values))
+        return out
+
+    return by_category(scale, cell)
 
 
 def fig9_dvm_flush(scale: BenchScale) -> list[dict]:
@@ -238,36 +254,33 @@ def fig10_comparison(scale: BenchScale, fetch_policy: str = "icount") -> list[di
     manages it partially; dynamic DVM always wins.
     """
     scale = dvm_scale(scale)
-    rows = []
-    schemes = ["VISA", "VISA+opt1", "VISA+opt2", "DVM-static", "DVM-dynamic"]
-    for cat in CATEGORIES:
+
+    def cell(mix_name: str) -> list[tuple[dict, dict]]:
+        base = run_sim(mix_name, scale, fetch_policy=fetch_policy)
+        out = []
         for frac in DVM_THRESHOLD_FRACTIONS:
-            accum = {s: [] for s in schemes}
-            for mix in scale.mixes(cat):
-                base = run_sim(mix.name, scale, fetch_policy=fetch_policy)
-                target = frac * base.max_iq_avf
-                online_target = dvm_target(mix.name, scale, frac, fetch_policy)
-                for scheme in schemes[:3]:
-                    res = run_sim(
-                        mix.name, scale, fetch_policy=fetch_policy,
-                        **VISA_CONFIGS[scheme],
-                    )
-                    accum[scheme].append(res.pve(target))
-                dyn = run_sim(
-                    mix.name, scale, fetch_policy=fetch_policy, dvm_target=online_target
-                )
-                accum["DVM-dynamic"].append(dyn.pve(target))
-                # Paper sets the static ratio to the dynamic run's average.
-                ratio = dyn.dvm_mean_ratio or 2.0
-                stat = run_sim(
-                    mix.name, scale, fetch_policy=fetch_policy,
-                    dvm_target=online_target, dvm_static_ratio=ratio,
-                )
-                accum["DVM-static"].append(stat.pve(target))
-            row = {"category": cat, "threshold": frac}
-            row.update({s: float(np.mean(accum[s])) for s in schemes})
-            rows.append(row)
-    return rows
+            target = frac * base.max_iq_avf
+            online_target = dvm_target(mix_name, scale, frac, fetch_policy)
+            pve = {
+                scheme: run_sim(
+                    mix_name, scale, fetch_policy=fetch_policy, **VISA_CONFIGS[scheme]
+                ).pve(target)
+                for scheme in ("VISA", "VISA+opt1", "VISA+opt2")
+            }
+            dyn = run_sim(
+                mix_name, scale, fetch_policy=fetch_policy, dvm_target=online_target
+            )
+            # Paper sets the static ratio to the dynamic run's average.
+            stat = run_sim(
+                mix_name, scale, fetch_policy=fetch_policy,
+                dvm_target=online_target, dvm_static_ratio=dyn.dvm_mean_ratio or 2.0,
+            )
+            pve["DVM-static"] = stat.pve(target)
+            pve["DVM-dynamic"] = dyn.pve(target)
+            out.append(({"threshold": frac}, pve))
+        return out
+
+    return by_category(scale, cell)
 
 
 # ----------------------------------------------------------------------
@@ -278,21 +291,8 @@ def ablation_ipc_regions(scale: BenchScale, regions=(2, 4, 8)) -> list[dict]:
     rows = []
     for n in regions:
         s = dataclasses.replace(scale, num_ipc_regions=n)
-        for cat in CATEGORIES:
-            avfs, ipcs = [], []
-            for mix in s.mixes(cat):
-                base = run_sim(mix.name, s)
-                res = run_sim(mix.name, s, scheduler="visa", dispatch="opt1")
-                avfs.append(res.iq_avf / max(base.iq_avf, 1e-9))
-                ipcs.append(res.ipc / max(base.ipc, 1e-9))
-            rows.append(
-                {
-                    "regions": n,
-                    "category": cat,
-                    "norm_iq_avf": float(np.mean(avfs)),
-                    "norm_ipc": float(np.mean(ipcs)),
-                }
-            )
+        cell = _vs_baseline(s, [({}, VISA_CONFIGS["VISA+opt1"])])
+        rows.extend({"regions": n, **row} for row in by_category(s, cell))
     return rows
 
 
@@ -302,22 +302,24 @@ def ablation_t_cache_miss(scale: BenchScale, thresholds=(1, 8, 40, 120, 1_000_00
     rows = []
     for t in thresholds:
         s = dataclasses.replace(scale, t_cache_miss=t)
-        for cat in CATEGORIES:
-            avfs, ipcs = [], []
-            for mix in s.mixes(cat):
-                base = run_sim(mix.name, s)
-                res = run_sim(mix.name, s, scheduler="visa", dispatch="opt2")
-                avfs.append(res.iq_avf / max(base.iq_avf, 1e-9))
-                ipcs.append(res.ipc / max(base.ipc, 1e-9))
-            rows.append(
-                {
-                    "t_cache_miss": t,
-                    "category": cat,
-                    "norm_iq_avf": float(np.mean(avfs)),
-                    "norm_ipc": float(np.mean(ipcs)),
-                }
-            )
+        cell = _vs_baseline(s, [({}, VISA_CONFIGS["VISA+opt2"])])
+        rows.extend({"t_cache_miss": t, **row} for row in by_category(s, cell))
     return rows
+
+
+def _dvm_at_half_max(scale: BenchScale) -> Cell:
+    """The cell of DVM at 0.5·MaxAVF: its PVE and throughput cost."""
+
+    def cell(mix_name: str) -> list[tuple[dict, dict]]:
+        base = run_sim(mix_name, scale)
+        dvm = run_sim(mix_name, scale, dvm_target=dvm_target(mix_name, scale, 0.5))
+        values = {
+            "pve": dvm.pve(0.5 * base.max_iq_avf),
+            "throughput_degradation": 1.0 - normalize_value(dvm.ipc, base.ipc, "ipc"),
+        }
+        return [({}, values)]
+
+    return cell
 
 
 def ablation_trigger_fraction(scale: BenchScale, fractions=(0.8, 0.9, 0.95)) -> list[dict]:
@@ -325,47 +327,50 @@ def ablation_trigger_fraction(scale: BenchScale, fractions=(0.8, 0.9, 0.95)) -> 
     rows = []
     for f in fractions:
         s = dataclasses.replace(scale, dvm_trigger_fraction=f)
-        for cat in CATEGORIES:
-            pves, dthr = [], []
-            for mix in s.mixes(cat):
-                base = run_sim(mix.name, s)
-                target = 0.5 * base.max_iq_avf
-                dvm = run_sim(mix.name, s, dvm_target=dvm_target(mix.name, s, 0.5))
-                pves.append(dvm.pve(target))
-                dthr.append(1.0 - dvm.ipc / max(base.ipc, 1e-9))
-            rows.append(
-                {
-                    "trigger_fraction": f,
-                    "category": cat,
-                    "pve": float(np.mean(pves)),
-                    "throughput_degradation": float(np.mean(dthr)),
-                }
-            )
+        rows.extend(
+            {"trigger_fraction": f, **row} for row in by_category(s, _dvm_at_half_max(s))
+        )
     return rows
 
 
 def ablation_interval_size(scale: BenchScale, intervals=(500, 2_000, 7_000)) -> list[dict]:
     """Adaptation-interval sensitivity of opt1 (paper chose 10K cycles:
-    too large is sluggish, too small is jittery)."""
+    too large is sluggish, too small is jittery).  Each run warms up
+    for one interval, so every interval must be shorter than the run."""
+    for iv in intervals:
+        if iv >= scale.max_cycles:
+            raise WindowTooShort(
+                f"--cycles {scale.max_cycles} cannot hold the {iv}-cycle "
+                f"adaptation interval: the interval-size ablation warms up "
+                f"for one interval, and the warm-up must end before the run"
+            )
     rows = []
     for iv in intervals:
         s = dataclasses.replace(scale, interval_cycles=iv, warmup_cycles=iv)
-        for cat in CATEGORIES:
-            avfs, ipcs = [], []
-            for mix in s.mixes(cat):
-                base = run_sim(mix.name, s)
-                res = run_sim(mix.name, s, scheduler="visa", dispatch="opt1")
-                avfs.append(res.iq_avf / max(base.iq_avf, 1e-9))
-                ipcs.append(res.ipc / max(base.ipc, 1e-9))
-            rows.append(
-                {
-                    "interval": iv,
-                    "category": cat,
-                    "norm_iq_avf": float(np.mean(avfs)),
-                    "norm_ipc": float(np.mean(ipcs)),
-                }
-            )
+        cell = _vs_baseline(s, [({}, VISA_CONFIGS["VISA+opt1"])])
+        rows.extend({"interval": iv, **row} for row in by_category(s, cell))
     return rows
+
+
+def ablation_ratio_mode(scale: BenchScale) -> list[dict]:
+    """Static-region vs linear-model ratio setup of opt1 (paper Section
+    2.2(1): "both static and dynamic ratios show similar efficiency")."""
+    both = _vs_baseline(
+        scale,
+        [({}, VISA_CONFIGS["VISA+opt1"]), ({}, dict(scheduler="visa", dispatch="opt1-linear"))],
+    )
+
+    def cell(mix_name: str) -> list[tuple[dict, dict]]:
+        (_, static), (_, linear) = both(mix_name)
+        values = {
+            "static_norm_avf": static["norm_iq_avf"],
+            "static_norm_ipc": static["norm_ipc"],
+            "linear_norm_avf": linear["norm_iq_avf"],
+            "linear_norm_ipc": linear["norm_ipc"],
+        }
+        return [({}, values)]
+
+    return by_category(scale, cell)
 
 
 # ----------------------------------------------------------------------
@@ -418,6 +423,27 @@ def characterize_benchmarks(scale: BenchScale, names=None) -> list[dict]:
 # ----------------------------------------------------------------------
 # Extension — IQ size sensitivity
 # ----------------------------------------------------------------------
+def _iq_size_cell(scale: BenchScale, size: int) -> Cell:
+    """The cell of a ``size``-entry IQ: baseline IQ AVF and IPC, and
+    VISA+opt2's normalized to them."""
+
+    def cell(mix_name: str) -> list[tuple[dict, dict]]:
+        programs = get_programs(mix_name, scale)
+        base = build_pipeline(programs, scale, iq_size=size).run()
+        opt = build_pipeline(
+            programs, scale, iq_size=size, **VISA_CONFIGS["VISA+opt2"]
+        ).run()
+        values = {
+            "base_iq_avf": base.iq_avf,
+            "base_ipc": base.ipc,
+            "opt2_norm_avf": normalize_value(opt.iq_avf, base.iq_avf, "iq_avf"),
+            "opt2_norm_ipc": normalize_value(opt.ipc, base.ipc, "ipc"),
+        }
+        return [({}, values)]
+
+    return cell
+
+
 def ext_iq_size_sensitivity(scale: BenchScale, sizes=(48, 96, 192)) -> list[dict]:
     """How the IQ's size moves its vulnerability and the VISA+opt2
     benefit (an extension beyond the paper's fixed 96-entry IQ).
@@ -426,38 +452,8 @@ def ext_iq_size_sensitivity(scale: BenchScale, sizes=(48, 96, 192)) -> list[dict
     AVF exposure in absolute bit-cycles, mitigations matter more); a
     smaller IQ throttles the machine by itself.
     """
-    from repro.config import MachineConfig
-    from repro.core.pipeline import SMTPipeline
-    from repro.reliability.resource_alloc import L2MissSensitiveAllocation
-
     rows = []
     for size in sizes:
-        for cat in CATEGORIES:
-            base_avf, base_ipc, opt_avf, opt_ipc = [], [], [], []
-            for mix in scale.mixes(cat):
-                programs = get_programs(mix.name, scale)
-                machine = MachineConfig(num_threads=len(programs), iq_size=size)
-                sim = scale.sim_config()
-                base = SMTPipeline(programs, machine=machine, sim=sim).run()
-                opt = SMTPipeline(
-                    programs, machine=machine, sim=sim, scheduler="visa",
-                    dispatch_policy=L2MissSensitiveAllocation(
-                        size, commit_width=machine.commit_width,
-                        t_cache_miss=scale.t_cache_miss,
-                    ),
-                ).run()
-                base_avf.append(base.iq_avf)
-                base_ipc.append(base.ipc)
-                opt_avf.append(opt.iq_avf / max(base.iq_avf, 1e-9))
-                opt_ipc.append(opt.ipc / max(base.ipc, 1e-9))
-            rows.append(
-                {
-                    "iq_size": size,
-                    "category": cat,
-                    "base_iq_avf": float(np.mean(base_avf)),
-                    "base_ipc": float(np.mean(base_ipc)),
-                    "opt2_norm_avf": float(np.mean(opt_avf)),
-                    "opt2_norm_ipc": float(np.mean(opt_ipc)),
-                }
-            )
+        cell = _iq_size_cell(scale, size)
+        rows.extend({"iq_size": size, **row} for row in by_category(scale, cell))
     return rows

@@ -26,6 +26,7 @@ from repro.core.pipeline import SMTPipeline, SimulationResult
 from repro.core.warmstate import reset_warm_states
 from repro.isa.generator import generate_program
 from repro.isa.program import SyntheticProgram
+from repro.reliability.avf import Structure
 from repro.reliability.dvm import DVMController
 from repro.reliability.profiling import ProfileResult, profile_and_apply
 from repro.reliability.resource_alloc import (
@@ -154,6 +155,9 @@ class BenchScale:
             max_cycles=self.max_cycles,
             warmup_cycles=self.warmup_cycles,
             seed=self.seed,
+            # Long functional fast-forward: CPU-class data footprints
+            # must be L2-resident before timing (MEM footprints exceed
+            # the L2 and stay miss-bound regardless).
             bp_warmup_instructions=100_000,
             reliability=rel,
             collect_ready_queue_histogram=collect_hist,
@@ -320,15 +324,19 @@ def build_pipeline(
     dvm_target: float | None = None,
     dvm_static_ratio: float | None = None,
     collect_hist: bool = False,
+    iq_size: int = MachineConfig.iq_size,
+    dvm_structure: Structure = Structure.IQ,
 ) -> SMTPipeline:
     """The one way a run request becomes a pipeline.
 
     ``programs`` run on the Table 2 machine at ``scale``'s windows under
     the named policies, on the ambient bus (a private bus outside pool
     workers).  Callers attach their recorder, observer or profiler to
-    the pipeline before ``run()``.
+    the pipeline before ``run()``.  ``iq_size`` and ``dvm_structure``
+    serve the extensions beyond the paper's machine (IQ size
+    sensitivity, DVM on the ROB); ``run_sim`` leaves them at the paper's.
     """
-    machine = MachineConfig(num_threads=len(programs))
+    machine = MachineConfig(num_threads=len(programs), iq_size=iq_size)
     sim = scale.sim_config(collect_hist=collect_hist)
     dvm = None
     if dvm_target is not None:
@@ -343,6 +351,7 @@ def build_pipeline(
         scheduler=scheduler,
         dispatch_policy=_make_dispatch(dispatch, scale, machine),
         dvm=dvm,
+        dvm_structure=dvm_structure,
         bus=_AMBIENT_BUS,
     )
 

@@ -178,15 +178,3 @@ class TestSimulationConfig:
     def test_rejects_warmup_beyond_run(self):
         with pytest.raises(ValueError):
             SimulationConfig(max_cycles=100, warmup_cycles=100).validate()
-
-    def test_scaled_for_bench_shrinks_intervals(self):
-        cfg = SimulationConfig.scaled_for_bench(max_cycles=10_000, warmup_cycles=1_000)
-        assert cfg.reliability.interval_cycles < 10_000
-        assert cfg.reliability.ace_window < 40_000
-        cfg.validate()
-
-    def test_scaled_for_bench_keeps_ratio_period(self):
-        # The 50-cycle ratio recomputation is a hardware cost, not a
-        # simulation-length artifact: it stays at the paper's value.
-        cfg = SimulationConfig.scaled_for_bench()
-        assert cfg.reliability.dvm_ratio_period == 50

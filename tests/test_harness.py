@@ -1,6 +1,8 @@
 """Experiment harness: scaling, caching and driver output shapes."""
 
 import dataclasses
+import hashlib
+import json
 import os
 
 import pytest
@@ -9,6 +11,8 @@ from repro.harness import experiments
 from repro.harness.report import format_table, save_report
 from repro.harness.runner import (
     BenchScale,
+    WindowTooShort,
+    build_pipeline,
     clear_caches,
     get_program,
     get_programs,
@@ -16,6 +20,7 @@ from repro.harness.runner import (
     run_sim,
     single_thread_ipc,
 )
+from repro.reliability.avf import Structure
 from repro.workloads import CATEGORIES
 
 TINY = BenchScale(
@@ -124,6 +129,17 @@ class TestRunner:
         progs = get_programs("MEM-A", TINY, profiled=False)
         assert all(st.ace_hint for prog in progs for st in prog.all_insts())
 
+    def test_build_pipeline_extension_keywords(self):
+        programs = get_programs("MEM-A", TINY)
+        pipe = build_pipeline(
+            programs, TINY, iq_size=48, dispatch="opt2", dvm_target=0.1,
+            dvm_structure=Structure.ROB,
+        )
+        assert pipe.machine.iq_size == 48
+        assert pipe.dispatch_policy.iq_size == 48
+        assert pipe.dvm_structure is Structure.ROB
+        assert pipe.sim == TINY.sim_config()
+
     def test_unknown_dispatch_raises(self):
         with pytest.raises(KeyError):
             run_sim("CPU-A", TINY, dispatch="opt9")
@@ -202,12 +218,22 @@ class TestRunner:
         assert 0.0 <= h <= 2.0
 
 
+def rows_digest(rows) -> str:
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 class TestExperimentShapes:
+    """Row shapes, plus exact rows at TINY: the digests pin every value
+    and the column order of the per-category reduction."""
+
     def test_fig1_rows(self):
         rows = experiments.fig1_structure_avf(TINY)
         assert [r["category"] for r in rows] == list(CATEGORIES)
         for r in rows:
             assert set(r) >= {"IQ", "ROB", "RF", "FU"}
+        assert rows_digest(rows) == (
+            "5bcf01ceaf5b6ff9463ecbe82f0f0be800134fc0e1294ef88c37c75db527431e"
+        )
 
     def test_fig2_shape(self):
         d = experiments.fig2_ready_queue(TINY)
@@ -228,6 +254,35 @@ class TestExperimentShapes:
         for r in rows:
             assert r["norm_iq_avf"] > 0
             assert r["norm_ipc"] > 0
+        assert rows_digest(rows) == (
+            "df530d63da84a7cb9133f9ff0fe71553cb659499a78169e82b91743f78c9e454"
+        )
+
+    def test_ablation_ipc_regions_rows(self):
+        rows = experiments.ablation_ipc_regions(TINY)
+        assert [(r["regions"], r["category"]) for r in rows[:3]] == [
+            (2, cat) for cat in CATEGORIES
+        ]
+        assert rows_digest(rows) == (
+            "5c96f84f9c9182878aede19f6933e74c2aa12fd876307de6a96a16e9eff973cd"
+        )
+
+    def test_ablation_trigger_fraction_rows(self):
+        rows = experiments.ablation_trigger_fraction(TINY)
+        assert list(rows[0]) == [
+            "trigger_fraction", "category", "pve", "throughput_degradation"
+        ]
+        assert rows_digest(rows) == (
+            "faf313928ef7906d789f753e4a057ff1be945bfb32f1ec63cf15286bee3d8801"
+        )
+
+    def test_interval_longer_than_run_fails_before_any_run(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a point ran before the interval check")
+
+        monkeypatch.setattr(experiments, "run_sim", no_run)
+        with pytest.raises(WindowTooShort, match="7000-cycle"):
+            experiments.ablation_interval_size(TINY)
 
     def test_dvm_scale_refines_intervals(self):
         s = experiments.dvm_scale(TINY)

@@ -131,7 +131,7 @@ class TestDimensionLattice:
             == []
         )
 
-    def test_finding_has_end_span(self):
+    def test_finding_anchors_at_the_expression(self):
         findings = findings_of(
             """
             def f(self):
@@ -139,7 +139,7 @@ class TestDimensionLattice:
             """
         )
         f = findings[0]
-        assert f.end_line == f.line and f.end_col > f.col
+        assert (f.line, f.col) == (3, 8)
 
 
 class TestDimensionChecker:
