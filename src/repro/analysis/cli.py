@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
         "paths",
         nargs="*",
         help="files or directories to lint (default: the src/tests/"
-        "benchmarks/examples roots that exist here)",
+        "examples roots that exist here)",
     )
     parser.add_argument(
         "--format",

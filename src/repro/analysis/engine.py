@@ -49,7 +49,7 @@ _SKIP_DIRS = frozenset(
 #: Roots linted when the CLI is invoked with no paths: everything that
 #: executes — the package, its tests, the benchmark figures and the
 #: examples — not just ``src/``.
-DEFAULT_ROOTS = ("src", "tests", "benchmarks", "examples")
+DEFAULT_ROOTS = ("src", "tests", "examples")
 
 
 @dataclass

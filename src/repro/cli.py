@@ -5,7 +5,8 @@ Commands
 ``run``         simulate one workload mix under a chosen configuration
 ``timeline``    render the merged interval/decision timeline of one run
 ``sweep``       run a parameter grid (optionally parallel, checkpointed)
-``figures``     regenerate the paper's tables/figures (optionally parallel)
+``figures``     regenerate the paper's tables/figures and check their claims
+                (optionally parallel)
 ``monitor``     attach to a live (or finished) sweep's status document
 ``perf``        performance observability: bench suite, regression gate,
                 Chrome-trace export (see ``repro.perf.cli``)
@@ -40,7 +41,7 @@ import sys
 
 from repro.harness import experiments
 from repro.harness import parallel as parallel_mod
-from repro.harness.report import format_table, save_report
+from repro.harness.report import format_table, save_json_report, save_report
 from repro.harness.runner import (
     BenchScale,
     UsageError,
@@ -58,6 +59,7 @@ from repro.perf.cli import register_perf_cli
 from repro.reliability.cli import register_avf_cli
 from repro.telemetry.bus import EventBus
 from repro.telemetry.profiler import StageProfiler
+from repro.telemetry.provenance import collect_manifest
 from repro.telemetry.timeline import (
     TimelineRecorder,
     read_jsonl,
@@ -381,6 +383,10 @@ def cmd_figures(args) -> int:
             file=sys.stderr,
         )
         return 2
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        print(f"experiment(s) named more than once: {repeated}", file=sys.stderr)
+        return 2
     engine_kwargs = _engine_kwargs(args)
     bus = EventBus()
     if not args.quiet:
@@ -392,15 +398,30 @@ def cmd_figures(args) -> int:
     except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.save:
+        manifest = collect_manifest(
+            seed=scale.seed, extra={"bench_scale": dataclasses.asdict(scale)}
+        )
+    failed = []
     for name in names:
         if name not in run.results:
             continue
-        text = format_table(run.results[name], suites[name][1])
+        _, title, claims = suites[name]
+        rows = run.results[name]
+        text = format_table(rows, title)
         print(text)
         if args.save:
             path = save_report(name, text)
-            print(f"saved to {path}", file=sys.stderr)
+            json_path = save_json_report(
+                name, {"title": title, "rows": rows}, manifest=manifest
+            )
+            print(f"saved to {path} and {json_path}", file=sys.stderr)
+        failed.extend(f"claim failed: {name}: {check}" for check in claims(rows))
     _report_engine_run(run, "figures")
+    for line in failed:
+        print(line, file=sys.stderr)
+    if failed:
+        return 1
     return EXIT_PARTIAL if run.skipped else 0
 
 
@@ -539,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.set_defaults(func=cmd_sweep)
 
     p_fig = sub.add_parser(
-        "figures", help="regenerate paper tables/figures (optionally parallel)"
+        "figures", help="regenerate paper tables/figures and check their claims"
     )
     p_fig.add_argument("experiments", nargs="*",
                        help="suites to run (default: all registered)")
@@ -555,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--full", action="store_true",
                        help="all Table 3 groups (paper averaging)")
     p_fig.add_argument("--save", action="store_true",
-                       help="write reports/<name>.txt per suite")
+                       help="write reports/<name>.txt and .json per suite")
     p_fig.add_argument("--quiet", action="store_true")
     p_fig.add_argument("--serve", metavar="[HOST]:PORT", default=None,
                        help="serve live /metrics and /status while running")

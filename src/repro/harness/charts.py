@@ -1,6 +1,6 @@
 """Terminal-friendly charts for reports and examples.
 
-The bench harness is text-only (no matplotlib dependency), so figures
+The harness is text-only (no matplotlib dependency), so figures
 are rendered as ASCII: sparklines for series, horizontal bars for
 categorical values, and strip charts for interval traces.
 """

@@ -1,7 +1,8 @@
 """Plain-text table formatting for experiment outputs.
 
-Every bench prints its reproduction table and appends it to
-``reports/`` so EXPERIMENTS.md can reference concrete numbers.
+``repro figures --save`` writes each experiment's table to
+``reports/<name>.txt`` (and its rows, stamped with provenance, to
+``reports/<name>.json``) so EXPERIMENTS.md can cite concrete numbers.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ environment variables:
   (default: group A per category, the paper reports category averages).
 * ``REPRO_CYCLES=N`` — override the per-run cycle budget.
 
-Results are memoized per configuration so the test-suite and the bench
-harness never re-simulate the same point.
+Results are memoized per configuration so the test-suite and
+``repro figures`` never re-simulate the same point.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class BenchScale:
     # Paper: 16 L2 misses per 10K-cycle interval.  Our synthetic
     # workloads carry compulsory streaming misses the paper's SimPoints
     # did not, so the scaled threshold that separates CPU (≈55/interval)
-    # from MIX/MEM (≥110) is 80; the ablation bench sweeps it.
+    # from MIX/MEM (≥110) is 80; ``ablation_tcache_miss`` sweeps it.
     t_cache_miss: int = 80  # lint: disable=paper-fidelity
     num_ipc_regions: int = _PAPER.num_ipc_regions
     dvm_trigger_fraction: float = _PAPER.dvm_trigger_fraction

@@ -120,14 +120,50 @@ class TestReproduceCommand:
 
         monkeypatch.setitem(
             experiments.SUITES, "stub",
-            (lambda scale: [{"a": 1.0, "b": 2.0}], "Stub experiment"),
+            (lambda scale: [{"a": 1.0, "b": 2.0}], "Stub experiment", lambda rows: []),
         )
         monkeypatch.chdir(tmp_path)
         assert main(["figures", "stub", "--save", "--no-checkpoint", "--quiet"]) == 0
         captured = capsys.readouterr()
         assert "Stub experiment" in captured.out
-        assert "saved to reports/stub.txt" in captured.err
+        assert "saved to reports/stub.txt and reports/stub.json" in captured.err
+        assert "claim failed" not in captured.err
         assert "Stub experiment" in (tmp_path / "reports" / "stub.txt").read_text()
+        doc = json.loads((tmp_path / "reports" / "stub.json").read_text())
+        assert doc["data"] == {"title": "Stub experiment", "rows": [{"a": 1.0, "b": 2.0}]}
+        assert doc["manifest"]["seed"] == 1
+
+    def test_failed_claims_exit_1_after_saving(self, capsys, monkeypatch, tmp_path):
+        from repro.harness import experiments
+
+        def claims(rows):
+            return [f"a {rows[0]['a']} > 2", f"b {rows[0]['b']} > 3"]
+
+        monkeypatch.setitem(
+            experiments.SUITES, "stub",
+            (lambda scale: [{"a": 1.0, "b": 2.0}], "Stub experiment", claims),
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["figures", "stub", "--save", "--no-checkpoint", "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert "Stub experiment" in captured.out
+        failed = [line for line in captured.err.splitlines() if "claim failed" in line]
+        assert failed == ["claim failed: stub: a 1.0 > 2", "claim failed: stub: b 2.0 > 3"]
+        assert (tmp_path / "reports" / "stub.txt").exists()
+        assert (tmp_path / "reports" / "stub.json").exists()
+
+    def test_repeated_experiment_is_usage_error(self, capsys, monkeypatch):
+        # Regression: a repeated name ran nothing and exited 1 with
+        # "task keys must be unique (dedupe before execute)".
+        from repro.harness import experiments
+
+        def no_run(scale):
+            raise AssertionError("a suite ran before the usage check")
+
+        monkeypatch.setitem(experiments.SUITES, "stub", (no_run, "S", lambda rows: []))
+        assert main(["figures", "stub", "table2", "stub", "--no-checkpoint", "--quiet"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["experiment(s) named more than once: ['stub']"]
 
     def test_scale_overrides(self, monkeypatch):
         from repro.harness import experiments
@@ -135,7 +171,7 @@ class TestReproduceCommand:
         captured = {}
         monkeypatch.setitem(
             experiments.SUITES, "stub3",
-            (lambda scale: captured.setdefault("scale", scale) and [], "S"),
+            (lambda scale: captured.setdefault("scale", scale) and [], "S", lambda rows: []),
         )
         main(["figures", "stub3", "--cycles", "5000", "--seed", "9", "--full",
               "--no-checkpoint", "--quiet"])

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -236,10 +237,14 @@ class TestExperimentShapes:
         )
 
     def test_fig2_shape(self):
-        d = experiments.fig2_ready_queue(TINY)
-        assert len(d["hist"]) == 97  # 96-entry IQ + empty bucket
-        assert abs(sum(d["hist"]) - 1.0) < 1e-9
-        assert 0 <= d["overall_ace_pct"] <= 1
+        rows = experiments.fig2_ready_queue(TINY)
+        *hist, mean, longest = rows
+        assert [r["rql"] for r in hist[:17]] == list(range(17))
+        assert (mean["rql"], longest["rql"]) == ("mean", "max")
+        # 96-entry IQ + empty bucket; at TINY every seen length is listed.
+        assert longest["p"] <= min(40, 96)
+        assert abs(sum(r["p"] for r in hist) - 1.0) < 1e-9
+        assert 0 <= mean["ace_pct"] <= 1
 
     def test_table1_has_19_rows(self):
         rows = experiments.table1_pc_accuracy(TINY)
@@ -288,6 +293,37 @@ class TestExperimentShapes:
         s = experiments.dvm_scale(TINY)
         assert s.interval_cycles < TINY.interval_cycles or s.interval_cycles == 1000
         assert s.max_cycles >= TINY.max_cycles
+
+
+class TestClaims:
+    """Every experiment is one registry entry: driver, title and the
+    paper's claims as a pure function of the rows."""
+
+    def test_registry_entries(self):
+        for name, (driver, title, claims) in experiments.SUITES.items():
+            assert callable(driver) and callable(claims) and title, name
+
+    def test_experiments_md_cites_registry_names(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "EXPERIMENTS.md")) as fh:
+            cited = set(re.findall(r"reports/(\w+)\.txt", fh.read()))
+        assert cited and cited <= set(experiments.SUITES), cited - set(experiments.SUITES)
+
+    def test_every_failing_check_is_reported(self):
+        rows = [
+            {"category": cat, "IQ": 0.1, "ROB": 0.2, "RF": 0.2, "FU": 0.2}
+            for cat in CATEGORIES
+        ]
+        failed = experiments.fig1_claims(rows)
+        assert len(failed) == 3 * 3 + 1, failed
+        assert failed[0] == "CPU: IQ 0.100 >= 0.8 x ROB 0.200"
+        assert failed[-1] == "IQ CPU 0.100 < MEM 0.100"
+
+    def test_table2_claims(self):
+        rows = experiments.table2_machine_config(TINY)
+        assert experiments.table2_claims(rows) == []
+        rows[1] = {**rows[1], "value": 64}
+        assert experiments.table2_claims(rows) == ["issue queue: 64 == paper 96"]
 
 
 class TestReport:

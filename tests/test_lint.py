@@ -99,7 +99,7 @@ class TestCheckersFireOnFixtures:
 class TestRealTreeClean:
     def test_all_roots_are_clean(self, real_tree_diags):
         """Per-file rules and project passes find nothing on src/,
-        tests/, benchmarks/ and examples/."""
+        tests/ and examples/."""
         assert real_tree_diags == [], "\n".join(d.format() for d in real_tree_diags)
 
     def test_src_tree_is_clean_modulo_baseline(self, real_tree_diags):
