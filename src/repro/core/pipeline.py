@@ -47,7 +47,7 @@ from repro.isa.instruction import (
     op_latency_table,
 )
 from repro.isa.program import SyntheticProgram, ThreadContext
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.hierarchy import REF_FETCH, REF_LOAD, REF_STORE, MemoryHierarchy
 from repro.reliability.ace import ACEAnalyzer
 from repro.reliability.avf import AVFAccount, AVFBitLayout, Structure
 from repro.reliability.dvm import DVMController
@@ -72,6 +72,10 @@ from repro.telemetry.topics import (
 
 #: Max threads fetched per cycle (ICOUNT.2.8-style front end).
 _FETCH_THREADS_PER_CYCLE = 2
+
+#: References the functional warm-up buffers before each
+#: ``MemoryHierarchy.replay`` (bounds its memory, not its result).
+_REPLAY_CHUNK = 4096
 
 # Enum members used per instruction, bound once: a module constant
 # loads in ~20 ns, an ``OpClass.X`` attribute lookup in ~200 ns.
@@ -723,9 +727,15 @@ class SMTPipeline:
                 continue
             threads_used += 1
             ctx = self.contexts[t]
+            blocks = ctx.program.blocks
+            # The fetch point lives in locals while fetch walks a block;
+            # the context is current only around control instructions
+            # (which read and move it) and after the thread's turn.
+            bid, index, pos, stack = ctx.block, ctx.index, ctx.stream_pos, ctx.call_stack
+            insts = blocks[bid].insts
             taken_budget = 2  # fetch through up to two taken transfers
             while budget > 0 and len(fq) < fq_cap:
-                st = ctx.peek()
+                st = insts[index]
                 line = st.pc >> iline_shift
                 if line != last_fetch_line[t]:
                     res = self.mem.access_instr(st.pc, t)
@@ -734,26 +744,28 @@ class SMTPipeline:
                         self.fetch_stall_until[t] = cycle + res.latency
                         break
                 inst = DynInst(
-                    tag=next_tag,
-                    thread=t,
-                    static=st,
-                    stream_pos=ctx.stream_pos,
-                    fetch_cycle=cycle,
-                    ace_pred=st.ace_hint,
-                    checkpoint=ctx.checkpoint(),
+                    next_tag, t, st, pos, cycle, st.ace_hint, (bid, index, pos, stack)
                 )
                 next_tag += 1
-                took_transfer = False
-                if OP_IS_CONTROL[st.opclass]:
-                    took_transfer = self._fetch_control(inst, ctx, t)
-                else:
-                    ctx.advance()
                 fq.append(inst)
                 budget -= 1
-                if took_transfer:
-                    taken_budget -= 1
-                    if taken_budget <= 0:
-                        break
+                if OP_IS_CONTROL[st.opclass]:
+                    ctx.block, ctx.index, ctx.stream_pos = bid, index, pos
+                    took_transfer = self._fetch_control(inst, ctx, t)
+                    bid, index, pos, stack = ctx.block, 0, ctx.stream_pos, ctx.call_stack
+                    insts = blocks[bid].insts
+                    if took_transfer:
+                        taken_budget -= 1
+                        if taken_budget <= 0:
+                            break
+                else:
+                    pos += 1
+                    index += 1
+                    if index == len(insts):
+                        bid = blocks[bid].fall_block
+                        index = 0
+                        insts = blocks[bid].insts
+            ctx.block, ctx.index, ctx.stream_pos = bid, index, pos
         self._next_tag = next_tag
 
     def _fetch_control(self, inst: DynInst, ctx: ThreadContext, t: int) -> bool:
@@ -1007,42 +1019,53 @@ class SMTPipeline:
 
     def _warm_thread(self, t: int, n_insts: int) -> None:
         """Replay ``n_insts`` of thread ``t``'s correct path; the thread
-        context advances in place, so timing continues from there."""
+        context advances in place, so timing continues from there.
+
+        The path is walked a block at a time (:meth:`ThreadContext.walk`)
+        and each block's fetch-line and data references come from its
+        :meth:`~SyntheticProgram.block_plan`.  They are buffered in fetch
+        order and replayed through the memory hierarchy a chunk at a
+        time; the branch predictor, which the memory system never
+        reads, trains as each block's terminator resolves."""
         ctx = self.contexts[t]
-        peek = ctx.peek
+        plan = ctx.program.block_plan(self._iline_shift)
         mem_address = ctx.mem_address
-        resolve_control = ctx.resolve_control
-        advance_control = ctx.advance_control
-        advance = ctx.advance
-        access_instr = self.mem.access_instr
-        access_data = self.mem.access_data
+        replay = self.mem.replay
         bp = self.bp
         predict_direction = bp.predict_direction
         update_direction = bp.update_direction
         btb_update = bp.btb_update
         ras_push = bp.ras_push
         ras_pop = bp.ras_pop
-        is_mem = OP_IS_MEM
-        is_control = OP_IS_CONTROL
         op_store = _STORE
         op_branch = _BRANCH
         op_call = _CALL
         op_ret = _RET
         iline_shift = self._iline_shift
+        refs: list[int] = []
+        append = refs.append
         last_line = -1
-        for _ in range(n_insts):
-            st = peek()
-            pc = st.pc
-            line = pc >> iline_shift
-            if line != last_line:
-                access_instr(pc, t)
-                last_line = line
-            op = st.opclass
-            if is_mem[op]:
-                access_data(mem_address(st, ctx.stream_pos), t, op == op_store)
-            if is_control[op]:
-                taken, target = resolve_control(st)
+        for block, start, stop, pos, taken in ctx.walk(n_insts):
+            insts = block.insts
+            pc = insts[start].pc
+            if pc >> iline_shift != last_line:
+                append(pc << 2 | REF_FETCH)
+            base = pos - start  # stream position of offset 0
+            for offset, st, is_mem in plan[block.bid]:
+                if offset >= stop:
+                    break
+                if not is_mem:
+                    if offset > start:
+                        append(st.pc << 2 | REF_FETCH)
+                elif offset >= start:
+                    kind = REF_STORE if st.opclass == op_store else REF_LOAD
+                    append(mem_address(st, base + offset) << 2 | kind)
+            last_line = insts[stop - 1].pc >> iline_shift
+            if taken is not None:
+                st = insts[-1]
+                op = st.opclass
                 if op == op_branch:
+                    pc = st.pc
                     pred, idx = predict_direction(pc, t)
                     update_direction(pc, t, taken, pred, idx)
                     if taken:
@@ -1051,9 +1074,10 @@ class SMTPipeline:
                     ras_push(t, st.fall_block if st.fall_block >= 0 else 0)
                 elif op == op_ret:
                     ras_pop(t)
-                advance_control(st, taken, target)
-            else:
-                advance()
+            if len(refs) >= _REPLAY_CHUNK:
+                replay(refs, t)
+                refs.clear()
+        replay(refs, t)
 
     def _refresh_want_flags(self) -> None:
         """Re-read the hot-topic subscription flags (cached against

@@ -197,7 +197,10 @@ class DynState(enum.IntEnum):
     SQUASHED = 5
 
 
-@dataclass(slots=True)
+_FETCHED = DynState.FETCHED
+
+
+@dataclass(slots=True, init=False)
 class DynInst:
     """A dynamic instruction instance in flight.
 
@@ -206,6 +209,10 @@ class DynInst:
     ACE-ness resolved by the post-retirement analyzer (``None`` until
     resolved); ``ace_pred`` is the per-PC predicted bit from offline
     profiling that drives VISA scheduling and DVM's online AVF counter.
+
+    The constructor takes only what fetch knows; every other field
+    starts at its default.  Fetch builds one per instruction, so it
+    calls it positionally.
     """
 
     tag: int
@@ -250,6 +257,45 @@ class DynInst:
     # for walk-back rename repair on squash; cleared at commit, where
     # the link goes dead.
     prev_producer: "DynInst | None" = None
+
+    def __init__(
+        self,
+        tag: int,
+        thread: int,
+        static: StaticInst,
+        stream_pos: int,
+        fetch_cycle: int = -1,
+        ace_pred: bool = True,
+        checkpoint: tuple[int, int, int, tuple[int, ...]] | None = None,
+    ) -> None:
+        self.tag = tag
+        self.thread = thread
+        self.static = static
+        self.stream_pos = stream_pos
+        self.state = _FETCHED
+        self.src_tags = []
+        self.mem_addr = -1
+        self.pred_taken = False
+        self.actual_taken = False
+        self.pred_target = -1
+        self.actual_target = -1
+        self.mispredicted = False
+        self.bp_index = -1
+        self.fetch_cycle = fetch_cycle
+        self.dispatch_cycle = -1
+        self.ready_cycle = -1
+        self.issue_cycle = -1
+        self.complete_cycle = -1
+        self.commit_cycle = -1
+        self.l1_miss = False
+        self.l2_miss = False
+        self.exec_latency = 1
+        self.ace = None
+        self.ace_pred = ace_pred
+        self.iq_leave_cycle = -1
+        self.iq_slot = -1
+        self.checkpoint = checkpoint
+        self.prev_producer = None
 
     @property
     def pc(self) -> int:

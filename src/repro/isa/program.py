@@ -12,7 +12,13 @@ constraints.  All dynamic behaviour — branch outcomes and memory
 addresses — is a pure function of ``(pc, stream_pos, seed)`` where
 ``stream_pos`` is a per-thread monotonically increasing fetch counter.
 A checkpoint is therefore just ``(block, index, stream_pos, call
-stack)`` — four small values per in-flight control instruction.
+stack)``: three integers and the call stack, an immutable tuple that
+every checkpoint taken between two calls or returns shares.
+
+Code that walks the correct path (the functional warm-up, offline
+profiling) steps it one basic block at a time with
+:meth:`ThreadContext.walk`; the fetch unit walks a block in locals and
+returns to the context only at control instructions.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from typing import Iterator
 
 from repro.isa.instruction import (
     CONTROL_OPS,
+    OP_IS_CONTROL,
+    OP_IS_MEM,
     BranchBehavior,
     MemBehavior,
     MemPattern,
@@ -35,6 +43,9 @@ _CALL = OpClass.CALL
 _RET = OpClass.RET
 _SEQUENTIAL = MemPattern.SEQUENTIAL
 _HOT = MemPattern.HOT
+
+#: ``SyntheticProgram.block_plan`` entries of one block.
+BlockPlan = tuple[tuple[int, StaticInst, bool], ...]
 
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 1.0 / (1 << 53)
@@ -106,6 +117,35 @@ class SyntheticProgram:
                 if inst.pc in self._pc_map:
                     raise ValueError(f"duplicate pc {inst.pc:#x} in program {self.name}")
                 self._pc_map[inst.pc] = inst
+        self._plans: dict[int, list[BlockPlan]] = {}
+
+    def block_plan(self, line_shift: int) -> list[BlockPlan]:
+        """Per block (indexed by ``bid``): the instructions that reach
+        the memory system on the correct path, in fetch order, for
+        ``2**line_shift``-byte I-cache lines.
+
+        An entry ``(offset, inst, is_mem)`` is an instruction at
+        ``offset > 0`` that starts a new I-line (``is_mem`` False) or a
+        memory instruction (True); one that is both appears twice, line
+        first.  Offset 0 is left out of the line entries: whether it
+        starts a new line depends on where fetch came from.  Built once
+        per line size.
+        """
+        plan = self._plans.get(line_shift)
+        if plan is None:
+            plan = []
+            for block in self.blocks:
+                steps: list[tuple[int, StaticInst, bool]] = []
+                line = -1
+                for offset, inst in enumerate(block.insts):
+                    prev, line = line, inst.pc >> line_shift
+                    if offset and line != prev:
+                        steps.append((offset, inst, False))
+                    if OP_IS_MEM[inst.opclass]:
+                        steps.append((offset, inst, True))
+                plan.append(tuple(steps))
+            self._plans[line_shift] = plan
+        return plan
 
     def validate(self) -> None:
         nblocks = len(self.blocks)
@@ -154,10 +194,11 @@ class ThreadContext:
 
     ``followed_*`` may differ from the oracle outcome when the branch
     predictor mispredicts; the pipeline restores the context with
-    :meth:`restore` when the branch executes.
+    :meth:`restore` when the branch executes.  :meth:`walk` follows
+    the oracle path a basic block at a time.
     """
 
-    __slots__ = ("program", "seed", "block", "index", "stream_pos", "call_stack", "fetched")
+    __slots__ = ("program", "seed", "block", "index", "stream_pos", "call_stack")
 
     MAX_CALL_DEPTH = 16
 
@@ -167,17 +208,15 @@ class ThreadContext:
         self.block = program.entry
         self.index = 0
         self.stream_pos = 0
-        self.call_stack: list[int] = []
-        self.fetched = 0  # total instructions handed to the fetch unit
+        # Return blocks, innermost last.  A tuple, replaced (never
+        # mutated) by calls and returns, so checkpoints share it.
+        self.call_stack: tuple[int, ...] = ()
 
     # ------------------------------------------------------------------
     # Fetch-point inspection
     # ------------------------------------------------------------------
     def peek(self) -> StaticInst:
         return self.program.blocks[self.block].insts[self.index]
-
-    def at_block_end(self) -> bool:
-        return self.index == len(self.program.blocks[self.block].insts) - 1
 
     # ------------------------------------------------------------------
     # Oracle behaviour
@@ -248,16 +287,14 @@ class ThreadContext:
     # Advancing / rollback
     # ------------------------------------------------------------------
     def checkpoint(self) -> tuple[int, int, int, tuple[int, ...]]:
-        return (self.block, self.index, self.stream_pos, tuple(self.call_stack))
+        return (self.block, self.index, self.stream_pos, self.call_stack)
 
     def restore(self, cp: tuple[int, int, int, tuple[int, ...]]) -> None:
-        self.block, self.index, self.stream_pos = cp[0], cp[1], cp[2]
-        self.call_stack = list(cp[3])
+        self.block, self.index, self.stream_pos, self.call_stack = cp
 
     def advance(self) -> None:
         """Advance past a non-control instruction."""
         self.stream_pos += 1
-        self.fetched += 1
         block = self.program.blocks[self.block]
         if self.index + 1 < len(block.insts):
             self.index += 1
@@ -273,18 +310,58 @@ class ThreadContext:
         branch the caller passes ``st.fall_block``.
         """
         self.stream_pos += 1
-        self.fetched += 1
         op = st.opclass
         if op == _CALL:
-            if len(self.call_stack) >= self.MAX_CALL_DEPTH:
-                self.call_stack.pop(0)
+            stack = self.call_stack
+            if len(stack) >= self.MAX_CALL_DEPTH:
+                stack = stack[1:]
             # Return site: the CALL's own fall-through block.
             ret = st.fall_block
             if ret < 0:
                 ret = self.program.blocks[self.block].fall_block
-            self.call_stack.append(ret if ret >= 0 else self.program.entry)
+            self.call_stack = (*stack, ret if ret >= 0 else self.program.entry)
         elif op == _RET:
             if self.call_stack:
-                self.call_stack.pop()
+                self.call_stack = self.call_stack[:-1]
         self.block = target
         self.index = 0
+
+    def walk(self, n: int) -> Iterator[tuple[BasicBlock, int, int, int, bool | None]]:
+        """Advance ``n`` instructions down the oracle path, one block at
+        a time.
+
+        Yields ``(block, start, stop, pos, taken)`` per block visited:
+        ``block.insts[start:stop]`` were stepped over, the first at
+        stream position ``pos``.  ``taken`` is the resolved outcome of
+        the control instruction that ends the segment, or None if it
+        ends without one (a fall-through block, or the last ``n`` ran
+        out inside the block).  The context has already advanced past
+        the segment when it is yielded.  Equal to ``n`` single steps
+        of :meth:`peek` / :meth:`resolve_control` /
+        :meth:`advance_control` / :meth:`advance`.
+        """
+        blocks = self.program.blocks
+        while n > 0:
+            block = blocks[self.block]
+            insts = block.insts
+            start = self.index
+            pos = self.stream_pos
+            stop = len(insts)
+            if stop - start > n:  # the tail: never reaches the terminator
+                stop = start + n
+                self.index = stop
+                self.stream_pos = pos + n
+                yield block, start, stop, pos, None
+                return
+            n -= stop - start
+            last = insts[-1]
+            if OP_IS_CONTROL[last.opclass]:
+                self.stream_pos = pos + stop - start - 1
+                taken, target = self.resolve_control(last)
+                self.advance_control(last, taken, target)
+                yield block, start, stop, pos, taken
+            else:
+                self.stream_pos = pos + stop - start
+                self.block = block.fall_block
+                self.index = 0
+                yield block, start, stop, pos, None

@@ -30,6 +30,14 @@ class CacheStats:
     def reset(self) -> None:
         self.accesses = self.hits = self.misses = self.evictions = self.writes = 0
 
+    def add(self, accesses: int, misses: int, evictions: int, writes: int = 0) -> None:
+        """Count a batch of accesses at once."""
+        self.accesses += accesses
+        self.hits += accesses - misses
+        self.misses += misses
+        self.evictions += evictions
+        self.writes += writes
+
 
 class SetAssocCache:
     """A set-associative, true-LRU, write-allocate tag array."""
@@ -88,6 +96,12 @@ class SetAssocCache:
             way.pop()
             self.stats.evictions += 1
         return False
+
+    def geometry(self) -> tuple[list[list[int]], int, int, int, int]:
+        """``(sets, set mask, line shift, tag shift, assoc)``: what a
+        batched replay needs to update the tag array in place the way
+        :meth:`access` does."""
+        return self._sets, self._set_mask, self._line_shift, self._tag_shift, self._assoc
 
     def invalidate_all(self) -> None:
         """Flush every line (used when resetting between experiments)."""

@@ -14,6 +14,7 @@ threads is modelled faithfully).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.config import MachineConfig
@@ -21,6 +22,13 @@ from repro.memory.cache import SetAssocCache
 from repro.memory.tlb import TLB
 
 _THREAD_SHIFT = 44
+_THREAD_XOR = 0x3740
+
+#: Kinds of a reference handed to :meth:`MemoryHierarchy.replay`, in
+#: its low two bits: bit 0 marks data, bit 1 a write.
+REF_FETCH = 0
+REF_LOAD = 1
+REF_STORE = 3
 
 
 @dataclass(frozen=True)
@@ -80,7 +88,7 @@ class MemoryHierarchy:
         spaces) and XORed into the low page bits, so identical virtual
         layouts in different threads do not collide on the same cache
         sets (the effect ASLR/physical allocation has on a real SMT)."""
-        return (addr ^ (thread * 0x3740)) | (thread << _THREAD_SHIFT)
+        return (addr ^ (thread * _THREAD_XOR)) | (thread << _THREAD_SHIFT)
 
     def access_instr(self, addr: int, thread: int) -> AccessResult:
         """Instruction fetch access: ITLB + L1I + (L2 + DRAM)."""
@@ -106,6 +114,116 @@ class MemoryHierarchy:
         self.l2_miss_count += 1
         self.l2_data_miss_count += 1
         return outcomes[2][tlb_missed]
+
+    def replay(self, refs: Sequence[int], thread: int) -> None:
+        """Apply thread ``thread``'s references in order, leaving every
+        tag array, statistic and L2 miss counter as the equivalent
+        :meth:`access_instr` / :meth:`access_data` calls would.
+
+        Each reference is ``addr << 2 | kind`` (``REF_FETCH``,
+        ``REF_LOAD`` or ``REF_STORE``).  The functional warm-up calls
+        this with its buffered references.  One loop updates the five
+        LRU tag arrays in place, and the counts are added once at the
+        end; the per-access path makes four nested calls per reference
+        and returns a latency the warm-up never reads.
+        """
+        tx = thread * _THREAD_XOR  # thread_addr, applied per reference
+        th = thread << _THREAD_SHIFT
+        it_sets, it_mask, it_ls, it_ts, it_assoc = self.itlb.array.geometry()
+        dt_sets, dt_mask, dt_ls, dt_ts, dt_assoc = self.dtlb.array.geometry()
+        i_sets, i_mask, i_ls, i_ts, i_assoc = self.l1i.geometry()
+        d_sets, d_mask, d_ls, d_ts, d_assoc = self.l1d.geometry()
+        l2_sets, l2_mask, l2_ls, l2_ts, l2_assoc = self.l2.geometry()
+        n_data = n_writes = 0
+        it_miss = it_ev = dt_miss = dt_ev = 0
+        i_miss = i_ev = d_miss = d_ev = 0
+        l2_acc = l2_writes = l2_miss = l2_data_miss = l2_ev = 0
+        for ref in refs:
+            a = ((ref >> 2) ^ tx) | th
+            if ref & 1:
+                n_data += 1
+                line = a >> dt_ls
+                way = dt_sets[line & dt_mask]
+                tag = line >> dt_ts
+                if tag in way:
+                    if way[0] != tag:
+                        way.remove(tag)
+                        way.insert(0, tag)
+                else:
+                    dt_miss += 1
+                    way.insert(0, tag)
+                    if len(way) > dt_assoc:
+                        way.pop()
+                        dt_ev += 1
+                write = ref & 2
+                if write:
+                    n_writes += 1
+                line = a >> d_ls
+                way = d_sets[line & d_mask]
+                tag = line >> d_ts
+                if tag in way:
+                    if way[0] != tag:
+                        way.remove(tag)
+                        way.insert(0, tag)
+                    continue
+                d_miss += 1
+                way.insert(0, tag)
+                if len(way) > d_assoc:
+                    way.pop()
+                    d_ev += 1
+                if write:
+                    l2_writes += 1
+            else:
+                line = a >> it_ls
+                way = it_sets[line & it_mask]
+                tag = line >> it_ts
+                if tag in way:
+                    if way[0] != tag:
+                        way.remove(tag)
+                        way.insert(0, tag)
+                else:
+                    it_miss += 1
+                    way.insert(0, tag)
+                    if len(way) > it_assoc:
+                        way.pop()
+                        it_ev += 1
+                line = a >> i_ls
+                way = i_sets[line & i_mask]
+                tag = line >> i_ts
+                if tag in way:
+                    if way[0] != tag:
+                        way.remove(tag)
+                        way.insert(0, tag)
+                    continue
+                i_miss += 1
+                way.insert(0, tag)
+                if len(way) > i_assoc:
+                    way.pop()
+                    i_ev += 1
+            # An L1 miss: the L2.
+            l2_acc += 1
+            line = a >> l2_ls
+            way = l2_sets[line & l2_mask]
+            tag = line >> l2_ts
+            if tag in way:
+                if way[0] != tag:
+                    way.remove(tag)
+                    way.insert(0, tag)
+                continue
+            l2_miss += 1
+            l2_data_miss += ref & 1
+            way.insert(0, tag)
+            if len(way) > l2_assoc:
+                way.pop()
+                l2_ev += 1
+        n_fetch = len(refs) - n_data
+        self.itlb.stats.add(n_fetch, it_miss, it_ev)
+        self.dtlb.stats.add(n_data, dt_miss, dt_ev)
+        self.l1i.stats.add(n_fetch, i_miss, i_ev)
+        self.l1d.stats.add(n_data, d_miss, d_ev, n_writes)
+        self.l2.stats.add(l2_acc, l2_miss, l2_ev, l2_writes)
+        self.l2_miss_count += l2_miss
+        self.l2_data_miss_count += l2_data_miss
 
     def reset_stats(self) -> None:
         for c in (self.l1i, self.l1d, self.l2):

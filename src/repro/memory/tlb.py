@@ -41,5 +41,10 @@ class TLB:
     def stats(self) -> CacheStats:
         return self._array.stats
 
+    @property
+    def array(self) -> SetAssocCache:
+        """The tag array (one line per page)."""
+        return self._array
+
     def invalidate_all(self) -> None:
         self._array.invalidate_all()

@@ -11,6 +11,10 @@ Profiling is *functional*: the committed stream is exactly the correct
 control-flow path, so it can be produced by walking the program's
 thread context directly — no pipeline timing involved (instructions on
 mispredicted paths are excluded from classification, as in the paper).
+The forward pass takes that path a basic block at a time
+(:meth:`~repro.isa.program.ThreadContext.walk`, the walker the
+functional warm-up uses), appending each block's instructions as one
+slice; the backward pass classifies the whole trace at once.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
 
-from repro.isa.instruction import OP_IS_CONTROL, StaticInst
+from repro.isa.instruction import StaticInst
 from repro.isa.program import SyntheticProgram, ThreadContext
 from repro.reliability.ace import sweep
 
@@ -90,22 +94,11 @@ def profile_program(
     if window <= 0:
         raise ValueError("window must be positive")
 
-    # Forward: the committed stream, one StaticInst per instance.
+    # Forward: the committed stream, one StaticInst per instance, a
+    # block at a time.
     trace: list[StaticInst] = []
-    append = trace.append
-    ctx = ThreadContext(program, seed=seed)
-    peek = ctx.peek
-    resolve_control = ctx.resolve_control
-    advance_control = ctx.advance_control
-    advance = ctx.advance
-    for _ in range(n_instructions):
-        st = peek()
-        append(st)
-        if OP_IS_CONTROL[st.opclass]:
-            taken, target = resolve_control(st)
-            advance_control(st, taken, target)
-        else:
-            advance()
+    for block, start, stop, _, _ in ThreadContext(program, seed=seed).walk(n_instructions):
+        trace.extend(block.insts[start:stop])
 
     # Backward: the whole trace is one final block.  Counting from the
     # end keeps the per-PC tables in the order a backward pass meets them.

@@ -6,6 +6,7 @@ property holds it equal to the streaming reference
 (``tests/ace_reference.py``) on random multi-thread streams.
 """
 
+import copy
 import hashlib
 import json
 from dataclasses import replace
@@ -78,7 +79,7 @@ class Harness:
 
     def commit(self, dyn, cycle):
         for run in self.runs:
-            run.analyzer.commit(replace(dyn), cycle)
+            run.analyzer.commit(copy.copy(dyn), cycle)
 
     def feed(self, *dyns):
         for d in dyns:
@@ -401,7 +402,8 @@ def test_property_matches_streaming_reference(stream):
     per_thread = [[] for _ in range(threads)]
     for d, cycle in insts:
         for sink, copies in ((reference, ref_insts), (analyzer, block_insts)):
-            c = replace(d, commit_cycle=cycle)
+            c = copy.copy(d)
+            c.commit_cycle = cycle
             copies.append(c)
             sink.commit(c, cycle)
         # Classified by the first sweep after its window has passed.

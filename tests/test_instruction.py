@@ -1,5 +1,7 @@
 """Instruction model: opclasses, static/dynamic instructions."""
 
+import dataclasses
+
 import pytest
 
 from repro.isa.instruction import (
@@ -82,6 +84,23 @@ class TestDynInst:
     def test_repr_mentions_tag_and_state(self):
         text = repr(self._dyn())
         assert "tag=5" in text and "FETCHED" in text
+
+    def test_constructor_sets_every_other_field_to_its_default(self):
+        """The hand-written positional constructor agrees with the
+        declared field defaults."""
+        st = StaticInst(pc=0x10, opclass=OpClass.IALU, dest=1)
+        cp = (3, 1, 7, (2,))
+        d = DynInst(5, 1, st, 7, 40, False, cp)
+        given = {"tag": 5, "thread": 1, "static": st, "stream_pos": 7,
+                 "fetch_cycle": 40, "ace_pred": False, "checkpoint": cp}
+        for f in dataclasses.fields(DynInst):
+            if f.name in given:
+                assert getattr(d, f.name) == given[f.name], f.name
+            elif f.default_factory is not dataclasses.MISSING:
+                assert getattr(d, f.name) == f.default_factory(), f.name
+            else:
+                assert getattr(d, f.name) == f.default, f.name
+        assert d.src_tags is not DynInst(6, 1, st, 8).src_tags
 
 
 class TestBranchBehavior:

@@ -41,10 +41,8 @@ def streaming_profile(
     ctx = ThreadContext(program, seed=seed)
     for i in range(n_instructions):
         inst = ctx.peek()
-        dyn = DynInst(
-            tag=i, thread=0, static=inst, stream_pos=ctx.stream_pos,
-            state=DynState.COMMITTED,
-        )
+        dyn = DynInst(tag=i, thread=0, static=inst, stream_pos=ctx.stream_pos)
+        dyn.state = DynState.COMMITTED
         if OP_IS_CONTROL[inst.opclass]:
             taken, target = ctx.resolve_control(inst)
             ctx.advance_control(inst, taken, target)

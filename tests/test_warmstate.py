@@ -8,7 +8,7 @@ exactly the inputs the warm-up reads.
 
 import pytest
 
-from repro.config import MachineConfig, ReliabilityConfig, SimulationConfig
+from repro.config import CacheConfig, MachineConfig, ReliabilityConfig, SimulationConfig
 from repro.core.pipeline import SMTPipeline
 from repro.core import warmstate
 from repro.core.warmstate import reset_warm_states
@@ -79,7 +79,9 @@ class TestCacheKey:
     @pytest.mark.parametrize(
         "run_kwargs",
         [
-            {"machine": MachineConfig(iq_size=64)},
+            {"machine": MachineConfig(
+                l1d=CacheConfig(size=16 * 1024, assoc=4, line_size=32, latency=3),
+            )},
             {"seed": 8},
             {"bp_warmup_instructions": 1_000},
             {"programs": "fresh"},
@@ -101,6 +103,19 @@ class TestCacheKey:
         )
         result = SMTPipeline(programs, sim=sim, **kwargs).run()
         assert _warm_counts(result) == (0, 1)
+
+    @pytest.mark.parametrize("iq_size", [48, 192])
+    def test_timing_only_machine_change_hits(self, iq_size):
+        """The warm-up never reads the IQ size, so a sweep over it
+        warms each mix once; the restored run equals a cold one."""
+        _run("CPU-A")
+        machine = MachineConfig(iq_size=iq_size)
+        restored = _run("CPU-A", machine=machine)
+        reset_warm_states()
+        cold = _run("CPU-A", machine=machine)
+        assert _warm_counts(restored) == (1, 0)
+        assert _warm_counts(cold) == (0, 1)
+        assert restored == cold
 
     def test_no_warmup_touches_no_cache(self):
         sim = SimulationConfig(
