@@ -40,44 +40,49 @@ _OP_TO_FU = {
     OpClass.FSQRT: FUKind.FMULT,
 }
 #: FU pool of each opclass, indexed by the OpClass ordinal.
-_OP_FU: tuple[int, ...] = tuple(_OP_TO_FU[OpClass(i)] for i in range(N_OPCLASSES))
+OP_FU: tuple[int, ...] = tuple(_OP_TO_FU[OpClass(i)] for i in range(N_OPCLASSES))
 
 
 class FunctionalUnitPool:
-    """Per-cycle issue-slot accounting for the five FU pools."""
+    """Per-cycle issue-slot accounting for the five FU pools.
 
-    __slots__ = ("_limits", "_used", "busy_integral")
+    ``limits`` and ``used`` are indexed by :class:`FUKind` (an opclass's
+    kind is ``OP_FU[opclass]``); the pipeline's issue stage reserves
+    slots on them directly, :meth:`try_issue` is the same step.
+    """
+
+    __slots__ = ("limits", "used", "busy_integral")
 
     def __init__(self, machine: MachineConfig):
-        self._limits = [0] * FUKind._COUNT
-        self._limits[FUKind.IALU] = machine.int_alu
-        self._limits[FUKind.IMULT] = machine.int_mult_div
-        self._limits[FUKind.LS] = machine.load_store_units
-        self._limits[FUKind.FALU] = machine.fp_alu
-        self._limits[FUKind.FMULT] = machine.fp_mult_div_sqrt
-        self._used = [0] * FUKind._COUNT
+        self.limits = [0] * FUKind._COUNT
+        self.limits[FUKind.IALU] = machine.int_alu
+        self.limits[FUKind.IMULT] = machine.int_mult_div
+        self.limits[FUKind.LS] = machine.load_store_units
+        self.limits[FUKind.FALU] = machine.fp_alu
+        self.limits[FUKind.FMULT] = machine.fp_mult_div_sqrt
+        self.used = [0] * FUKind._COUNT
         self.busy_integral = 0  # unit-cycles consumed (for FU AVF)
 
     def new_cycle(self) -> None:
         for k in range(FUKind._COUNT):
-            self._used[k] = 0
+            self.used[k] = 0
 
     def try_issue(self, opclass: OpClass) -> bool:
         """Reserve a unit slot for this cycle; False if the pool is dry."""
-        kind = _OP_FU[opclass]
-        if self._used[kind] >= self._limits[kind]:
+        kind = OP_FU[opclass]
+        if self.used[kind] >= self.limits[kind]:
             return False
-        self._used[kind] += 1
+        self.used[kind] += 1
         self.busy_integral += 1
         return True
 
     def available(self, opclass: OpClass) -> int:
-        kind = _OP_FU[opclass]
-        return self._limits[kind] - self._used[kind]
+        kind = OP_FU[opclass]
+        return self.limits[kind] - self.used[kind]
 
     @property
     def total_units(self) -> int:
-        return sum(self._limits)
+        return sum(self.limits)
 
 
 def op_latency(machine: MachineConfig, opclass: OpClass) -> int:

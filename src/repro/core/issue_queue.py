@@ -13,12 +13,22 @@ consumers and moves the newly-ready ones to the ready set.
 The IQ also maintains the running predicted-ACE-bit counter that DVM's
 online AVF estimation reads (Section 5.1), and per-thread entry counts
 for resource accounting.
+
+The ready set is kept twice: as the ``ready`` tag map and as two
+ascending tag lists split by the predicted-ACE bit, from which a
+scheduler builds its priority order as one list of tags
+(:meth:`~repro.core.scheduler.IssueScheduler.ready_tags`).
+
+The methods here are the queue's reference semantics.  The pipeline's
+dispatch, issue and writeback stages do the same bookkeeping on these
+attributes in their own loops (``tests/stage_reference.py`` holds the
+two equal), so a change to an invariant changes both.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.isa.instruction import DynInst, DynState
 
@@ -41,14 +51,14 @@ class IssueQueue:
         "capacity",
         "waiting",
         "ready",
-        "_consumers",
+        "consumers",
         "per_thread",
         "pred_ace_bits",
         "ready_pred_ace",
-        "_ready_ace_tags",
-        "_ready_plain_tags",
+        "ready_ace_tags",
+        "ready_plain_tags",
         "_bits_of",
-        "_free_slots",
+        "free_slots",
         "inserted",
         "squashed",
     )
@@ -65,7 +75,7 @@ class IssueQueue:
         # tag -> DynInst maps preserve insertion (age) order in CPython.
         self.waiting: dict[int, DynInst] = {}
         self.ready: dict[int, DynInst] = {}
-        self._consumers: dict[int, list[DynInst]] = {}
+        self.consumers: dict[int, list[DynInst]] = {}
         self.per_thread: list[int] = [0] * num_threads
         # Predicted-ACE bits currently resident (online AVF numerator).
         self.pred_ace_bits = 0
@@ -73,17 +83,17 @@ class IssueQueue:
         self.ready_pred_ace = 0
         # Age-ordered (ascending tag) views of the ready set, split by
         # the predicted-ACE bit.  Maintained incrementally on every
-        # ready-set mutation so selection never re-sorts: oldest-first
-        # order is a two-list merge, VISA order is ace-then-plain.
-        self._ready_ace_tags: list[int] = []
-        self._ready_plain_tags: list[int] = []
+        # ready-set mutation: oldest-first order is the two lists
+        # concatenated and sorted (two runs), VISA order ace-then-plain.
+        self.ready_ace_tags: list[int] = []
+        self.ready_plain_tags: list[int] = []
         self._bits_of: Callable[[DynInst], int] = (
             bits_of if bits_of is not None else (lambda inst: 0)
         )
         # LIFO free list of physical slot numbers: insert pops, any
         # deallocation pushes back.  O(1) either way, and slot numbers
         # are stable for a residency (per-entry vulnerability heatmaps).
-        self._free_slots: list[int] = list(range(capacity - 1, -1, -1))
+        self.free_slots: list[int] = list(range(capacity - 1, -1, -1))
         self.inserted = 0
         self.squashed = 0
 
@@ -110,53 +120,15 @@ class IssueQueue:
     # Age-ordered ready views
     # ------------------------------------------------------------------
     def _ready_add(self, inst: DynInst) -> None:
-        tags = self._ready_ace_tags if inst.ace_pred else self._ready_plain_tags
+        tags = self.ready_ace_tags if inst.ace_pred else self.ready_plain_tags
         if not tags or inst.tag > tags[-1]:
             tags.append(inst.tag)  # common case: youngest so far
         else:
             insort(tags, inst.tag)
 
     def _ready_discard(self, inst: DynInst) -> None:
-        tags = self._ready_ace_tags if inst.ace_pred else self._ready_plain_tags
+        tags = self.ready_ace_tags if inst.ace_pred else self.ready_plain_tags
         tags.remove(inst.tag)
-
-    def ready_tags_oldest(self) -> Iterator[int]:
-        """Ready tags in ascending (age) order: a merge of the two
-        maintained sorted lists.  Snapshots both lists first so the
-        caller may issue (mutating the ready set) while iterating."""
-        a = tuple(self._ready_ace_tags)
-        b = tuple(self._ready_plain_tags)
-        if not a:
-            return iter(b)
-        if not b:
-            return iter(a)
-
-        def merge() -> Iterator[int]:
-            i = j = 0
-            la, lb = len(a), len(b)
-            while i < la and j < lb:
-                if a[i] < b[j]:
-                    yield a[i]
-                    i += 1
-                else:
-                    yield b[j]
-                    j += 1
-            yield from a[i:]
-            yield from b[j:]
-
-        return merge()
-
-    def ready_tags_visa(self) -> Iterator[int]:
-        """Ready tags in VISA priority order: predicted-ACE tags (by
-        age) strictly before predicted-un-ACE tags (by age) — the same
-        total order as sorting by ``(not ace_pred, tag)``.  Snapshots
-        so the caller may issue while iterating."""
-
-        def chain(a: tuple[int, ...], b: tuple[int, ...]) -> Iterator[int]:
-            yield from a
-            yield from b
-
-        return chain(tuple(self._ready_ace_tags), tuple(self._ready_plain_tags))
 
     # ------------------------------------------------------------------
     def insert(self, inst: DynInst, cycle: int) -> None:
@@ -169,10 +141,10 @@ class IssueQueue:
             raise RuntimeError("issue queue overflow")
         inst.state = _DISPATCHED
         inst.dispatch_cycle = cycle
-        inst.iq_slot = self._free_slots.pop()
+        inst.iq_slot = self.free_slots.pop()
         if inst.src_tags:
             self.waiting[inst.tag] = inst
-            consumers = self._consumers
+            consumers = self.consumers
             for t in inst.src_tags:
                 lst = consumers.get(t)
                 if lst is None:
@@ -191,7 +163,7 @@ class IssueQueue:
 
     def wakeup(self, tag: int, cycle: int) -> None:
         """Broadcast completion of producer ``tag``."""
-        consumers = self._consumers.pop(tag, None)
+        consumers = self.consumers.pop(tag, None)
         if not consumers:
             return
         for inst in consumers:
@@ -221,7 +193,7 @@ class IssueQueue:
         self._ready_discard(inst)
         self.per_thread[inst.thread] -= 1
         self.pred_ace_bits -= self._bits_of(inst)
-        self._free_slots.append(inst.iq_slot)
+        self.free_slots.append(inst.iq_slot)
         if inst.ace_pred:
             self.ready_pred_ace -= 1
 
@@ -245,13 +217,13 @@ class IssueQueue:
                         "no longer reconciles with the resident set"
                     )
                 self.pred_ace_bits -= self._bits_of(inst)
-                self._free_slots.append(inst.iq_slot)
+                self.free_slots.append(inst.iq_slot)
                 if is_ready_pool:
                     self._ready_discard(inst)
                     if inst.ace_pred:
                         self.ready_pred_ace -= 1
                 removed.append(inst)
-        consumers = self._consumers
+        consumers = self.consumers
         for inst in removed:
             # Squashed producers will never broadcast; drop their
             # consumer lists (the consumers are younger in the same
@@ -276,11 +248,13 @@ class IssueQueue:
     def drop_consumers(self, tag: int) -> None:
         """Forget the consumer list of a producer that will never
         broadcast (squashed after it had already issued)."""
-        self._consumers.pop(tag, None)
+        self.consumers.pop(tag, None)
 
     def ready_ages(self) -> list[DynInst]:
-        """Ready instructions in age (tag) order — a merge of the two
-        maintained sorted tag lists (wakeups reorder the ready dict, so
-        its insertion order cannot be used directly)."""
+        """Ready instructions in age (tag) order, from the two sorted
+        tag lists (wakeups reorder the ready dict, so its insertion
+        order cannot be used directly)."""
+        tags = self.ready_ace_tags + self.ready_plain_tags
+        tags.sort()
         ready = self.ready
-        return [ready[tag] for tag in self.ready_tags_oldest()]
+        return [ready[tag] for tag in tags]

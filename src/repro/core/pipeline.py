@@ -20,6 +20,7 @@ VISA scheduler (Section 2.1), dynamic IQ resource allocation
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -28,7 +29,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.config import MachineConfig, SimulationConfig
-from repro.core.functional_units import FunctionalUnitPool
+from repro.core.functional_units import OP_FU, FunctionalUnitPool
 from repro.core.issue_queue import IssueQueue
 from repro.core.lsq import LoadStoreQueue
 from repro.core.rename import RenameTable
@@ -82,6 +83,7 @@ _REPLAY_CHUNK = 4096
 _DISPATCHED = DynState.DISPATCHED
 _ISSUED = DynState.ISSUED
 _COMPLETED = DynState.COMPLETED
+_COMMITTED = DynState.COMMITTED
 _SQUASHED = DynState.SQUASHED
 _LOAD = OpClass.LOAD
 _STORE = OpClass.STORE
@@ -382,9 +384,10 @@ class SMTPipeline:
     def num_threads(self) -> int:
         return self.machine.num_threads
 
-    def in_flight(self, tid: int) -> int:
-        """ICOUNT metric: instructions in the front-end and the IQ."""
-        return len(self.fetch_q[tid]) + self.iq.per_thread[tid]
+    def icounts(self) -> list[int]:
+        """ICOUNT metric of every thread, in thread order: its
+        instructions in the front end and the IQ."""
+        return [len(fq) + c for fq, c in zip(self.fetch_q, self.iq.per_thread)]
 
     def outstanding_l2(self, tid: int) -> int:
         return self._outstanding_l2[tid]
@@ -414,21 +417,36 @@ class SMTPipeline:
         start = cycle % n
         emit_commit = self._want_commit
         bus = self.bus
+        robs = self.robs
+        rob_pred_bits = self.avf.rob_pred_bits
+        analyzer = self.analyzer
+        blocks = analyzer.blocks
+        block_size = analyzer.block_size
+        committed_pt = self.committed_per_thread
+        int_committed_pt = self._int_committed_pt
+        # Summed here, written back once: nothing called below (stores,
+        # predictor training, block sweeps, ``commit`` subscribers)
+        # reads the commit counts or the ROB bit counter.
+        rob_bits = 0
+        total = 0
         for i in range(n):
             t = (start + i) % n
-            rob = self.robs[t]
-            while budget > 0:
-                head = rob.head()
-                if head is None or head.state != _COMPLETED:
+            entries = robs[t].entries
+            block = blocks[t]
+            count = 0
+            while count < budget and entries:
+                head = entries[0]
+                if head.state != _COMPLETED:
                     break
-                rob.commit_head()
+                entries.popleft()
+                head.state = _COMMITTED
                 # Only squash repair reads this link; unbroken, it would
                 # chain every earlier writer of the register into memory.
                 head.prev_producer = None
                 head.commit_cycle = cycle
-                self.rob_pred_ace_bits -= self.avf.rob_bits_pred(head)
                 st = head.static
                 op = st.opclass
+                rob_bits += rob_pred_bits[2 * op + head.ace_pred]
                 if OP_IS_MEM[op]:
                     self.lsqs[t].remove(head)
                     if op == _STORE and head.mem_addr >= 0:
@@ -440,14 +458,21 @@ class SMTPipeline:
                     )
                     if head.actual_taken:
                         self.bp.btb_update(st.pc, st.taken_block)
-                self.committed_per_thread[t] += 1
-                self.total_committed += 1
-                self._int_committed += 1
-                self._int_committed_pt[t] += 1
-                self.analyzer.commit(head, cycle)
+                block.append(head)
+                if len(block) >= block_size:
+                    analyzer.close_block(t)
                 if emit_commit:
                     bus.emit(TOPIC_COMMIT, inst=head)
-                budget -= 1
+                count += 1
+            if count:
+                budget -= count
+                committed_pt[t] += count
+                int_committed_pt[t] += count
+                total += count
+        if total:
+            self.total_committed += total
+            self._int_committed += total
+        self.rob_pred_ace_bits -= rob_bits
 
     def _writeback(self) -> None:
         cycle = self.cycle
@@ -456,12 +481,43 @@ class SMTPipeline:
             return
         events.sort(key=_GET_TAG)  # resolve older branches first
         policy = self.active_fetch_policy()
+        iq = self.iq
+        consumers = iq.consumers
+        waiting = iq.waiting
+        ready = iq.ready
+        ace_tags = iq.ready_ace_tags
+        plain_tags = iq.ready_plain_tags
         for inst in events:
             if inst.state == _SQUASHED:
                 continue
             inst.state = _COMPLETED
             inst.complete_cycle = cycle
-            self.iq.wakeup(inst.tag, cycle)
+            # Wake the consumers (``IssueQueue.wakeup``).
+            tag = inst.tag
+            waiters = consumers.pop(tag, None)
+            if waiters:
+                for waiter in waiters:
+                    if waiter.state != _DISPATCHED:
+                        continue  # squashed or already issued
+                    srcs = waiter.src_tags
+                    try:
+                        srcs.remove(tag)
+                    except ValueError:
+                        continue
+                    wtag = waiter.tag
+                    if not srcs and wtag in waiting:
+                        del waiting[wtag]
+                        waiter.ready_cycle = cycle
+                        ready[wtag] = waiter
+                        if waiter.ace_pred:
+                            tags = ace_tags
+                            iq.ready_pred_ace += 1
+                        else:
+                            tags = plain_tags
+                        if not tags or wtag > tags[-1]:
+                            tags.append(wtag)
+                        else:
+                            insort(tags, wtag)
             if inst.static.opclass == _LOAD:
                 t = inst.thread
                 if inst.l1_miss:
@@ -546,94 +602,129 @@ class SMTPipeline:
         self.flush_count += 1
 
     def _issue(self) -> None:
-        self.fus.new_cycle()
-        width = self.machine.issue_width
-        if self.iq.ready:
-            # Walk the full ready order lazily: instructions blocked on
-            # a dry FU pool are skipped over until the issue width fills
-            # or candidates exhaust.  A fixed over-selection window
+        fus = self.fus
+        fus.new_cycle()
+        iq = self.iq
+        ready = iq.ready
+        if ready:
+            # Walk the whole ready order: instructions blocked on a dry
+            # FU pool are skipped over until the issue width fills or
+            # candidates exhaust.  A fixed over-selection window
             # (formerly width * 2) starves eligible younger entries
             # whenever more than the window is blocked on one FU kind.
+            width = self.machine.issue_width
+            cycle = self.cycle
+            used = fus.used
+            limits = fus.limits
+            op_latency = self._op_latency
+            iq_pred_bits = self.avf.iq_pred_bits
+            per_thread = iq.per_thread
+            free_slots = iq.free_slots
+            ace_tags = iq.ready_ace_tags
+            plain_tags = iq.ready_plain_tags
+            wheel = self._wheel
+            # Summed here, written back before any flush runs: the
+            # memory-side hooks (``on_l2_miss``, ``on_load_resolved``,
+            # DVM ``on_l2_miss``) do not read them.
+            bits = 0
+            ready_ace = 0
             issued = 0
-            try_issue = self.fus.try_issue
-            for inst in self.scheduler.ready_order(self.iq):
-                if inst.state != _DISPATCHED:
+            for tag in self.scheduler.ready_tags(iq):
+                inst = ready[tag]
+                op = inst.static.opclass
+                kind = OP_FU[op]
+                if used[kind] >= limits[kind]:
                     continue
-                if not try_issue(inst.static.opclass):
-                    continue
-                self._issue_one(inst)
+                used[kind] += 1
+                # Leave the IQ (``IssueQueue.remove_issued``).
+                del ready[tag]
+                if inst.ace_pred:
+                    ace_tags.remove(tag)
+                    ready_ace += 1
+                    bits += iq_pred_bits[2 * op + 1]
+                else:
+                    plain_tags.remove(tag)
+                    bits += iq_pred_bits[2 * op]
+                per_thread[inst.thread] -= 1
+                free_slots.append(inst.iq_slot)
+                inst.state = _ISSUED
+                inst.issue_cycle = cycle
+                inst.iq_leave_cycle = cycle
+                latency = self._issue_mem(inst, op) if OP_IS_MEM[op] else op_latency[op]
+                inst.exec_latency = latency
+                due = cycle + latency
+                events = wheel.get(due)
+                if events is None:
+                    wheel[due] = [inst]
+                else:
+                    events.append(inst)
                 issued += 1
                 if issued >= width:
                     break
+            fus.busy_integral += issued
+            iq.pred_ace_bits -= bits
+            iq.ready_pred_ace -= ready_ace
         if self._pending_flushes:
             for tid, after_tag in self._pending_flushes:
                 self._do_flush(tid, after_tag)
             self._pending_flushes.clear()
 
-    def _issue_one(self, inst: DynInst) -> None:
-        cycle = self.cycle
-        self.iq.remove_issued(inst)
-        inst.state = _ISSUED
-        inst.issue_cycle = cycle
-        inst.iq_leave_cycle = cycle
+    def _issue_mem(self, inst: DynInst, op: OpClass) -> int:
+        """Generate the address of an issuing load, prefetch or store
+        and do its memory-side work; return its execution latency."""
         t = inst.thread
-        st = inst.static
-        op = st.opclass
+        addr = self.contexts[t].mem_address(inst.static, inst.stream_pos)
+        inst.mem_addr = addr
         if op == _LOAD:
-            policy = self.active_fetch_policy()
-            addr = self.contexts[t].mem_address(st, inst.stream_pos)
-            inst.mem_addr = addr
             if self.lsqs[t].can_forward(addr):
-                latency = 1
-            else:
-                res = self.mem.access_data(addr, t)
-                latency = res.latency
-                if res.l1_miss:
-                    inst.l1_miss = True
-                    self._outstanding_l1d[t] += 1
-                if res.l2_miss:
-                    inst.l2_miss = True
-                    self._outstanding_l2[t] += 1
-                    policy.on_l2_miss(self, inst)
-                    if self.dvm is not None:
-                        self.dvm.on_l2_miss()
-                policy.on_load_resolved(self, inst, res.l1_miss)
-        elif op == _PREFETCH:
-            addr = self.contexts[t].mem_address(st, inst.stream_pos)
-            inst.mem_addr = addr
+                return 1
+            policy = self.active_fetch_policy()
+            res = self.mem.access_data(addr, t)
+            if res.l1_miss:
+                inst.l1_miss = True
+                self._outstanding_l1d[t] += 1
+            if res.l2_miss:
+                inst.l2_miss = True
+                self._outstanding_l2[t] += 1
+                policy.on_l2_miss(self, inst)
+                if self.dvm is not None:
+                    self.dvm.on_l2_miss()
+            policy.on_load_resolved(self, inst, res.l1_miss)
+            return res.latency
+        if op == _PREFETCH:
             self.mem.access_data(addr, t)  # warms the caches, non-blocking
-            latency = 1
-        elif op == _STORE:
-            addr = self.contexts[t].mem_address(st, inst.stream_pos)
-            inst.mem_addr = addr
+        else:
             self.lsqs[t].note_store_address(inst)
-            latency = 1  # address generation; data written at commit
-        else:
-            latency = self._op_latency[op]
-        inst.exec_latency = latency
-        wheel = self._wheel
-        due = cycle + latency
-        events = wheel.get(due)
-        if events is None:
-            wheel[due] = [inst]
-        else:
-            events.append(inst)
+        return 1  # a store's address generation; data written at commit
 
     def _dispatch(self) -> None:
         budget = self.machine.decode_width
-        iql = self.dispatch_policy.iq_limit
         dvm = self.dvm
         if dvm is not None:
             self._update_dvm_restore()
         iq = self.iq
         iq_waiting = iq.waiting
         iq_ready = iq.ready
-        iq_capacity = iq.capacity
+        limit = min(self.dispatch_policy.iq_limit, iq.capacity)
+        occupancy = len(iq_waiting) + len(iq_ready)
         fetch_q = self.fetch_q
         per_thread = iq.per_thread
-        cycle = self.cycle
-        # ICOUNT-ordered dispatch (in_flight(t), then thread id).
+        # ICOUNT-ordered dispatch (ICOUNT metric, then thread id).
         order = sorted([(len(fetch_q[t]) + per_thread[t], t) for t in range(len(fetch_q))])
+        cycle = self.cycle
+        policy = self.active_fetch_policy()
+        consumers = iq.consumers
+        free_slots = iq.free_slots
+        ace_tags = iq.ready_ace_tags
+        plain_tags = iq.ready_plain_tags
+        iq_pred_bits = self.avf.iq_pred_bits
+        rob_pred_bits = self.avf.rob_pred_bits
+        # Summed here, written back once per call (also when the IQ
+        # fills): ``on_load_dispatch`` and ``dvm.throttle`` subscribers,
+        # the only calls out of the loop, do not read them.
+        before = occupancy
+        iq_bits = 0
+        rob_bits = 0
         for _, t in order:
             fq = fetch_q[t]
             if not fq:
@@ -654,32 +745,84 @@ class SMTPipeline:
                         )
                     continue
             rob = self.robs[t]
-            lsq = self.lsqs[t]
-            rename = self.rename[t]
             rob_entries = rob.entries
             rob_capacity = rob.capacity
+            lsq = self.lsqs[t]
+            lsq_entries = lsq.entries
+            lsq_capacity = lsq.capacity
+            producers = self.rename[t].producers
+            iq_full = False
             while budget > 0 and fq:
-                occupancy = len(iq_waiting) + len(iq_ready)
-                if occupancy >= iql or occupancy >= iq_capacity:
-                    return  # the shared IQ is the limit: nobody dispatches
+                if occupancy >= limit:
+                    iq_full = True
+                    break
                 inst = fq[0]
                 if len(rob_entries) >= rob_capacity:
                     break
-                op = inst.static.opclass
+                st = inst.static
+                op = st.opclass
                 is_mem = OP_IS_MEM[op]
-                if is_mem and len(lsq.entries) >= lsq.capacity:
+                if is_mem and len(lsq_entries) >= lsq_capacity:
                     break
                 fq.popleft()
-                rename.resolve_sources(inst)
-                rename.set_dest(inst)
-                rob.push(inst)
-                self.rob_pred_ace_bits += self.avf.rob_bits_pred(inst)
+                # Rename (``RenameTable.resolve_sources`` and
+                # ``set_dest``).  ``DynState`` orders FETCHED <
+                # DISPATCHED < ISSUED < COMPLETED < COMMITTED <
+                # SQUASHED, so ``< COMPLETED`` is "neither done nor
+                # squashed": a producer still executing.
+                pending: list[int] = []
+                for reg in st.srcs:
+                    producer = producers.get(reg)
+                    if producer is not None and producer.state < _COMPLETED:
+                        ptag = producer.tag
+                        if ptag not in pending:
+                            pending.append(ptag)
+                inst.src_tags = pending
+                dest = st.dest
+                if dest >= 0:
+                    inst.prev_producer = producers.get(dest)
+                    producers[dest] = inst
+                rob_entries.append(inst)
+                key = 2 * op + inst.ace_pred
+                rob_bits += rob_pred_bits[key]
+                tag = inst.tag
                 if is_mem:
-                    lsq.push(inst)
-                iq.insert(inst, cycle)
+                    lsq_entries[tag] = inst
+                # Enter the IQ (``IssueQueue.insert``).
+                inst.state = _DISPATCHED
+                inst.dispatch_cycle = cycle
+                inst.iq_slot = free_slots.pop()
+                if pending:
+                    iq_waiting[tag] = inst
+                    for ptag in pending:
+                        waiters = consumers.get(ptag)
+                        if waiters is None:
+                            consumers[ptag] = [inst]
+                        else:
+                            waiters.append(inst)
+                else:
+                    inst.ready_cycle = cycle
+                    iq_ready[tag] = inst
+                    if inst.ace_pred:
+                        tags = ace_tags
+                        iq.ready_pred_ace += 1
+                    else:
+                        tags = plain_tags
+                    if not tags or tag > tags[-1]:
+                        tags.append(tag)
+                    else:
+                        insort(tags, tag)
+                per_thread[t] += 1
+                iq_bits += iq_pred_bits[key]
+                occupancy += 1
                 if op == _LOAD:
-                    self.active_fetch_policy().on_load_dispatch(self, inst)
+                    policy.on_load_dispatch(self, inst)
                 budget -= 1
+            if iq_full:
+                break  # the shared IQ is the limit: nobody dispatches
+        iq.inserted += occupancy - before
+        iq.pred_ace_bits += iq_bits
+        self.rob_pred_ace_bits += rob_bits
 
     def _update_dvm_restore(self) -> None:
         """Section 5.1: when all threads are stalled on L2 misses and

@@ -23,17 +23,19 @@ _SQUASHED = DynState.SQUASHED
 class RenameTable:
     """Architectural-register → producer map of one thread."""
 
-    __slots__ = ("thread", "_map",)
+    __slots__ = ("thread", "producers")
 
     def __init__(self, thread: int):
         self.thread = thread
-        self._map: dict[int, DynInst] = {}
+        #: Architectural register -> youngest in-flight producer (the
+        #: pipeline's dispatch stage reads and updates it directly).
+        self.producers: dict[int, DynInst] = {}
 
     def resolve_sources(self, inst: DynInst) -> None:
         """Fill ``inst.src_tags`` with the tags of still-pending
         producers of its architectural sources."""
         pending: list[int] = []
-        rmap = self._map
+        rmap = self.producers
         for reg in inst.static.srcs:
             producer = rmap.get(reg)
             if producer is not None and producer.state not in _DONE:
@@ -49,7 +51,7 @@ class RenameTable:
         remembering the previous producer for squash repair."""
         dest = inst.static.dest
         if dest >= 0:
-            rmap = self._map
+            rmap = self.producers
             inst.prev_producer = rmap.get(dest)
             rmap[dest] = inst
 
@@ -60,11 +62,11 @@ class RenameTable:
         each restore re-exposes the correct earlier producer.
         """
         dest = inst.static.dest
-        if dest >= 0 and self._map.get(dest) is inst:
+        if dest >= 0 and self.producers.get(dest) is inst:
             if inst.prev_producer is None:
-                del self._map[dest]
+                del self.producers[dest]
             else:
-                self._map[dest] = inst.prev_producer
+                self.producers[dest] = inst.prev_producer
 
     def get(self, reg: int) -> DynInst | None:
-        return self._map.get(reg)
+        return self.producers.get(reg)

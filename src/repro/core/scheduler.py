@@ -8,18 +8,17 @@ issue slots.  ACE-ness at issue time is the per-PC predicted bit
 (``ace_pred``) from offline profiling — the scheduler never sees the
 oracle.
 
-Selection is lazy: :meth:`IssueScheduler.ready_order` yields ready
-instructions in policy priority order from the issue queue's
-incrementally maintained sorted tag lists, so a selection of ``width``
-instructions costs O(width + log R) instead of re-sorting the whole
-ready set every cycle.  The issue stage walks the full order until the
-issue width is filled, so instructions blocked on a dry FU pool never
-starve eligible younger instructions (no fixed over-selection window).
+Selection starts from :meth:`IssueScheduler.ready_tags`: the ready
+tags in policy priority order, built from the issue queue's two
+incrementally maintained sorted tag lists (one per predicted-ACE
+class) without visiting an instruction.  The issue stage walks the
+whole list until the issue width is filled, so instructions blocked on
+a dry FU pool never starve eligible younger instructions (no fixed
+over-selection window).
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator
 
 from repro.core.issue_queue import IssueQueue
@@ -31,19 +30,23 @@ class IssueScheduler:
 
     name = "base"
 
-    def ready_order(self, iq: IssueQueue) -> Iterator[DynInst]:
-        """Yield ready instructions in priority order (lazily).
+    def ready_tags(self, iq: IssueQueue) -> list[int]:
+        """Tags of the ready instructions in priority order.
 
-        The iterator snapshots the ready order at creation, then looks
-        each tag up live: the caller may issue (removing entries) while
-        iterating, and already-removed entries are skipped.
+        A new list: the caller may issue (removing entries from the
+        ready set) while walking it.
         """
         raise NotImplementedError
 
+    def ready_order(self, iq: IssueQueue) -> Iterator[DynInst]:
+        """Ready instructions in priority order."""
+        ready = iq.ready
+        return (ready[tag] for tag in self.ready_tags(iq))
+
     def select(self, iq: IssueQueue, width: int) -> list[DynInst]:
-        """Pick up to ``width`` ready instructions (eager convenience
-        wrapper around :meth:`ready_order`)."""
-        return list(islice(self.ready_order(iq), width))
+        """Pick up to ``width`` ready instructions."""
+        ready = iq.ready
+        return [ready[tag] for tag in self.ready_tags(iq)[:width]]
 
 
 class OldestFirstScheduler(IssueScheduler):
@@ -52,12 +55,11 @@ class OldestFirstScheduler(IssueScheduler):
 
     name = "oldest"
 
-    def ready_order(self, iq: IssueQueue) -> Iterator[DynInst]:
-        ready = iq.ready
-        for tag in iq.ready_tags_oldest():
-            inst = ready.get(tag)
-            if inst is not None:
-                yield inst
+    def ready_tags(self, iq: IssueQueue) -> list[int]:
+        # Two ascending runs: the sort merges them in one pass.
+        tags = iq.ready_ace_tags + iq.ready_plain_tags
+        tags.sort()
+        return tags
 
 
 class VISAScheduler(IssueScheduler):
@@ -70,12 +72,8 @@ class VISAScheduler(IssueScheduler):
 
     name = "visa"
 
-    def ready_order(self, iq: IssueQueue) -> Iterator[DynInst]:
-        ready = iq.ready
-        for tag in iq.ready_tags_visa():
-            inst = ready.get(tag)
-            if inst is not None:
-                yield inst
+    def ready_tags(self, iq: IssueQueue) -> list[int]:
+        return iq.ready_ace_tags + iq.ready_plain_tags
 
 
 _SCHEDULERS = {

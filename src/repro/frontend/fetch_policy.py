@@ -38,7 +38,10 @@ class CoreView(Protocol):
     @property
     def num_threads(self) -> int: ...
 
-    def in_flight(self, tid: int) -> int: ...
+    def icounts(self) -> list[int]:
+        """ICOUNT metric of every thread, in thread order: its
+        instructions in the front end and the IQ."""
+        ...
 
     def outstanding_l2(self, tid: int) -> int: ...
 
@@ -58,7 +61,9 @@ class FetchPolicy:
 
     def priority(self, core: CoreView) -> list[int]:
         """Thread ids, highest fetch priority first (ICOUNT order)."""
-        return sorted(range(core.num_threads), key=lambda t: (core.in_flight(t), t))
+        counts = core.icounts()
+        # A stable sort of ascending ids: ties go to the lower id.
+        return sorted(range(len(counts)), key=counts.__getitem__)
 
     def gated(self, core: CoreView, tid: int) -> bool:
         return False

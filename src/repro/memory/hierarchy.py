@@ -226,7 +226,9 @@ class MemoryHierarchy:
         self.l2_data_miss_count += l2_data_miss
 
     def reset_stats(self) -> None:
-        for c in (self.l1i, self.l1d, self.l2):
-            c.stats.reset()
+        for stats in (
+            self.l1i.stats, self.l1d.stats, self.l2.stats, self.itlb.stats, self.dtlb.stats
+        ):
+            stats.reset()
         self.l2_miss_count = 0
         self.l2_data_miss_count = 0

@@ -195,6 +195,7 @@ class _Stream:
     __slots__ = ("block", "start", "groups", "rf_commit", "rf_read")
 
     def __init__(self) -> None:
+        # Cleared in place when swept, so a caller may hold on to it.
         self.block: list[DynInst] = []
         self.start = 0
         self.groups: dict[int, _Group] = {}
@@ -238,20 +239,29 @@ class ACEAnalyzer:
         # occurrences are then published as ``reliability.late_ace``.
         self.bus: EventBus | None = None
         self.window_size = window_size
-        self._block_size = BLOCK
+        #: Commits per thread between two sweeps.
+        self.block_size = BLOCK
         self._resolve_cb = resolve_cb
         self._rf_cb = rf_cb
         self._streams = [_Stream() for _ in range(num_threads)]
+        #: Each thread's open block, one list per thread for the whole
+        #: run.  :meth:`commit` appends to it; the pipeline's commit
+        #: stage appends directly and calls :meth:`close_block` at
+        #: ``block_size`` entries, as :meth:`commit` does.
+        self.blocks: list[list[DynInst]] = [s.block for s in self._streams]
 
     def commit(self, dyn: DynInst, cycle: int) -> None:
         """Feed one committed instruction (program order per thread),
         recording ``cycle`` as its commit cycle."""
         dyn.commit_cycle = cycle
-        stream = self._streams[dyn.thread]
-        block = stream.block
+        block = self.blocks[dyn.thread]
         block.append(dyn)
-        if len(block) >= self._block_size:
-            self._close_block(dyn.thread, stream, live=True)
+        if len(block) >= self.block_size:
+            self.close_block(dyn.thread)
+
+    def close_block(self, thread: int) -> None:
+        """Sweep ``thread``'s full block (the stream goes on past it)."""
+        self._close_block(thread, self._streams[thread], live=True)
 
     def flush(self, final_cycle: int) -> None:
         """End of run: classify everything still open and close the open
@@ -354,11 +364,11 @@ class ACEAnalyzer:
                         group.index.append(i)
                         group.insts.append(dyn)
         stream.groups = groups
-        stream.block = []
+        block.clear()
         stream.start = end
 
         stats = self.stats
-        stats.committed += len(block)
+        stats.committed += end - start
         stats.ace += n_ace
         stats.unace += len(resolved) - n_ace
         if late:

@@ -40,7 +40,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.config import MachineConfig
-from repro.isa.instruction import OP_IS_MEM, DynInst, DynState, OpClass
+from repro.isa.instruction import N_OPCLASSES, OP_IS_MEM, DynInst, DynState, OpClass
 from repro.telemetry.bus import EventBus
 from repro.telemetry.topics import TOPIC_RELIABILITY_ATTRIBUTION, TOPIC_RELIABILITY_RF
 
@@ -113,6 +113,7 @@ class AVFBitLayout:
 
 
 _QUIET = frozenset({OpClass.NOP, OpClass.PREFETCH})
+_OP_QUIET: tuple[bool, ...] = tuple(op in _QUIET for op in range(N_OPCLASSES))
 _SQUASHED = DynState.SQUASHED
 # Plain-int structure indices for the per-instruction accumulators.
 _IQ = int(Structure.IQ)
@@ -152,6 +153,17 @@ class AVFAccount:
         self._bits_quiet = (lay.iq_nop, lay.rob_nop, 0)
         self._bits_ace = (lay.iq_ace, lay.rob_ace, lay.fu_ace)
         self._bits_unace = (lay.iq_unace, lay.rob_unace, lay.fu_unace)
+        # Predicted-ACE bits of an IQ / ROB entry, indexed by
+        # ``2 * opclass + ace_pred``: the pipeline's stages index these
+        # directly, ``iq_bits_pred``/``rob_bits_pred`` read them.
+        iq_pred: list[int] = []
+        rob_pred: list[int] = []
+        for op in range(N_OPCLASSES):
+            quiet = _OP_QUIET[op]
+            iq_pred += [lay.iq_nop, lay.iq_nop] if quiet else [lay.iq_unace, lay.iq_ace]
+            rob_pred += [lay.rob_nop, lay.rob_nop] if quiet else [lay.rob_unace, lay.rob_ace]
+        self.iq_pred_bits: tuple[int, ...] = tuple(iq_pred)
+        self.rob_pred_bits: tuple[int, ...] = tuple(rob_pred)
         # bit-cycles, overall and per interval index, indexed by Structure.
         self._acc: list[int] = [0] * len(Structure)
         self._interval_acc: list[dict[int, int]] = [{} for _ in Structure]
@@ -195,15 +207,11 @@ class AVFAccount:
 
     def iq_bits_pred(self, dyn: DynInst) -> int:
         """Predicted-ACE bits — what DVM's hardware counter sees."""
-        if dyn.static.opclass in _QUIET:
-            return self.layout.iq_nop
-        return self.layout.iq_ace if dyn.ace_pred else self.layout.iq_unace
+        return self.iq_pred_bits[2 * dyn.static.opclass + dyn.ace_pred]
 
     def rob_bits_pred(self, dyn: DynInst) -> int:
         """Predicted-ACE ROB bits (the ROB-DVM extension's counter)."""
-        if dyn.static.opclass in _QUIET:
-            return self.layout.rob_nop
-        return self.layout.rob_ace if dyn.ace_pred else self.layout.rob_unace
+        return self.rob_pred_bits[2 * dyn.static.opclass + dyn.ace_pred]
 
     # ------------------------------------------------------------------
     # Attribution
@@ -224,14 +232,26 @@ class AVFAccount:
             self._interval_acc[_IQ], self._interval_acc[_ROB], self._interval_acc[_FU]
         )
         interval = self.interval_cycles
-        oracle_bits = self._oracle_bits
+        op_quiet = _OP_QUIET
         bus = self.bus
         if bus is not None and bus.version != self._bus_version:
             self._refresh_wants(bus)
         if not self._want_attr:
             bus = None
+        bits_quiet, bits_ace, bits_unace = self._bits_quiet, self._bits_ace, self._bits_unace
         for dyn in insts:
-            iq_bits, rob_bits, fu_bits = oracle_bits(dyn)
+            # ``_oracle_bits``, written out: one call per instruction
+            # costs more than the classification itself.
+            ace = dyn.ace
+            op = dyn.static.opclass
+            if ace is None or dyn.state == _SQUASHED:
+                iq_bits = rob_bits = fu_bits = 0
+            elif op_quiet[op]:
+                iq_bits, rob_bits, fu_bits = bits_quiet
+            elif ace:
+                iq_bits, rob_bits, fu_bits = bits_ace
+            else:
+                iq_bits, rob_bits, fu_bits = bits_unace
             iq_bc = rob_bc = fu_bc = 0
             dispatch = dyn.dispatch_cycle
             if dispatch >= 0:
@@ -254,7 +274,7 @@ class AVFAccount:
                 # Memory operations occupy their load/store unit only for
                 # address generation; the (pipelined) cache fill does not
                 # hold operand latches in the FU.
-                res = 1 if OP_IS_MEM[dyn.static.opclass] else max(dyn.exec_latency, 1)
+                res = 1 if OP_IS_MEM[op] else max(dyn.exec_latency, 1)
                 fu_bc = fu_bits * res
                 if fu_bc > 0:
                     acc[_FU] += fu_bc
@@ -266,7 +286,7 @@ class AVFAccount:
                     thread=dyn.thread,
                     tag=dyn.tag,
                     ace=bool(dyn.ace),
-                    quiet=dyn.static.opclass in _QUIET,
+                    quiet=op_quiet[op],
                     iq_slot=dyn.iq_slot,
                     iq_bit_cycles=iq_bc,
                     rob_bit_cycles=rob_bc,

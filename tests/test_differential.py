@@ -14,6 +14,8 @@ from repro.config import CacheConfig, MachineConfig, ReliabilityConfig, Simulati
 from repro.core.pipeline import SMTPipeline
 from repro.isa.generator import generate_program
 from repro.memory.cache import SetAssocCache
+from repro.reliability.profiling import profile_and_apply
+from repro.reliability.resource_alloc import L2MissSensitiveAllocation
 
 
 class ReferenceCache:
@@ -55,6 +57,36 @@ def test_cache_matches_reference(addrs, geometry):
         assert cache.access(a) == ref.access(a), f"divergence at addr {a:#x}"
 
 
+def reconcile_counters(pipe):
+    """Every running IQ and ROB counter of ``pipe`` against a recount
+    of the resident entries; the names of those that disagree."""
+    iq = pipe.iq
+    bits = pipe.avf.iq_bits_pred
+    resident = list(iq.waiting.values()) + list(iq.ready.values())
+    ready = iq.ready
+    wrong = []
+    if iq.pred_ace_bits != sum(bits(i) for i in resident):
+        wrong.append("iq.pred_ace_bits")
+    if iq.ready_pred_ace != sum(1 for i in ready.values() if i.ace_pred):
+        wrong.append("iq.ready_pred_ace")
+    per_thread = [0] * len(iq.per_thread)
+    for inst in resident:
+        per_thread[inst.thread] += 1
+    if iq.per_thread != per_thread:
+        wrong.append("iq.per_thread")
+    if iq.ready_ace_tags != sorted(t for t, i in ready.items() if i.ace_pred):
+        wrong.append("iq.ready_ace_tags")
+    if iq.ready_plain_tags != sorted(t for t, i in ready.items() if not i.ace_pred):
+        wrong.append("iq.ready_plain_tags")
+    slots = iq.free_slots + [i.iq_slot for i in resident]
+    if sorted(slots) != list(range(iq.capacity)):
+        wrong.append("iq.free_slots")
+    rob_bits = sum(pipe.avf.rob_bits_pred(i) for rob in pipe.robs for i in rob.entries)
+    if pipe.rob_pred_ace_bits != rob_bits:
+        wrong.append("rob_pred_ace_bits")
+    return wrong
+
+
 @settings(max_examples=6, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),
@@ -62,8 +94,9 @@ def test_cache_matches_reference(addrs, geometry):
     st.integers(min_value=1, max_value=3),
 )
 def test_pipeline_fuzz_invariants(seed, benchmark, n_threads):
-    """Random (seed, workload, thread-count) pipelines must preserve the
-    structural invariants for their whole run."""
+    """Random (seed, workload, thread-count, machine, policy) pipelines
+    must preserve the structural invariants for their whole run, and
+    every running IQ/ROB counter must equal its recount every cycle."""
     rng = random.Random(seed)
     machine = MachineConfig(
         num_threads=n_threads,
@@ -78,12 +111,23 @@ def test_pipeline_fuzz_invariants(seed, benchmark, n_threads):
     programs = [
         generate_program(benchmark, seed=seed + i) for i in range(n_threads)
     ]
+    for i, program in enumerate(programs):
+        # Profiled, so predicted-ACE and predicted-un-ACE entries mix.
+        profile_and_apply(program, 3_000, 600, seed=seed + i)
     sim = SimulationConfig(
         max_cycles=700, warmup_cycles=0, seed=seed,
         bp_warmup_instructions=1_000,
         reliability=ReliabilityConfig(interval_cycles=200, ace_window=400),
     )
-    pipe = SMTPipeline(programs, machine=machine, sim=sim)
+    opt2 = rng.random() < 0.5
+    pipe = SMTPipeline(
+        programs, machine=machine, sim=sim,
+        fetch_policy=rng.choice(["icount", "rr", "stall", "flush", "dg", "pdg"]),
+        scheduler=rng.choice(["oldest", "visa"]),
+        dispatch_policy=(
+            L2MissSensitiveAllocation(machine.iq_size, t_cache_miss=2) if opt2 else None
+        ),
+    )
     violations = []
     orig = pipe._tick_stats
 
@@ -99,6 +143,8 @@ def test_pipeline_fuzz_invariants(seed, benchmark, n_threads):
                 violations.append(("lsq", pipe.cycle))
             if pipe._outstanding_l2[t] < 0 or pipe._outstanding_l1d[t] < 0:
                 violations.append(("outstanding", pipe.cycle))
+        for name in reconcile_counters(pipe):
+            violations.append((name, pipe.cycle))
         orig()
 
     pipe._tick_stats = checked
@@ -318,7 +364,6 @@ class TestHashSeedIndependence:
 # Values were generated before the skip existed.
 # ----------------------------------------------------------------------
 from repro.reliability.avf import Structure
-from repro.reliability.resource_alloc import L2MissSensitiveAllocation
 from repro.telemetry.topics import TOPIC_DVM_THROTTLE
 
 

@@ -25,8 +25,8 @@ class FakeCore:
         self._l1d = [0] * n
         self.flush_requests = []
 
-    def in_flight(self, tid):
-        return self._in_flight[tid]
+    def icounts(self):
+        return list(self._in_flight)
 
     def outstanding_l2(self, tid):
         return self._l2[tid]

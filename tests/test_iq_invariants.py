@@ -180,7 +180,7 @@ class TestConsumerListHygiene:
     @settings(max_examples=150, deadline=None)
     @given(ops=_ops)
     def test_consumers_only_reference_waiting_entries(self, ops):
-        """Every instruction on any ``_consumers`` list is a *waiting*
+        """Every instruction on any ``consumers`` list is a *waiting*
         resident of the queue.  ``squash_thread`` must prune squashed
         waiting entries out of their surviving producers' consumer
         lists; before it did, dead references accumulated there until
@@ -221,7 +221,7 @@ class TestConsumerListHygiene:
                 after_tag = resident[pick % len(resident)] if resident else 0
                 for inst in iq.squash_thread(thread, after_tag):
                     inst.state = DynState.SQUASHED
-            for producer_tag, consumers in iq._consumers.items():
+            for producer_tag, consumers in iq.consumers.items():
                 assert consumers, f"empty consumer list kept for {producer_tag}"
                 for c in consumers:
                     assert c.tag in iq.waiting and iq.waiting[c.tag] is c, (

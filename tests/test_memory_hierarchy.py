@@ -98,6 +98,7 @@ class TestHierarchyTiming:
         self.mem.reset_stats()
         assert self.mem.l2_miss_count == 0
         assert self.mem.l1d.stats.accesses == 0
+        assert self.mem.dtlb.stats.accesses == 0
 
 
 class TestThreadIsolation:

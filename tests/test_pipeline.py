@@ -8,6 +8,7 @@ from repro.isa.generator import generate_program
 from repro.isa.instruction import DynState
 from repro.reliability.dvm import DVMController
 from repro.reliability.resource_alloc import DynamicIQAllocation
+from repro.telemetry.topics import TOPIC_COMMIT
 from repro.workloads import get_mix
 
 
@@ -122,17 +123,17 @@ class TestStructuralInvariants:
         pipe = SMTPipeline(programs, sim=short_sim(cycles=1_200))
         last_tag = [0] * pipe.num_threads
         bad = []
-        orig = pipe.analyzer.commit
 
-        def checked(dyn, cycle):
+        def checked(event):
+            dyn = event["inst"]
             if dyn.tag <= last_tag[dyn.thread]:
                 bad.append(dyn.tag)
             last_tag[dyn.thread] = dyn.tag
-            orig(dyn, cycle)
 
-        pipe.analyzer.commit = checked
-        pipe.run()
+        with pipe.bus.subscribe(TOPIC_COMMIT, checked):
+            pipe.run()
         assert bad == []
+        assert all(last_tag)
 
     def test_max_instructions_stops_early(self):
         programs = get_mix("CPU-A").programs(seed=3)

@@ -12,6 +12,7 @@ from repro.isa.instruction import (
     StaticInst,
 )
 from repro.isa.program import BasicBlock, SyntheticProgram
+from repro.telemetry.topics import TOPIC_COMMIT
 
 
 def tiny_sim(cycles=800, **kw):
@@ -124,9 +125,9 @@ class TestBranchRecovery:
         prog = self._branchy(bias=0.5, predictability=0.0)
         pipe = SMTPipeline([prog], sim=tiny_sim(cycles=600))
         committed_pcs = []
-        orig = pipe.analyzer.commit
-        pipe.analyzer.commit = lambda d, c: (committed_pcs.append(d.pc), orig(d, c))
-        pipe.run()
+        with pipe.bus.subscribe(TOPIC_COMMIT, lambda ev: committed_pcs.append(ev["inst"].pc)):
+            pipe.run()
+        assert committed_pcs
 
         from repro.isa.program import ThreadContext
 

@@ -100,6 +100,9 @@ class TestWarmupEqualsReference:
         fast._functional_warmup()
         functional_warmup(ref)
         assert _state(fast) == _state(ref)
+        # Warm-up translations do not count, like warm-up cache accesses.
+        assert fast.mem.itlb.stats.accesses == 0
+        assert fast.mem.dtlb.stats.accesses == 0
 
 
 class TestWalk:
