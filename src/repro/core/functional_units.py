@@ -48,7 +48,7 @@ class FunctionalUnitPool:
 
     ``limits`` and ``used`` are indexed by :class:`FUKind` (an opclass's
     kind is ``OP_FU[opclass]``); the pipeline's issue stage reserves
-    slots on them directly, :meth:`try_issue` is the same step.
+    slots on them directly and adds its issues to ``busy_integral``.
     """
 
     __slots__ = ("limits", "used", "busy_integral")
@@ -66,19 +66,6 @@ class FunctionalUnitPool:
     def new_cycle(self) -> None:
         for k in range(FUKind._COUNT):
             self.used[k] = 0
-
-    def try_issue(self, opclass: OpClass) -> bool:
-        """Reserve a unit slot for this cycle; False if the pool is dry."""
-        kind = OP_FU[opclass]
-        if self.used[kind] >= self.limits[kind]:
-            return False
-        self.used[kind] += 1
-        self.busy_integral += 1
-        return True
-
-    def available(self, opclass: OpClass) -> int:
-        kind = OP_FU[opclass]
-        return self.limits[kind] - self.used[kind]
 
     @property
     def total_units(self) -> int:

@@ -23,24 +23,12 @@ class LoadStoreQueue:
             raise ValueError("LSQ capacity must be positive")
         self.capacity = capacity
         self.thread = thread
-        self.entries: dict[int, DynInst] = {}  # tag -> inst, insertion = age order
+        # tag -> inst, insertion = age order (dispatch adds entries directly).
+        self.entries: dict[int, DynInst] = {}
         self._store_addrs: dict[int, int] = {}  # line addr -> count of pending stores
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def free_entries(self) -> int:
-        return self.capacity - len(self.entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self.entries) >= self.capacity
-
-    def push(self, inst: DynInst) -> None:
-        if len(self.entries) >= self.capacity:
-            raise RuntimeError(f"LSQ of thread {self.thread} overflow")
-        self.entries[inst.tag] = inst
 
     def note_store_address(self, inst: DynInst) -> None:
         """Record a store's resolved address for forwarding checks."""

@@ -204,7 +204,12 @@ class SimulationResult:
         """Percentage of vulnerability emergencies: the fraction of
         post-warm-up intervals whose oracle IQ AVF exceeds the target
         (Section 5.2)."""
-        warm = self.warm_iq_interval_avf
+        return self._pve(self.iq_interval_avf, target_avf)
+
+    def _pve(self, interval_avf: list[float], target_avf: float) -> float:
+        """Fraction of the post-warm-up intervals of ``interval_avf``
+        strictly above ``target_avf`` (0.0 when there are none)."""
+        warm = interval_avf[self._warm_interval_start:]
         if not warm:
             return 0.0
         return float(np.mean([a > target_avf for a in warm]))
@@ -234,10 +239,7 @@ class SimulationResult:
 
     def pve_rob(self, target_avf: float) -> float:
         """PVE measured on the ROB's oracle interval AVF."""
-        warm = self.warm_rob_interval_avf
-        if not warm:
-            return 0.0
-        return float(np.mean([a > target_avf for a in warm]))
+        return self._pve(self.rob_interval_avf, target_avf)
 
 
 class SMTPipeline:
@@ -299,7 +301,7 @@ class SMTPipeline:
             resolve_cb=self.avf.attribute,
             rf_cb=self.avf.attribute_rf,
         )
-        self.iq = IssueQueue(self.machine.iq_size, n, bits_of=self.avf.iq_bits_pred)
+        self.iq = IssueQueue(self.machine.iq_size, n)
         self.robs = [ReorderBuffer(self.machine.rob_size_per_thread, t) for t in range(n)]
         self.lsqs = [LoadStoreQueue(self.machine.lsq_size_per_thread, t) for t in range(n)]
         self.rename = [RenameTable(t) for t in range(n)]
@@ -492,7 +494,7 @@ class SMTPipeline:
                 continue
             inst.state = _COMPLETED
             inst.complete_cycle = cycle
-            # Wake the consumers (``IssueQueue.wakeup``).
+            # Wake the consumers.
             tag = inst.tag
             waiters = consumers.pop(tag, None)
             if waiters:
@@ -548,15 +550,21 @@ class SMTPipeline:
         ``after_tag`` from the whole pipeline."""
         squashed: list[DynInst] = []
         policy = self.active_fetch_policy()
+        iq = self.iq
+        iq_pred_bits = self.avf.iq_pred_bits
+        rob_pred_bits = self.avf.rob_pred_bits
         fq = self.fetch_q[tid]
         while fq and fq[-1].tag > after_tag:
             inst = fq.pop()
             inst.state = _SQUASHED
             squashed.append(inst)
-        for inst in self.iq.squash_thread(tid, after_tag):
+        iq_bits = 0
+        for inst in iq.squash_thread(tid, after_tag):
             inst.state = _SQUASHED
             inst.iq_leave_cycle = self.cycle
+            iq_bits += iq_pred_bits[2 * inst.static.opclass + inst.ace_pred]
             squashed.append(inst)
+        iq.pred_ace_bits -= iq_bits
         # ROB walk (young-first) covers every dispatched instruction:
         # rename unwind, in-flight-load bookkeeping, consumer cleanup.
         for inst in self.robs[tid].squash_after(after_tag):
@@ -570,15 +578,15 @@ class SMTPipeline:
                         if self._outstanding_l2[tid] == 0:
                             policy.on_l2_return(self, tid)
                     policy.on_load_left(self, inst)
-                self.iq.drop_consumers(inst.tag)
+                iq.drop_consumers(inst.tag)
             elif state == _COMPLETED:
-                self.iq.drop_consumers(inst.tag)
+                iq.drop_consumers(inst.tag)
             elif state == _DISPATCHED and inst.static.opclass == _LOAD:
                 # Never issued, but PDG counted it at dispatch: release
                 # its predicted-miss slot or the thread gates forever.
                 policy.on_load_left(self, inst)
             # Every ROB-resident entry carried ROB counter bits.
-            self.rob_pred_ace_bits -= self.avf.rob_bits_pred(inst)
+            self.rob_pred_ace_bits -= rob_pred_bits[2 * inst.static.opclass + inst.ace_pred]
             self.rename[tid].unwind(inst)
             if inst.state != _SQUASHED:
                 inst.state = _SQUASHED
@@ -636,7 +644,7 @@ class SMTPipeline:
                 if used[kind] >= limits[kind]:
                     continue
                 used[kind] += 1
-                # Leave the IQ (``IssueQueue.remove_issued``).
+                # Leave the IQ.
                 del ready[tag]
                 if inst.ace_pred:
                     ace_tags.remove(tag)
@@ -765,11 +773,10 @@ class SMTPipeline:
                 if is_mem and len(lsq_entries) >= lsq_capacity:
                     break
                 fq.popleft()
-                # Rename (``RenameTable.resolve_sources`` and
-                # ``set_dest``).  ``DynState`` orders FETCHED <
-                # DISPATCHED < ISSUED < COMPLETED < COMMITTED <
-                # SQUASHED, so ``< COMPLETED`` is "neither done nor
-                # squashed": a producer still executing.
+                # Rename.  ``DynState`` orders FETCHED < DISPATCHED <
+                # ISSUED < COMPLETED < COMMITTED < SQUASHED, so
+                # ``< COMPLETED`` is "neither done nor squashed": a
+                # producer still executing.
                 pending: list[int] = []
                 for reg in st.srcs:
                     producer = producers.get(reg)
@@ -788,7 +795,7 @@ class SMTPipeline:
                 tag = inst.tag
                 if is_mem:
                     lsq_entries[tag] = inst
-                # Enter the IQ (``IssueQueue.insert``).
+                # Enter the IQ.
                 inst.state = _DISPATCHED
                 inst.dispatch_cycle = cycle
                 inst.iq_slot = free_slots.pop()

@@ -8,21 +8,18 @@ issue slots.  ACE-ness at issue time is the per-PC predicted bit
 (``ace_pred``) from offline profiling — the scheduler never sees the
 oracle.
 
-Selection starts from :meth:`IssueScheduler.ready_tags`: the ready
-tags in policy priority order, built from the issue queue's two
+A scheduler is one method, :meth:`IssueScheduler.ready_tags`: the
+ready tags in policy priority order, built from the issue queue's two
 incrementally maintained sorted tag lists (one per predicted-ACE
-class) without visiting an instruction.  The issue stage walks the
-whole list until the issue width is filled, so instructions blocked on
-a dry FU pool never starve eligible younger instructions (no fixed
-over-selection window).
+class) without visiting an instruction.  The pipeline's issue stage
+walks the whole list until the issue width is filled, so instructions
+blocked on a dry FU pool never starve eligible younger instructions
+(no fixed over-selection window).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.core.issue_queue import IssueQueue
-from repro.isa.instruction import DynInst
 
 
 class IssueScheduler:
@@ -37,16 +34,6 @@ class IssueScheduler:
         ready set) while walking it.
         """
         raise NotImplementedError
-
-    def ready_order(self, iq: IssueQueue) -> Iterator[DynInst]:
-        """Ready instructions in priority order."""
-        ready = iq.ready
-        return (ready[tag] for tag in self.ready_tags(iq))
-
-    def select(self, iq: IssueQueue, width: int) -> list[DynInst]:
-        """Pick up to ``width`` ready instructions."""
-        ready = iq.ready
-        return [ready[tag] for tag in self.ready_tags(iq)[:width]]
 
 
 class OldestFirstScheduler(IssueScheduler):

@@ -9,7 +9,7 @@ from repro.harness.runner import (
 )
 from repro.harness import experiments
 from repro.harness.report import format_table, save_report
-from repro.harness.charts import hbar_chart, sparkline, strip_chart
+from repro.harness.charts import sparkline, strip_chart
 from repro.harness.trace import PipelineTracer, TraceEvent
 
 # Imported last: the parallel engine builds on the sweep helpers and the
@@ -31,7 +31,6 @@ __all__ = [
     "format_table",
     "save_report",
     "sparkline",
-    "hbar_chart",
     "strip_chart",
     "PipelineTracer",
     "TraceEvent",

@@ -1,8 +1,8 @@
 """Terminal-friendly charts for reports and examples.
 
 The harness is text-only (no matplotlib dependency), so figures
-are rendered as ASCII: sparklines for series, horizontal bars for
-categorical values, and strip charts for interval traces.
+are rendered as ASCII: sparklines for series and strip charts for
+interval traces.
 """
 
 from __future__ import annotations
@@ -29,24 +29,6 @@ def sparkline(values: Sequence[float], lo: float | None = None, hi: float | None
     return "".join(out)
 
 
-def hbar_chart(
-    items: Sequence[tuple[str, float]],
-    width: int = 40,
-    fmt: str = "{:.3f}",
-) -> str:
-    """Horizontal bar chart: one ``label |#####| value`` row per item."""
-    rows = list(items)
-    if not rows:
-        return "(no data)"
-    peak = max(v for _, v in rows)
-    label_w = max(len(label) for label, _ in rows)
-    lines = []
-    for label, v in rows:
-        n = int(width * v / peak) if peak > 0 else 0
-        lines.append(f"{label:<{label_w}} |{'#' * n:<{width}}| {fmt.format(v)}")
-    return "\n".join(lines)
-
-
 def strip_chart(
     values: Sequence[float],
     threshold: float | None = None,
@@ -71,13 +53,3 @@ def strip_chart(
         flag = marker if threshold is not None and v > threshold else ""
         lines.append(f"{i:4d} |{'#' * n:<{width}}| {v:.3f}{flag}")
     return "\n".join(lines)
-
-
-def histogram_chart(
-    probabilities: Sequence[float],
-    max_bins: int = 40,
-    width: int = 40,
-) -> str:
-    """Render a probability histogram (Figure 2 style)."""
-    vals = [float(v) for v in probabilities][:max_bins]
-    return hbar_chart([(str(i), v) for i, v in enumerate(vals)], width=width, fmt="{:.4f}")

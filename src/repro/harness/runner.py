@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Callable, TypeVar
 
@@ -471,11 +472,28 @@ def single_thread_ipc(
     return _SINGLE_IPC[key]
 
 
+def harmonic_ipc(smt_ipc: Sequence[float], single_ipc: Sequence[float]) -> float:
+    """Harmonic mean of per-thread relative IPCs, the paper's
+    fairness-aware throughput (Luo, Gummaraju & Franklin, ISPASS 2001):
+    ``N / sum_i(IPC_single_i / IPC_smt_i)``, where ``IPC_single_i`` is
+    thread *i*'s IPC running alone on the machine."""
+    if len(smt_ipc) != len(single_ipc):
+        raise ValueError("smt_ipc and single_ipc must have equal length")
+    if not smt_ipc:
+        return 0.0
+    total = 0.0
+    for smt, single in zip(smt_ipc, single_ipc):
+        if single <= 0:
+            raise ValueError("single-thread IPC must be positive")
+        if smt <= 0:
+            return 0.0  # a starved thread zeroes fairness
+        total += single / smt
+    return len(smt_ipc) / total
+
+
 def mix_harmonic_ipc(mix_name: str, scale: BenchScale, result: SimulationResult,
                      fetch_policy: str = "icount") -> float:
     """Harmonic IPC of one mix result against single-thread baselines."""
-    from repro.metrics.stats import harmonic_ipc
-
     singles = [
         single_thread_ipc(b, scale, program_seed=program_seed, fetch_policy=fetch_policy)
         for b, program_seed in get_mix(mix_name).instances(scale.seed)

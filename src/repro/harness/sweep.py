@@ -176,29 +176,3 @@ def sweep(
             assemble_row(mix_name, kwargs, list(metrics), raw, baseline_raw)
         )
     return rows
-
-
-def best_row(rows: Sequence[dict], metric: str, maximize: bool = True) -> dict:
-    """The row with the extremal value of ``metric``."""
-    if not rows:
-        raise ValueError("no rows")
-    key = lambda r: r[metric]  # noqa: E731
-    return max(rows, key=key) if maximize else min(rows, key=key)
-
-
-def pareto_front(
-    rows: Sequence[dict], minimize: str, maximize: str
-) -> list[dict]:
-    """Rows not dominated in the (minimize, maximize) plane — e.g. the
-    AVF/IPC trade-off frontier of a mitigation sweep."""
-    front = []
-    for row in rows:
-        dominated = any(
-            other[minimize] <= row[minimize]
-            and other[maximize] >= row[maximize]
-            and (other[minimize] < row[minimize] or other[maximize] > row[maximize])
-            for other in rows
-        )
-        if not dominated:
-            front.append(row)
-    return sorted(front, key=lambda r: r[minimize])

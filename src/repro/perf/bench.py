@@ -1,9 +1,9 @@
 """Deterministic hot-path benchmark suite (min-of-N wall clock).
 
 The cases cover the paths every perf-sensitive change touches: the
-bare pipeline cycle loop, issue/select scheduling, the DVM controller's
-interval-rate decision path, the interval resource allocator, offline
-ACE profiling and the telemetry relay round-trip.  Each case's
+bare pipeline cycle loop, the issue scheduler's ready order, the DVM
+controller's interval-rate decision path, the interval resource
+allocator, offline ACE profiling and the telemetry relay round-trip.  Each case's
 ``make`` factory builds *all* state up front and returns a closure
 whose body is only the hot path, so the timed region measures the code
 under test and nothing else.  Inputs are fixed by :data:`PERF_SCALE`
@@ -105,8 +105,8 @@ _make_pipeline_cycle_loop = _make_cycle_loop(_BENCH_MIX)
 _make_mem_cycle_loop = _make_cycle_loop("MEM-A")
 
 
-def _make_issue_select(scale: BenchScale) -> Callable[[], None]:
-    """VISA select over a full IQ of ready instructions."""
+def _make_issue_ready_tags(scale: BenchScale) -> Callable[[], None]:
+    """VISA ready-tag order over a full IQ of ready instructions."""
     machine = MachineConfig()
     program = generate_program("mcf", seed=scale.seed)
     statics = list(program.all_insts())
@@ -118,13 +118,16 @@ def _make_issue_select(scale: BenchScale) -> Callable[[], None]:
             tag=tag + 1, thread=tag % machine.num_threads, static=st, stream_pos=0
         )
         inst.ace_pred = (tag * 7919) % 3 != 0  # fixed ACE/un-ACE blend
-        iq.insert(inst, cycle=0)
-    width = machine.issue_width * 2
+        # A ready entry: in the ready map and in its ascending tag list
+        # (the only state ``ready_tags`` reads).
+        iq.ready[inst.tag] = inst
+        tags = iq.ready_ace_tags if inst.ace_pred else iq.ready_plain_tags
+        tags.append(inst.tag)
     iters = 2_000
 
     def run() -> None:
         for _ in range(iters):
-            scheduler.select(iq, width)
+            scheduler.ready_tags(iq)
 
     return run
 
@@ -251,9 +254,9 @@ BENCH_CASES: tuple[BenchCase, ...] = (
         _make_mem_cycle_loop,
     ),
     BenchCase(
-        "issue_select",
-        "VISA scheduler select() over a full ready IQ",
-        _make_issue_select,
+        "issue_ready_tags",
+        "VISA scheduler ready_tags() over a full ready IQ",
+        _make_issue_ready_tags,
     ),
     BenchCase(
         "dvm_interval",

@@ -245,19 +245,10 @@ class ACEAnalyzer:
         self._rf_cb = rf_cb
         self._streams = [_Stream() for _ in range(num_threads)]
         #: Each thread's open block, one list per thread for the whole
-        #: run.  :meth:`commit` appends to it; the pipeline's commit
-        #: stage appends directly and calls :meth:`close_block` at
-        #: ``block_size`` entries, as :meth:`commit` does.
+        #: run.  The pipeline's commit stage appends each committed
+        #: instruction (program order per thread, ``commit_cycle`` set)
+        #: and calls :meth:`close_block` at ``block_size`` entries.
         self.blocks: list[list[DynInst]] = [s.block for s in self._streams]
-
-    def commit(self, dyn: DynInst, cycle: int) -> None:
-        """Feed one committed instruction (program order per thread),
-        recording ``cycle`` as its commit cycle."""
-        dyn.commit_cycle = cycle
-        block = self.blocks[dyn.thread]
-        block.append(dyn)
-        if len(block) >= self.block_size:
-            self.close_block(dyn.thread)
 
     def close_block(self, thread: int) -> None:
         """Sweep ``thread``'s full block (the stream goes on past it)."""

@@ -120,7 +120,6 @@ _IQ = int(Structure.IQ)
 _ROB = int(Structure.ROB)
 _RF = int(Structure.RF)
 _FU = int(Structure.FU)
-_NO_BITS = (0, 0, 0)
 
 
 class AVFAccount:
@@ -154,8 +153,9 @@ class AVFAccount:
         self._bits_ace = (lay.iq_ace, lay.rob_ace, lay.fu_ace)
         self._bits_unace = (lay.iq_unace, lay.rob_unace, lay.fu_unace)
         # Predicted-ACE bits of an IQ / ROB entry, indexed by
-        # ``2 * opclass + ace_pred``: the pipeline's stages index these
-        # directly, ``iq_bits_pred``/``rob_bits_pred`` read them.
+        # ``2 * opclass + ace_pred``: the one definition of the bits
+        # the online counters (DVM's hardware counter, Section 5.1)
+        # add at dispatch and take off at issue, commit and squash.
         iq_pred: list[int] = []
         rob_pred: list[int] = []
         for op in range(N_OPCLASSES):
@@ -184,36 +184,6 @@ class AVFAccount:
         self._want_rf = bus.wants(TOPIC_RELIABILITY_RF)
 
     # ------------------------------------------------------------------
-    # Bit classification
-    # ------------------------------------------------------------------
-    def _oracle_bits(self, dyn: DynInst) -> tuple[int, int, int]:
-        """(IQ, ROB, FU) oracle ACE bits of a resolved instruction: a
-        squashed or unresolved one contributes nothing."""
-        ace = dyn.ace
-        if ace is None or dyn.state == _SQUASHED:
-            return _NO_BITS
-        if dyn.static.opclass in _QUIET:
-            return self._bits_quiet
-        return self._bits_ace if ace else self._bits_unace
-
-    def iq_bits_oracle(self, dyn: DynInst) -> int:
-        return self._oracle_bits(dyn)[0]
-
-    def rob_bits_oracle(self, dyn: DynInst) -> int:
-        return self._oracle_bits(dyn)[1]
-
-    def fu_bits_oracle(self, dyn: DynInst) -> int:
-        return self._oracle_bits(dyn)[2]
-
-    def iq_bits_pred(self, dyn: DynInst) -> int:
-        """Predicted-ACE bits — what DVM's hardware counter sees."""
-        return self.iq_pred_bits[2 * dyn.static.opclass + dyn.ace_pred]
-
-    def rob_bits_pred(self, dyn: DynInst) -> int:
-        """Predicted-ACE ROB bits (the ROB-DVM extension's counter)."""
-        return self.rob_pred_bits[2 * dyn.static.opclass + dyn.ace_pred]
-
-    # ------------------------------------------------------------------
     # Attribution
     # ------------------------------------------------------------------
     def attribute(self, insts: Iterable[DynInst]) -> None:
@@ -240,8 +210,8 @@ class AVFAccount:
             bus = None
         bits_quiet, bits_ace, bits_unace = self._bits_quiet, self._bits_ace, self._bits_unace
         for dyn in insts:
-            # ``_oracle_bits``, written out: one call per instruction
-            # costs more than the classification itself.
+            # Oracle bits: a squashed or unresolved instruction
+            # contributes nothing.
             ace = dyn.ace
             op = dyn.static.opclass
             if ace is None or dyn.state == _SQUASHED:
@@ -296,10 +266,6 @@ class AVFAccount:
                     iq_leave_cycle=dyn.iq_leave_cycle,
                     commit_cycle=dyn.commit_cycle,
                 )
-
-    def on_resolved(self, dyn: DynInst) -> None:
-        """:meth:`attribute` for one instruction."""
-        self.attribute((dyn,))
 
     def attribute_rf(self, thread: int, lifetimes: Iterable[tuple[int, int, int]]) -> None:
         """Attribute ``thread``'s closed register lifetimes, each

@@ -225,11 +225,3 @@ class EventBus:
                 sub.deliver(event)
         for sub in list(self._all):
             sub.deliver(event)
-
-    # ------------------------------------------------------------------
-    def subscriber_count(self, topic: Topic | None = None) -> int:
-        """Number of subscriptions on ``topic`` (or in total)."""
-        if topic is not None:
-            return len(self._subs.get(topic.name, ())) + len(self._all)
-        distinct = {id(s) for subs in self._subs.values() for s in subs}
-        return len(distinct) + len(self._all)

@@ -29,6 +29,7 @@ from repro.reliability import ace
 from repro.reliability.ace import ACEAnalyzer
 from repro.reliability.avf import AVFAccount, Structure
 from tests.ace_reference import StreamingACEAnalyzer
+from tests.stage_reference import ace_commit
 
 
 def make_dyn(tag, opclass, dest=-1, srcs=(), thread=0):
@@ -79,7 +80,7 @@ class Harness:
 
     def commit(self, dyn, cycle):
         for run in self.runs:
-            run.analyzer.commit(copy.copy(dyn), cycle)
+            ace_commit(run.analyzer, copy.copy(dyn), cycle)
 
     def feed(self, *dyns):
         for d in dyns:
@@ -378,7 +379,7 @@ def test_property_matches_streaming_reference(stream):
     ref_acct = AVFAccount(machine, interval_cycles=7)
     ref_lifetimes = []
     reference = StreamingACEAnalyzer(
-        threads, window, resolve_cb=ref_acct.on_resolved,
+        threads, window, resolve_cb=lambda d: ref_acct.attribute((d,)),
         rf_cb=lambda rec, end: (
             ref_lifetimes.append(
                 (rec.dyn.thread, rec.commit_cycle, rec.last_read_cycle, end)
@@ -401,11 +402,14 @@ def test_property_matches_streaming_reference(stream):
     block_insts = []
     per_thread = [[] for _ in range(threads)]
     for d, cycle in insts:
-        for sink, copies in ((reference, ref_insts), (analyzer, block_insts)):
+        for commit, copies in (
+            (reference.commit, ref_insts),
+            (lambda c, cycle: ace_commit(analyzer, c, cycle), block_insts),
+        ):
             c = copy.copy(d)
             c.commit_cycle = cycle
             copies.append(c)
-            sink.commit(c, cycle)
+            commit(c, cycle)
         # Classified by the first sweep after its window has passed.
         stream = per_thread[d.thread]
         stream.append(block_insts[-1])

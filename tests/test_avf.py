@@ -10,6 +10,7 @@ from repro.reliability.avf import (
     Structure,
     interval_bucket,
 )
+from tests.stage_reference import pred_bits
 
 
 def make_dyn(tag=1, opclass=OpClass.IALU, ace=True, ace_pred=True,
@@ -33,6 +34,15 @@ def acct():
     return AVFAccount(MachineConfig(), interval_cycles=100)
 
 
+def oracle_bits(acct, d):
+    """(IQ, ROB, FU) bits ``attribute`` charges ``d`` for one cycle in
+    each structure."""
+    d.dispatch_cycle, d.iq_leave_cycle, d.commit_cycle = 0, 1, 1
+    d.issue_cycle, d.exec_latency = 0, 1
+    acct.attribute((d,))
+    return tuple(acct._acc[s] for s in (Structure.IQ, Structure.ROB, Structure.FU))
+
+
 class TestLayout:
     def test_default_layout_valid(self):
         AVFBitLayout().validate()
@@ -53,39 +63,37 @@ class TestLayout:
 class TestBitClassification:
     def test_ace_instruction_bits(self, acct):
         d = make_dyn(ace=True)
-        assert acct.iq_bits_oracle(d) == acct.layout.iq_ace
+        assert oracle_bits(acct, d)[0] == acct.layout.iq_ace
 
     def test_unace_instruction_keeps_opcode_bits(self, acct):
         # "un-ACE instructions also contain ACE-bits (e.g. opcode)"
         d = make_dyn(ace=False)
-        assert 0 < acct.iq_bits_oracle(d) == acct.layout.iq_unace
+        assert 0 < oracle_bits(acct, d)[0] == acct.layout.iq_unace
 
     def test_nop_bits(self, acct):
         d = make_dyn(opclass=OpClass.NOP, ace=False)
-        assert acct.iq_bits_oracle(d) == acct.layout.iq_nop
+        assert oracle_bits(acct, d)[0] == acct.layout.iq_nop
 
     def test_squashed_contributes_nothing(self, acct):
         d = make_dyn(state=DynState.SQUASHED)
-        assert acct.iq_bits_oracle(d) == 0
-        assert acct.rob_bits_oracle(d) == 0
-        assert acct.fu_bits_oracle(d) == 0
+        assert oracle_bits(acct, d) == (0, 0, 0)
 
     def test_predicted_bits_ignore_oracle(self, acct):
         d = make_dyn(ace=False, ace_pred=True)
-        assert acct.iq_bits_pred(d) == acct.layout.iq_ace
+        assert pred_bits(acct.iq_pred_bits, d) == acct.layout.iq_ace
 
 
 class TestAttribution:
     def test_iq_avf_arithmetic(self, acct):
         # One ACE instruction resident 10 cycles in a 100-cycle run.
-        acct.on_resolved(make_dyn(dispatch=0, iq_leave=10, issue=-1, commit=-1))
+        acct.attribute((make_dyn(dispatch=0, iq_leave=10, issue=-1, commit=-1),))
         acct.close(total_cycles=100)
         m = MachineConfig()
         expected = (acct.layout.iq_ace * 10) / (m.iq_size * acct.layout.iq_entry_bits * 100)
         assert acct.overall_avf(Structure.IQ) == pytest.approx(expected)
 
     def test_rob_residency_dispatch_to_commit(self, acct):
-        acct.on_resolved(make_dyn(dispatch=5, iq_leave=-1, issue=-1, commit=25))
+        acct.attribute((make_dyn(dispatch=5, iq_leave=-1, issue=-1, commit=25),))
         acct.close(100)
         m = MachineConfig()
         expected = (acct.layout.rob_ace * 20) / (
@@ -94,7 +102,7 @@ class TestAttribution:
         assert acct.overall_avf(Structure.ROB) == pytest.approx(expected)
 
     def test_fu_latency_attribution(self, acct):
-        acct.on_resolved(make_dyn(dispatch=-1, iq_leave=-1, issue=3, commit=-1, latency=4))
+        acct.attribute((make_dyn(dispatch=-1, iq_leave=-1, issue=3, commit=-1, latency=4),))
         acct.close(100)
         assert acct.overall_avf(Structure.FU) > 0
 
@@ -110,10 +118,10 @@ class TestAttribution:
         d.issue_cycle = 0
         d.exec_latency = 212  # L2 miss: must NOT occupy the FU that long
         d.dispatch_cycle = -1
-        acct.on_resolved(d)
+        acct.attribute((d,))
         acct2 = AVFAccount(MachineConfig(), interval_cycles=100)
         alu = make_dyn(dispatch=-1, iq_leave=-1, issue=0, commit=-1, latency=1)
-        acct2.on_resolved(alu)
+        acct2.attribute((alu,))
         acct.close(100)
         acct2.close(100)
         assert acct.overall_avf(Structure.FU) == acct2.overall_avf(Structure.FU)
@@ -132,15 +140,15 @@ class TestAttribution:
 
 class TestIntervals:
     def test_bucketing_by_leave_cycle(self, acct):
-        acct.on_resolved(make_dyn(tag=1, dispatch=0, iq_leave=50, issue=-1, commit=-1))
-        acct.on_resolved(make_dyn(tag=2, dispatch=100, iq_leave=150, issue=-1, commit=-1))
+        acct.attribute((make_dyn(tag=1, dispatch=0, iq_leave=50, issue=-1, commit=-1),))
+        acct.attribute((make_dyn(tag=2, dispatch=100, iq_leave=150, issue=-1, commit=-1),))
         acct.close(200)
         series = acct.interval_avf(Structure.IQ)
         assert len(series) == 2
         assert series[0] > 0 and series[1] > 0
 
     def test_empty_intervals_are_zero(self, acct):
-        acct.on_resolved(make_dyn(dispatch=0, iq_leave=10, issue=-1, commit=-1))
+        acct.attribute((make_dyn(dispatch=0, iq_leave=10, issue=-1, commit=-1),))
         acct.close(300)
         series = acct.interval_avf(Structure.IQ)
         assert series[1] == 0.0 and series[2] == 0.0
@@ -154,7 +162,7 @@ class TestIntervals:
         # so a fully-occupied IQ of ACE instructions must stay <= 1.
         m = MachineConfig()
         for tag in range(m.iq_size):
-            acct.on_resolved(make_dyn(tag=tag, dispatch=0, iq_leave=100, issue=-1, commit=-1))
+            acct.attribute((make_dyn(tag=tag, dispatch=0, iq_leave=100, issue=-1, commit=-1),))
         acct.close(100)
         assert acct.overall_avf(Structure.IQ) <= 1.0
 
@@ -183,14 +191,14 @@ class TestIntervalBoundary:
     def test_leave_on_edge_lands_in_previous_interval(self, acct):
         # Resident cycles 90..99, leaves at cycle 100 (= interval edge).
         # Last resident cycle is 99 -> interval 0, not interval 1.
-        acct.on_resolved(make_dyn(dispatch=90, iq_leave=100, issue=-1, commit=-1))
+        acct.attribute((make_dyn(dispatch=90, iq_leave=100, issue=-1, commit=-1),))
         acct.close(200)
         series = acct.interval_avf(Structure.IQ)
         assert series[0] > 0.0
         assert series[1] == 0.0
 
     def test_rob_commit_on_edge_lands_in_previous_interval(self, acct):
-        acct.on_resolved(make_dyn(dispatch=95, iq_leave=-1, issue=-1, commit=100))
+        acct.attribute((make_dyn(dispatch=95, iq_leave=-1, issue=-1, commit=100),))
         acct.close(200)
         series = acct.interval_avf(Structure.ROB)
         assert series[0] > 0.0
@@ -198,9 +206,9 @@ class TestIntervalBoundary:
 
     def test_fu_completion_on_edge_lands_in_previous_interval(self, acct):
         # Issue at 96, latency 4: occupies cycles 96..99, done at 100.
-        acct.on_resolved(
-            make_dyn(dispatch=-1, iq_leave=-1, issue=96, commit=-1, latency=4)
-        )
+        acct.attribute((
+            make_dyn(dispatch=-1, iq_leave=-1, issue=96, commit=-1, latency=4),
+        ))
         acct.close(200)
         series = acct.interval_avf(Structure.FU)
         assert series[0] > 0.0
@@ -221,9 +229,9 @@ class TestIntervalBoundary:
         # one whose leave cycle is exactly the edge.
         spans = [(0, 40), (60, 100), (150, 180)]  # [dispatch, leave)
         for tag, (d, l) in enumerate(spans, start=1):
-            acct.on_resolved(
-                make_dyn(tag=tag, dispatch=d, iq_leave=l, issue=-1, commit=-1)
-            )
+            acct.attribute((
+                make_dyn(tag=tag, dispatch=d, iq_leave=l, issue=-1, commit=-1),
+            ))
         acct.close(300)
         # Online reference: charge iq_ace bits for every resident cycle.
         online = {}
@@ -250,7 +258,7 @@ class TestBusEmission:
 
         bus, events = self._bus_with(TOPIC_RELIABILITY_ATTRIBUTION)
         acct.bus = bus
-        acct.on_resolved(make_dyn(dispatch=0, iq_leave=10, issue=10, commit=20))
+        acct.attribute((make_dyn(dispatch=0, iq_leave=10, issue=10, commit=20),))
         assert len(events) == 1
         p = events[0].payload
         assert p["iq_bit_cycles"] == acct.layout.iq_ace * 10
@@ -263,7 +271,7 @@ class TestBusEmission:
 
         acct.bus = EventBus()
         # Must not raise and must still attribute normally.
-        acct.on_resolved(make_dyn(dispatch=0, iq_leave=10, issue=-1, commit=-1))
+        acct.attribute((make_dyn(dispatch=0, iq_leave=10, issue=-1, commit=-1),))
         acct.close(100)
         assert acct.overall_avf(Structure.IQ) > 0
 

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness.charts import hbar_chart, histogram_chart, sparkline, strip_chart
+from repro.harness.charts import sparkline, strip_chart
 
 
 class TestSparkline:
@@ -25,25 +25,6 @@ class TestSparkline:
         assert s not in ("▁", "█")
 
 
-class TestHBar:
-    def test_rows_and_alignment(self):
-        out = hbar_chart([("alpha", 1.0), ("b", 0.5)])
-        lines = out.splitlines()
-        assert len(lines) == 2
-        assert lines[0].index("|") == lines[1].index("|")
-
-    def test_peak_fills_width(self):
-        out = hbar_chart([("x", 2.0)], width=10)
-        assert "#" * 10 in out
-
-    def test_zero_values(self):
-        out = hbar_chart([("x", 0.0)])
-        assert "#" not in out
-
-    def test_empty(self):
-        assert hbar_chart([]) == "(no data)"
-
-
 class TestStripChart:
     def test_threshold_markers(self):
         out = strip_chart([0.1, 0.9], threshold=0.5)
@@ -59,12 +40,6 @@ class TestStripChart:
     def test_row_cap(self):
         out = strip_chart([0.1] * 100, max_rows=10)
         assert len(out.splitlines()) == 10
-
-
-class TestHistogram:
-    def test_bins_labelled(self):
-        out = histogram_chart([0.5, 0.25, 0.25])
-        assert out.splitlines()[0].startswith("0")
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,6 +16,7 @@ from repro.isa.generator import generate_program
 from repro.memory.cache import SetAssocCache
 from repro.reliability.profiling import profile_and_apply
 from repro.reliability.resource_alloc import L2MissSensitiveAllocation
+from tests.stage_reference import iq_insert, pred_bits
 
 
 class ReferenceCache:
@@ -61,11 +62,10 @@ def reconcile_counters(pipe):
     """Every running IQ and ROB counter of ``pipe`` against a recount
     of the resident entries; the names of those that disagree."""
     iq = pipe.iq
-    bits = pipe.avf.iq_bits_pred
     resident = list(iq.waiting.values()) + list(iq.ready.values())
     ready = iq.ready
     wrong = []
-    if iq.pred_ace_bits != sum(bits(i) for i in resident):
+    if iq.pred_ace_bits != sum(pred_bits(pipe.avf.iq_pred_bits, i) for i in resident):
         wrong.append("iq.pred_ace_bits")
     if iq.ready_pred_ace != sum(1 for i in ready.values() if i.ace_pred):
         wrong.append("iq.ready_pred_ace")
@@ -81,7 +81,9 @@ def reconcile_counters(pipe):
     slots = iq.free_slots + [i.iq_slot for i in resident]
     if sorted(slots) != list(range(iq.capacity)):
         wrong.append("iq.free_slots")
-    rob_bits = sum(pipe.avf.rob_bits_pred(i) for rob in pipe.robs for i in rob.entries)
+    rob_bits = sum(
+        pred_bits(pipe.avf.rob_pred_bits, i) for rob in pipe.robs for i in rob.entries
+    )
     if pipe.rob_pred_ace_bits != rob_bits:
         wrong.append("rob_pred_ace_bits")
     return wrong
@@ -540,7 +542,7 @@ class TestIssueStarvationRegression:
         for i, st_inst in enumerate(statics[:28]):
             d = DynInst(tag=i + 1, thread=0, static=st_inst, stream_pos=i)
             d.ace_pred = True
-            pipe.iq.insert(d, cycle=0)
+            iq_insert(pipe.iq, d, cycle=0)
             insts.append(d)
         pipe._issue()
         issued = [d for d in insts if d.state == DynState.ISSUED]

@@ -12,6 +12,7 @@ from repro.isa.instruction import (
     OpClass,
     op_latency_table,
 )
+from tests.stage_reference import fu_available, fu_try_issue
 
 
 @pytest.fixture()
@@ -22,51 +23,51 @@ def pool():
 class TestPools:
     def test_ialu_pool_limit(self, pool):
         for _ in range(8):
-            assert pool.try_issue(OpClass.IALU)
-        assert not pool.try_issue(OpClass.IALU)
+            assert fu_try_issue(pool, OpClass.IALU)
+        assert not fu_try_issue(pool, OpClass.IALU)
 
     def test_branch_shares_ialu(self, pool):
         for _ in range(8):
-            assert pool.try_issue(OpClass.BRANCH)
-        assert not pool.try_issue(OpClass.IALU)
+            assert fu_try_issue(pool, OpClass.BRANCH)
+        assert not fu_try_issue(pool, OpClass.IALU)
 
     def test_loadstore_pool_limit(self, pool):
         for _ in range(4):
-            assert pool.try_issue(OpClass.LOAD)
-        assert not pool.try_issue(OpClass.STORE)
+            assert fu_try_issue(pool, OpClass.LOAD)
+        assert not fu_try_issue(pool, OpClass.STORE)
 
     def test_fp_pools_independent_of_int(self, pool):
         for _ in range(8):
-            pool.try_issue(OpClass.IALU)
-        assert pool.try_issue(OpClass.FALU)
+            fu_try_issue(pool, OpClass.IALU)
+        assert fu_try_issue(pool, OpClass.FALU)
 
     def test_mult_div_shared_pool(self, pool):
         for _ in range(4):
-            assert pool.try_issue(OpClass.IMULT)
-        assert not pool.try_issue(OpClass.IDIV)
+            assert fu_try_issue(pool, OpClass.IMULT)
+        assert not fu_try_issue(pool, OpClass.IDIV)
 
     def test_fp_mult_div_sqrt_shared(self, pool):
         for _ in range(4):
-            assert pool.try_issue(OpClass.FDIV)
-        assert not pool.try_issue(OpClass.FSQRT)
+            assert fu_try_issue(pool, OpClass.FDIV)
+        assert not fu_try_issue(pool, OpClass.FSQRT)
 
     def test_new_cycle_releases(self, pool):
         for _ in range(8):
-            pool.try_issue(OpClass.IALU)
+            fu_try_issue(pool, OpClass.IALU)
         pool.new_cycle()
-        assert pool.try_issue(OpClass.IALU)
+        assert fu_try_issue(pool, OpClass.IALU)
 
     def test_available(self, pool):
-        assert pool.available(OpClass.LOAD) == 4
-        pool.try_issue(OpClass.LOAD)
-        assert pool.available(OpClass.PREFETCH) == 3
+        assert fu_available(pool, OpClass.LOAD) == 4
+        fu_try_issue(pool, OpClass.LOAD)
+        assert fu_available(pool, OpClass.PREFETCH) == 3
 
     def test_total_units(self, pool):
         assert pool.total_units == 8 + 4 + 4 + 8 + 4
 
     def test_busy_integral(self, pool):
-        pool.try_issue(OpClass.IALU)
-        pool.try_issue(OpClass.FALU)
+        fu_try_issue(pool, OpClass.IALU)
+        fu_try_issue(pool, OpClass.FALU)
         assert pool.busy_integral == 2
 
 

@@ -1,11 +1,14 @@
 """Property-style IQ counter-invariant tests.
 
-Random interleavings of ``insert`` / ``wakeup`` / ``remove_issued`` /
-``squash_thread`` must keep the three running counters —
+Random interleavings of insert / wakeup / issue (the per-call
+reference steps of ``tests/stage_reference.py``) and
+``IssueQueue.squash_thread`` must keep the three running counters —
 ``pred_ace_bits``, ``ready_pred_ace``, ``per_thread`` — reconciled with
 the actual entry sets after every single operation.  These counters
 feed the online AVF estimate DVM steers by (Section 5.1), so a drift
-is a silent reliability-measurement bug, not a crash.
+is a silent reliability-measurement bug, not a crash.  Squashes go
+through ``iq_squash``, which takes the removed entries' predicted bits
+off the counter as the pipeline's squash does.
 
 Also covers the descriptive invariant errors that replaced bare
 ``KeyError``/silent underflow in the deallocation paths.
@@ -17,16 +20,10 @@ from hypothesis import strategies as st
 
 from repro.core.issue_queue import IQInvariantError, IssueQueue
 from repro.isa.instruction import DynInst, DynState, OpClass, StaticInst
+from tests import stage_reference as ref
 
 NUM_THREADS = 3
 CAPACITY = 12
-
-ACE_BITS = 96
-UNACE_BITS = 12
-
-
-def bits_of(inst):
-    return ACE_BITS if inst.ace_pred else UNACE_BITS
 
 
 def make_inst(tag, thread, src_tags, ace_pred):
@@ -40,7 +37,7 @@ def make_inst(tag, thread, src_tags, ace_pred):
 def reconcile(iq):
     """Assert every counter matches the ground truth of the entry sets."""
     resident = list(iq.waiting.values()) + list(iq.ready.values())
-    assert iq.pred_ace_bits == sum(bits_of(i) for i in resident)
+    assert iq.pred_ace_bits == sum(ref.pred_bits(ref.IQ_PRED_BITS, i) for i in resident)
     assert iq.ready_pred_ace == sum(1 for i in iq.ready.values() if i.ace_pred)
     for tid in range(NUM_THREADS):
         expect = sum(1 for i in resident if i.thread == tid)
@@ -72,69 +69,66 @@ _ops = st.lists(
 )
 
 
+def interleave(iq, ops):
+    """Apply the scripted ``ops`` to ``iq`` one at a time, yielding the
+    cycle and the producer tags still to wake after each."""
+    next_tag = 1
+    pending = []  # tags inserted as dependencies, not yet woken
+    for cycle, op in enumerate(ops, start=1):
+        kind = op[0]
+        if kind == "insert":
+            _, thread, ace_pred, n_srcs = op
+            if len(iq) < iq.capacity:
+                srcs = [1000 + next_tag] * n_srcs  # producer outside the IQ
+                ref.iq_insert(iq, make_inst(next_tag, thread, srcs, ace_pred), cycle)
+                pending += srcs
+                next_tag += 1
+        elif kind == "wakeup":
+            if pending:
+                ref.iq_wakeup(iq, pending.pop(op[1] % len(pending)), cycle)
+        elif kind == "issue":
+            ready = ref.ready_ages(iq)
+            if ready:
+                inst = ready[op[1] % len(ready)]
+                ref.iq_remove_issued(iq, inst)
+                inst.state = DynState.ISSUED
+        else:
+            _, thread, pick = op
+            resident = sorted(list(iq.waiting) + list(iq.ready))
+            after_tag = resident[pick % len(resident)] if resident else 0
+            for inst in ref.iq_squash(iq, thread, after_tag):
+                inst.state = DynState.SQUASHED
+        yield cycle, pending
+
+
 class TestCounterInvariants:
     @settings(max_examples=200, deadline=None)
     @given(ops=_ops)
     def test_counters_reconcile_under_random_interleavings(self, ops):
-        iq = IssueQueue(CAPACITY, NUM_THREADS, bits_of=bits_of)
-        next_tag = 1
-        cycle = 0
-        pending_producers = []  # tags inserted as dependencies, not yet woken
-        for op in ops:
-            cycle += 1
-            kind = op[0]
-            if kind == "insert":
-                _, thread, ace_pred, n_srcs = op
-                if iq.free_entries <= 0:
-                    continue
-                srcs = []
-                for _ in range(n_srcs):
-                    src = 1000 + next_tag  # producer outside the IQ
-                    srcs.append(src)
-                    pending_producers.append(src)
-                iq.insert(make_inst(next_tag, thread, srcs, ace_pred), cycle)
-                next_tag += 1
-            elif kind == "wakeup":
-                if not pending_producers:
-                    continue
-                tag = pending_producers.pop(op[1] % len(pending_producers))
-                iq.wakeup(tag, cycle)
-            elif kind == "issue":
-                ready = iq.ready_ages()
-                if not ready:
-                    continue
-                inst = ready[op[1] % len(ready)]
-                iq.remove_issued(inst)
-                inst.state = DynState.ISSUED
-            elif kind == "squash":
-                _, thread, pick = op
-                resident = sorted(
-                    list(iq.waiting) + list(iq.ready)
-                )
-                after_tag = resident[pick % len(resident)] if resident else 0
-                for inst in iq.squash_thread(thread, after_tag):
-                    inst.state = DynState.SQUASHED
+        iq = IssueQueue(CAPACITY, NUM_THREADS)
+        for cycle, pending in interleave(iq, ops):
             reconcile(iq)
         # Drain: issue everything that can still be woken and issued.
-        for tag in list(pending_producers):
-            iq.wakeup(tag, cycle)
-        for inst in iq.ready_ages():
-            iq.remove_issued(inst)
+        for tag in list(pending):
+            ref.iq_wakeup(iq, tag, cycle)
+        for inst in ref.ready_ages(iq):
+            ref.iq_remove_issued(iq, inst)
         reconcile(iq)
 
     @settings(max_examples=50, deadline=None)
     @given(ops=_ops)
     def test_full_squash_always_zeroes_counters(self, ops):
         """After squashing every thread from tag 0, all counters are 0."""
-        iq = IssueQueue(CAPACITY, NUM_THREADS, bits_of=bits_of)
+        iq = IssueQueue(CAPACITY, NUM_THREADS)
         next_tag = 1
         for op in ops:
-            if op[0] == "insert" and iq.free_entries > 0:
+            if op[0] == "insert" and len(iq) < iq.capacity:
                 _, thread, ace_pred, n_srcs = op
-                iq.insert(make_inst(next_tag, thread, [2000 + next_tag] * (n_srcs > 0), ace_pred), 0)
+                srcs = [2000 + next_tag] * (n_srcs > 0)
+                ref.iq_insert(iq, make_inst(next_tag, thread, srcs, ace_pred), 0)
                 next_tag += 1
         for tid in range(NUM_THREADS):
-            iq.squash_thread(tid, after_tag=0)
+            ref.iq_squash(iq, tid, after_tag=0)
         assert len(iq) == 0
         assert iq.pred_ace_bits == 0
         assert iq.ready_pred_ace == 0
@@ -143,36 +137,36 @@ class TestCounterInvariants:
 
 class TestInvariantErrors:
     def test_remove_issued_of_absent_instruction_is_descriptive(self):
-        iq = IssueQueue(CAPACITY, NUM_THREADS, bits_of=bits_of)
+        iq = IssueQueue(CAPACITY, NUM_THREADS)
         ghost = make_inst(7, 1, [], True)
         with pytest.raises(IQInvariantError, match=r"tag=7.*thread=1.*absent"):
-            iq.remove_issued(ghost)
+            ref.iq_remove_issued(iq, ghost)
 
     def test_remove_issued_of_waiting_instruction_names_waiting(self):
-        iq = IssueQueue(CAPACITY, NUM_THREADS, bits_of=bits_of)
+        iq = IssueQueue(CAPACITY, NUM_THREADS)
         waiting = make_inst(3, 0, [99], True)
-        iq.insert(waiting, cycle=0)
+        ref.iq_insert(iq, waiting, cycle=0)
         with pytest.raises(IQInvariantError, match="waiting"):
-            iq.remove_issued(waiting)
+            ref.iq_remove_issued(iq, waiting)
 
     def test_double_remove_raises_not_keyerror(self):
-        iq = IssueQueue(CAPACITY, NUM_THREADS, bits_of=bits_of)
+        iq = IssueQueue(CAPACITY, NUM_THREADS)
         d = make_inst(1, 0, [], True)
-        iq.insert(d, cycle=0)
-        iq.remove_issued(d)
+        ref.iq_insert(iq, d, cycle=0)
+        ref.iq_remove_issued(iq, d)
         with pytest.raises(IQInvariantError):
-            iq.remove_issued(d)
+            ref.iq_remove_issued(iq, d)
 
     def test_error_is_a_runtime_error(self):
         assert issubclass(IQInvariantError, RuntimeError)
 
     def test_counters_untouched_on_failed_remove(self):
-        iq = IssueQueue(CAPACITY, NUM_THREADS, bits_of=bits_of)
+        iq = IssueQueue(CAPACITY, NUM_THREADS)
         d = make_inst(1, 0, [], True)
-        iq.insert(d, cycle=0)
+        ref.iq_insert(iq, d, cycle=0)
         ghost = make_inst(9, 0, [], True)
         with pytest.raises(IQInvariantError):
-            iq.remove_issued(ghost)
+            ref.iq_remove_issued(iq, ghost)
         reconcile(iq)
 
 
@@ -185,42 +179,8 @@ class TestConsumerListHygiene:
         waiting entries out of their surviving producers' consumer
         lists; before it did, dead references accumulated there until
         the producer completed (or forever, if it never did)."""
-        iq = IssueQueue(CAPACITY, NUM_THREADS, bits_of=bits_of)
-        next_tag = 1
-        cycle = 0
-        pending_producers = []
-        for op in ops:
-            cycle += 1
-            kind = op[0]
-            if kind == "insert":
-                _, thread, ace_pred, n_srcs = op
-                if iq.free_entries <= 0:
-                    continue
-                srcs = []
-                for _ in range(n_srcs):
-                    src = 1000 + next_tag
-                    srcs.append(src)
-                    pending_producers.append(src)
-                iq.insert(make_inst(next_tag, thread, srcs, ace_pred), cycle)
-                next_tag += 1
-            elif kind == "wakeup":
-                if not pending_producers:
-                    continue
-                tag = pending_producers.pop(op[1] % len(pending_producers))
-                iq.wakeup(tag, cycle)
-            elif kind == "issue":
-                ready = iq.ready_ages()
-                if not ready:
-                    continue
-                inst = ready[op[1] % len(ready)]
-                iq.remove_issued(inst)
-                inst.state = DynState.ISSUED
-            elif kind == "squash":
-                _, thread, pick = op
-                resident = sorted(list(iq.waiting) + list(iq.ready))
-                after_tag = resident[pick % len(resident)] if resident else 0
-                for inst in iq.squash_thread(thread, after_tag):
-                    inst.state = DynState.SQUASHED
+        iq = IssueQueue(CAPACITY, NUM_THREADS)
+        for _ in interleave(iq, ops):
             for producer_tag, consumers in iq.consumers.items():
                 assert consumers, f"empty consumer list kept for {producer_tag}"
                 for c in consumers:

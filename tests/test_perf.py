@@ -449,7 +449,7 @@ class TestBenchSuite:
         assert set(BENCH_NAMES) == {
             "pipeline_cycle_loop",
             "mem_cycle_loop",
-            "issue_select",
+            "issue_ready_tags",
             "dvm_interval",
             "resource_alloc",
             "offline_profile",

@@ -26,6 +26,7 @@ from repro.reliability.gate import (
 )
 from repro.reliability.observe import SLOT_BIN, ReliabilityObserver
 from repro.telemetry.bus import EventBus
+from tests.stage_reference import pred_bits
 
 L = 100  # interval length used throughout
 
@@ -72,10 +73,10 @@ class TestObserverStream:
         series purely from bus events (latency-1 residencies within one
         interval, so FU bucketing is exact too)."""
         acct, _, obs = _observed_account()
-        acct.on_resolved(_dyn(tag=1, dispatch=10, iq_leave=40, issue=40,
-                              commit=90, iq_slot=2))
-        acct.on_resolved(_dyn(tag=2, thread=1, dispatch=120, iq_leave=180,
-                              issue=180, commit=199, iq_slot=5))
+        acct.attribute((_dyn(tag=1, dispatch=10, iq_leave=40, issue=40,
+                             commit=90, iq_slot=2),))
+        acct.attribute((_dyn(tag=2, thread=1, dispatch=120, iq_leave=180,
+                             issue=180, commit=199, iq_slot=5),))
         acct.close(300)
         rep = obs.report(300)
         for s, enum_s in (("iq", Structure.IQ), ("rob", Structure.ROB),
@@ -90,8 +91,8 @@ class TestObserverStream:
 
     def test_per_thread_shares(self):
         acct, _, obs = _observed_account()
-        acct.on_resolved(_dyn(tag=1, thread=0, dispatch=0, iq_leave=30))
-        acct.on_resolved(_dyn(tag=2, thread=1, dispatch=0, iq_leave=60))
+        acct.attribute((_dyn(tag=1, thread=0, dispatch=0, iq_leave=30),))
+        acct.attribute((_dyn(tag=2, thread=1, dispatch=0, iq_leave=60),))
         acct.close(L)
         rep = obs.report(L)
         bit_cycles = rep.per_thread_bit_cycles["iq"]
@@ -112,8 +113,8 @@ class TestObserverStream:
     def test_heatmap_spreads_residency_across_intervals(self):
         acct, _, obs = _observed_account()
         # Slot 0, resident [50, 150): half in interval 0, half in 1.
-        acct.on_resolved(_dyn(dispatch=50, iq_leave=150, issue=-1,
-                              commit=-1, iq_slot=0))
+        acct.attribute((_dyn(dispatch=50, iq_leave=150, issue=-1,
+                             commit=-1, iq_slot=0),))
         acct.close(200)
         rep = obs.report(200)
         row = rep.heatmap_occupancy[0]  # slots 0..SLOT_BIN-1
@@ -125,7 +126,7 @@ class TestObserverStream:
 
     def test_residency_histograms(self):
         acct, _, obs = _observed_account()
-        acct.on_resolved(_dyn(dispatch=0, iq_leave=32, issue=32, commit=64))
+        acct.attribute((_dyn(dispatch=0, iq_leave=32, issue=32, commit=64),))
         acct.close(L)
         h = obs.histograms["iq_residency"]
         assert h.count == 1 and h.maximum == 32
@@ -133,14 +134,14 @@ class TestObserverStream:
 
     def test_detach_stops_accumulation(self):
         acct, _, obs = _observed_account()
-        acct.on_resolved(_dyn(tag=1))
+        acct.attribute((_dyn(tag=1),))
         obs.detach()
-        acct.on_resolved(_dyn(tag=2))
+        acct.attribute((_dyn(tag=2),))
         assert obs.attributions == 1
 
     def test_report_round_trips_as_json(self):
         acct, _, obs = _observed_account()
-        acct.on_resolved(_dyn())
+        acct.attribute((_dyn(),))
         acct.close(L)
         rep = obs.report(L)
         doc = json.loads(json.dumps(rep.to_dict()))
@@ -259,8 +260,8 @@ class TestOnlineOracleConvergence:
                        commit=-1)
             for cycle in range(d, leave):
                 b = cycle // L
-                online[b] = online.get(b, 0) + acct.iq_bits_pred(dyn)
-            acct.on_resolved(dyn)
+                online[b] = online.get(b, 0) + pred_bits(acct.iq_pred_bits, dyn)
+            acct.attribute((dyn,))
         total = L * (max(leave for _, leave in spans) + L - 1) // L
         acct.close(max(total, L))
         denom = acct.capacity_bits(Structure.IQ) * L
@@ -282,11 +283,11 @@ class TestOnlineOracleConvergence:
             state = DynState.SQUASHED if sq else DynState.COMMITTED
             dyn = _dyn(tag=tag, dispatch=d, iq_leave=leave, issue=-1,
                        commit=-1, state=state)
-            contrib = acct.iq_bits_pred(dyn) * (leave - d)
+            contrib = pred_bits(acct.iq_pred_bits, dyn) * (leave - d)
             online_total += contrib
             if sq:
                 squashed_total += contrib
-            acct.on_resolved(dyn)
+            acct.attribute((dyn,))
         acct.close(L)
         # The accountant's integer bit-cycle total: rebuilding it from
         # overall_avf() in floats misses an exact 0 by ~1e-12.

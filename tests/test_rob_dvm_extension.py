@@ -13,6 +13,7 @@ from repro.core.pipeline import SMTPipeline
 from repro.reliability.avf import Structure
 from repro.reliability.dvm import DVMController
 from repro.workloads import get_mix
+from tests.stage_reference import pred_bits
 
 
 def sim(cycles=6_000):
@@ -61,7 +62,9 @@ class TestRobCounter:
         def checked():
             if pipe.cycle % 250 == 0:
                 actual = sum(
-                    pipe.avf.rob_bits_pred(i) for rob in pipe.robs for i in rob.entries
+                    pred_bits(pipe.avf.rob_pred_bits, i)
+                    for rob in pipe.robs
+                    for i in rob.entries
                 )
                 if actual != pipe.rob_pred_ace_bits:
                     mismatches.append((pipe.cycle, actual, pipe.rob_pred_ace_bits))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.harness.parallel import parallel_sweep
 from repro.harness.runner import BenchScale, clear_caches
-from repro.harness.sweep import best_row, pareto_front, sweep
+from repro.harness.sweep import sweep
 
 TINY = BenchScale(
     max_cycles=2_000, warmup_cycles=400, interval_cycles=400,
@@ -89,29 +89,3 @@ class TestSweep:
         # Metrics with a healthy baseline still normalize normally.
         base = next(r for r in rows if r["scheduler"] == "oldest")
         assert base["ipc"] == pytest.approx(1.0)
-
-
-class TestSelectors:
-    ROWS = [
-        {"x": 1.0, "y": 1.0},
-        {"x": 2.0, "y": 3.0},
-        {"x": 3.0, "y": 2.0},
-    ]
-
-    def test_best_row(self):
-        assert best_row(self.ROWS, "y")["y"] == 3.0
-        assert best_row(self.ROWS, "x", maximize=False)["x"] == 1.0
-
-    def test_best_row_empty(self):
-        with pytest.raises(ValueError):
-            best_row([], "x")
-
-    def test_pareto_front(self):
-        # minimize x, maximize y: (1,1) and (2,3) survive; (3,2) is
-        # dominated by (2,3).
-        front = pareto_front(self.ROWS, minimize="x", maximize="y")
-        assert front == [{"x": 1.0, "y": 1.0}, {"x": 2.0, "y": 3.0}]
-
-    def test_pareto_duplicates_survive(self):
-        rows = [{"x": 1.0, "y": 1.0}, {"x": 1.0, "y": 1.0}]
-        assert len(pareto_front(rows, "x", "y")) == 2
