@@ -10,7 +10,7 @@ latency from the cache hierarchy instead).
 from __future__ import annotations
 
 from repro.config import MachineConfig
-from repro.isa.instruction import N_OPCLASSES, OP_LATENCY_FIELD, OpClass
+from repro.isa.instruction import N_OPCLASSES, OpClass
 
 
 class FUKind:
@@ -71,8 +71,3 @@ class FunctionalUnitPool:
     def total_units(self) -> int:
         return sum(self.limits)
 
-
-def op_latency(machine: MachineConfig, opclass: OpClass) -> int:
-    """Fixed execution latency of non-memory operations (per-instruction
-    code indexes :func:`~repro.isa.instruction.op_latency_table` instead)."""
-    return int(getattr(machine, OP_LATENCY_FIELD[opclass]))

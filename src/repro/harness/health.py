@@ -34,12 +34,7 @@ from typing import Any, Callable
 
 from repro.telemetry.bus import EventBus, EventOrigin, Subscription
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.relay import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_QUEUE_SIZE,
-    DEFAULT_RELAY_TOPICS,
-    WorkerRelay,
-)
+from repro.telemetry.relay import WorkerRelay
 from repro.telemetry.topics import (
     TOPIC_INTERVAL_CLOSE,
     TOPIC_PROFILE_PROGRESS,
@@ -71,16 +66,9 @@ class MonitorConfig:
     point timeout.
     """
 
-    relay_topics: tuple[str, ...] = DEFAULT_RELAY_TOPICS
-    queue_size: int = DEFAULT_QUEUE_SIZE
-    batch_size: int = DEFAULT_BATCH_SIZE
     heartbeat_s: float = 0.25
     stall_after_s: float = 5.0
     serve: tuple[str, int] | None = None
-    status_path: str | None = None
-    #: Minimum seconds between live status-document rewrites (the final
-    #: write and checkpoint-append writes bypass the throttle).
-    status_write_s: float = 1.0
 
 
 def rss_kb() -> float:

@@ -14,11 +14,11 @@ keeping three hard guarantees:
   default).  A killed or re-run sweep with ``resume=True`` re-executes
   only the missing points; the shard header carries a configuration
   signature so a stale shard cannot silently poison a different sweep.
-* **Degradation, not death.**  A failing point is retried with bounded
-  exponential backoff (a per-round sleep capped at
-  :data:`BACKOFF_CAP_S`) and a per-point wait timeout; a point that
-  exhausts its retries is *skipped* and reported (``EngineRun.skipped``)
-  instead of aborting the sweep, unless ``strict=True``.
+* **Degradation, not death.**  A failing point is retried at once
+  (the simulator is deterministic, so waiting gains nothing) under a
+  per-point wait timeout; a point that exhausts its retries is
+  *skipped* and reported (``EngineRun.skipped``) instead of aborting
+  the sweep, unless ``strict=True``.
 
 Progress flows over the telemetry bus as ``harness.point`` events
 (status ``done``/``cached``/``retry``/``stalled``/``skipped``), which
@@ -39,7 +39,7 @@ gauges), a worker silent beyond the stall threshold yields a
 serves/persists a Prometheus + JSON status view of all of it
 (:mod:`repro.telemetry.export`).
 
-Wall-clock reads below time harness work (point spans, backoff, wait
+Wall-clock reads below time harness work (point spans, wait
 deadlines) and never feed simulated results.
 """
 # lint: disable-file=determinism
@@ -70,7 +70,7 @@ from repro.harness.runner import (
 from repro.telemetry.bus import EventBus
 from repro.telemetry.export import MetricsServer, status_path_for, write_status
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.relay import RelayDrain, WorkerRelay
+from repro.telemetry.relay import DEFAULT_QUEUE_SIZE, RelayDrain, WorkerRelay
 from repro.telemetry.topics import TOPIC_HARNESS_POINT
 
 #: Checkpoint shard format version (header field ``version``).
@@ -78,9 +78,6 @@ CHECKPOINT_VERSION = 1
 
 #: Default directory for auto-named checkpoint shards.
 DEFAULT_REPORTS_DIR = "reports"
-
-#: Upper bound on one retry-round backoff sleep.
-BACKOFF_CAP_S = 4.0
 
 #: Env var for fault injection in workers — used by the failure-path
 #: tests and for rehearsing degraded runs.  Formats:
@@ -95,6 +92,10 @@ FAULT_ENV = "REPRO_PARALLEL_FAULT"
 #: Poll cadence of the pool wait loop: each tick pumps the
 #: relay queue, refreshes the status document, and checks for stalls.
 POLL_S = 0.05
+
+#: Minimum seconds between live status-document rewrites (the final
+#: write and checkpoint-append writes bypass the throttle).
+STATUS_WRITE_S = 1.0
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +347,7 @@ def _init_worker(warm: tuple, obs_spec: tuple) -> None:
     parent's caches are useless to a spawned child, and even a forked
     child re-profiles nothing this way.
 
-    ``obs_spec`` carries the relay queue and monitoring knobs.  The
+    ``obs_spec`` carries the relay queue and heartbeat interval.  The
     queue can only reach a child through the pool initializer's
     ``initargs`` (multiprocessing queues refuse to ride ``submit()``
     arguments), which is why all of this lives here: the worker builds
@@ -357,10 +358,10 @@ def _init_worker(warm: tuple, obs_spec: tuple) -> None:
     global _WORKER_OBS
     for mix_name, scale, profiled in warm:
         get_programs(mix_name, scale, profiled)
-    queue, topics, batch_size, heartbeat_s = obs_spec
+    queue, heartbeat_s = obs_spec
     bus = EventBus()
-    relay = WorkerRelay(queue, batch_size=batch_size)
-    relay.attach(bus, tuple(topics))
+    relay = WorkerRelay(queue)
+    relay.attach(bus)
     heartbeat = HeartbeatEmitter(relay, interval_s=heartbeat_s)
     heartbeat.attach(bus)
     set_ambient_bus(bus)
@@ -514,7 +515,7 @@ def _make_fleet(
     one ``ProcessPoolExecutor`` uses) and reaches workers through the
     pool initializer's initargs.
     """
-    queue = multiprocessing.get_context().Queue(cfg.queue_size)
+    queue = multiprocessing.get_context().Queue(DEFAULT_QUEUE_SIZE)
     drain = RelayDrain(
         queue,
         bus if bus is not None else EventBus(),
@@ -523,7 +524,7 @@ def _make_fleet(
         metrics=metrics,
         on_health=health.on_health,
     )
-    obs_spec = (queue, tuple(cfg.relay_topics), cfg.batch_size, cfg.heartbeat_s)
+    obs_spec = (queue, cfg.heartbeat_s)
     return _Fleet(t0, drain, health, obs_spec, write_status_cb)
 
 
@@ -538,7 +539,6 @@ def execute_tasks(
     kind: str = "sweep",
     timeout: float | None = None,
     retries: int = 2,
-    backoff: float = 0.25,
     strict: bool = False,
     bus: EventBus | None = None,
     warm: Sequence[tuple[str, BenchScale, bool]] = (),
@@ -557,9 +557,9 @@ def execute_tasks(
     ``reports/``), or ``None``/``False`` to disable checkpointing.
 
     ``monitor`` customizes the fleet observability that every pool run
-    (``jobs >= 2``) gets: relay topics, heartbeat cadence, stall
-    threshold, ``--serve`` endpoint and status path; ``None`` takes the
-    :class:`MonitorConfig` defaults.
+    (``jobs >= 2``) gets: heartbeat cadence, stall threshold and
+    ``--serve`` endpoint; ``None`` takes the :class:`MonitorConfig`
+    defaults.
     """
     if jobs < 0:
         raise ValueError("jobs must be non-negative")
@@ -601,10 +601,8 @@ def execute_tasks(
     )
     label_by_key = {task.key: task.label for task in tasks}
     status_path: str | None = None
-    if cfg is not None:
-        status_path = cfg.status_path or (
-            status_path_for(run.checkpoint_path) if run.checkpoint_path else None
-        )
+    if cfg is not None and run.checkpoint_path:
+        status_path = status_path_for(run.checkpoint_path)
     run.status_path = status_path
     last_status_write = [0.0]
 
@@ -633,7 +631,7 @@ def execute_tasks(
         if status_path is None or cfg is None:
             return
         now = time.time()
-        if not force and now - last_status_write[0] < cfg.status_write_s:
+        if not force and now - last_status_write[0] < STATUS_WRITE_S:
             return
         last_status_write[0] = now
         write_status(status_path, _status_doc(state))
@@ -732,12 +730,12 @@ def execute_tasks(
 
         if todo:
             if fleet is None:  # jobs 0 or 1
-                _run_inline(todo, _complete, _skip, emitter, retries, backoff)
+                _run_inline(todo, _complete, _skip, emitter, retries)
             else:
                 _run_pool(
                     todo, _complete, _skip, emitter,
                     jobs=jobs, timeout=timeout, retries=retries,
-                    backoff=backoff, warm=tuple(warm), fleet=fleet,
+                    warm=tuple(warm), fleet=fleet,
                 )
     finally:
         if fleet is not None:
@@ -759,12 +757,7 @@ def execute_tasks(
     return run
 
 
-def _backoff_sleep(backoff: float, round_index: int) -> None:
-    if backoff > 0:
-        time.sleep(min(backoff * (2 ** round_index), BACKOFF_CAP_S))
-
-
-def _run_inline(todo, complete, skip, emitter: _PointEmitter, retries, backoff) -> None:
+def _run_inline(todo, complete, skip, emitter: _PointEmitter, retries) -> None:
     for task in todo:
         attempt = 0
         while True:
@@ -774,7 +767,6 @@ def _run_inline(todo, complete, skip, emitter: _PointEmitter, retries, backoff) 
             except Exception as exc:  # noqa: BLE001 - degraded-run boundary
                 if attempt <= retries:
                     emitter.emit(task, "retry", attempt=attempt)
-                    _backoff_sleep(backoff, attempt - 1)
                     continue
                 skip(task, attempt, f"{exc.__class__.__name__}: {exc}")
                 break
@@ -816,10 +808,9 @@ def _await_result(fut, task: Task, timeout, fleet: _Fleet):
 
 def _run_pool(
     todo, complete, skip, emitter: _PointEmitter,
-    *, jobs, timeout, retries, backoff, warm, fleet: _Fleet,
+    *, jobs, timeout, retries, warm, fleet: _Fleet,
 ) -> None:
     pending: list[tuple[Task, int]] = [(task, 1) for task in todo]
-    round_index = 0
     while pending:
         failures: list[tuple[Task, int, str]] = []
         dirty = False  # a timed-out or crashed worker may still be running
@@ -885,9 +876,6 @@ def _run_pool(
                 pending.append((task, attempt + 1))
             else:
                 skip(task, attempt, error)
-        if pending:
-            _backoff_sleep(backoff, round_index)
-            round_index += 1
 
 
 # ----------------------------------------------------------------------
@@ -931,7 +919,6 @@ def parallel_sweep(
     resume: bool = False,
     timeout: float | None = None,
     retries: int = 2,
-    backoff: float = 0.25,
     strict: bool = False,
     bus: EventBus | None = None,
     monitor: MonitorConfig | None = None,
@@ -990,7 +977,6 @@ def parallel_sweep(
         kind="sweep",
         timeout=timeout,
         retries=retries,
-        backoff=backoff,
         strict=strict,
         bus=bus,
         warm=tuple((mix_name, scale, p) for p in profiled_variants),
@@ -1055,7 +1041,6 @@ def parallel_figures(
     resume: bool = False,
     timeout: float | None = None,
     retries: int = 1,
-    backoff: float = 0.25,
     strict: bool = False,
     bus: EventBus | None = None,
     monitor: MonitorConfig | None = None,
@@ -1096,7 +1081,6 @@ def parallel_figures(
         kind="figures",
         timeout=timeout,
         retries=retries,
-        backoff=backoff,
         strict=strict,
         bus=bus,
         warm=(),
@@ -1117,7 +1101,6 @@ def parallel_figures(
 
 
 __all__ = [
-    "BACKOFF_CAP_S",
     "CHECKPOINT_VERSION",
     "CheckpointShard",
     "EngineRun",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, TypeVar
 
 from repro.config import MachineConfig, ReliabilityConfig, SimulationConfig

@@ -74,7 +74,7 @@ def load_history(path: str) -> dict[str, Any]:
 
 
 def load_results_document(path: str) -> dict[str, Any]:
-    """The per-case results of a saved ``perf``/``avf`` results JSON:
+    """The per-case results of a saved ``perf`` results JSON:
     its ``results`` mapping, or the document itself when it has none.
 
     Raises ``ValueError`` when the file cannot be read, is not JSON, or

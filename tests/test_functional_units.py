@@ -3,12 +3,13 @@
 import pytest
 
 from repro.config import MachineConfig
-from repro.core.functional_units import FunctionalUnitPool, op_latency
+from repro.core.functional_units import FunctionalUnitPool
 from repro.core.pipeline import SMTPipeline
 from repro.isa.generator import generate_program
 from repro.isa.instruction import (
     OP_IS_CONTROL,
     OP_IS_MEM,
+    OP_LATENCY_FIELD,
     OpClass,
     op_latency_table,
 )
@@ -129,6 +130,12 @@ _MACHINES = {
         lat_fp_mult=7, lat_fp_div=17, lat_fp_sqrt=29,
     ),
 }
+
+
+def op_latency(machine: MachineConfig, opclass: OpClass) -> int:
+    """Reference latency of one opclass, read field by field (the
+    pipeline indexes :func:`~repro.isa.instruction.op_latency_table`)."""
+    return int(getattr(machine, OP_LATENCY_FIELD[opclass]))
 
 
 class TestOpclassTables:

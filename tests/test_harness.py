@@ -281,6 +281,30 @@ class TestExperimentShapes:
             "faf313928ef7906d789f753e4a057ff1be945bfb32f1ec63cf15286bee3d8801"
         )
 
+    def test_visa_dvm_rows(self):
+        # The headline configuration (Sections 2.1 and 5): profiled MEM-A
+        # under VISA issue and DVM at half the baseline's peak online
+        # estimate, beside that baseline.
+        base = run_sim("MEM-A", TINY)
+        target = 0.5 * base.max_online_estimate
+        visa_dvm = run_sim("MEM-A", TINY, scheduler="visa", dvm_target=target)
+        rows = [
+            {
+                "config": config,
+                "committed": r.committed,
+                "ipc": r.ipc,
+                "iq_avf": r.iq_avf,
+                "iq_interval_avf": r.iq_interval_avf,
+                "max_online_estimate": r.max_online_estimate,
+                "dvm_mean_ratio": r.dvm_mean_ratio,
+            }
+            for config, r in (("baseline", base), ("visa+dvm", visa_dvm))
+        ]
+        assert visa_dvm.iq_avf < base.iq_avf
+        assert rows_digest(rows) == (
+            "226cbbd5259c7262fdf3e34a156af24b942b5f5ea810eedcad8a3113be7a78bd"
+        )
+
     def test_interval_longer_than_run_fails_before_any_run(self, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("a point ran before the interval check")

@@ -170,7 +170,7 @@ class TestFailurePaths:
         )
         run = parallel_sweep(
             "CPU-A", TINY, AXES,
-            checkpoint=_ck(tmp_path), retries=1, backoff=0.0, bus=bus,
+            checkpoint=_ck(tmp_path), retries=1, bus=bus,
         )
         assert len(run.rows) == 2  # both dispatch=opt2 points skipped
         assert len(run.skipped) == 2
@@ -183,7 +183,7 @@ class TestFailurePaths:
         with pytest.raises(RuntimeError, match="failed after"):
             parallel_sweep(
                 "CPU-A", TINY, AXES,
-                checkpoint=_ck(tmp_path), retries=0, backoff=0.0, strict=True,
+                checkpoint=_ck(tmp_path), retries=0, strict=True,
             )
 
     def test_transient_failure_recovers(self, monkeypatch, serial_rows, tmp_path):
@@ -199,7 +199,7 @@ class TestFailurePaths:
         monkeypatch.setattr(parallel_mod, "run_sim", flaky)
         run = parallel_sweep(
             "CPU-A", TINY, AXES, checkpoint=_ck(tmp_path),
-            retries=2, backoff=0.0,
+            retries=2,
         )
         assert run.rows == serial_rows
         assert not run.skipped
@@ -212,7 +212,7 @@ class TestFailurePaths:
         monkeypatch.setenv(parallel_mod.FAULT_ENV, "exit:scheduler=visa")
         run = parallel_sweep(
             "CPU-A", TINY, {"scheduler": ["visa"]},
-            jobs=2, checkpoint=_ck(tmp_path), retries=1, backoff=0.0,
+            jobs=2, checkpoint=_ck(tmp_path), retries=1,
         )
         assert run.rows == []
         assert len(run.skipped) == 1
@@ -222,7 +222,7 @@ class TestFailurePaths:
         ck = _ck(tmp_path)
         monkeypatch.setenv(parallel_mod.FAULT_ENV, "raise:dispatch=opt2")
         first = parallel_sweep(
-            "CPU-A", TINY, AXES, checkpoint=ck, retries=0, backoff=0.0
+            "CPU-A", TINY, AXES, checkpoint=ck, retries=0
         )
         assert len(first.skipped) == 2
         monkeypatch.delenv(parallel_mod.FAULT_ENV)
@@ -238,7 +238,7 @@ class TestFailurePaths:
             run = parallel_sweep(
                 "CPU-A", TINY, {"scheduler": ["visa"]},
                 normalize_to={"scheduler": "oldest", "dispatch": "opt1"},
-                checkpoint=_ck(tmp_path), retries=0, backoff=0.0,
+                checkpoint=_ck(tmp_path), retries=0,
             )
         assert len(run.rows) == 1
         assert all(math.isnan(run.rows[0][m]) for m in ("ipc", "iq_avf"))

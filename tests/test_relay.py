@@ -492,7 +492,7 @@ class TestStallDisposition:
         run = parallel_sweep(
             "CPU-A", TINY, {"scheduler": ["visa"]},
             jobs=2, checkpoint=str(tmp_path / "hang.jsonl"), bus=bus,
-            retries=0, backoff=0.0, timeout=None,
+            retries=0, timeout=None,
             monitor=MonitorConfig(heartbeat_s=0.05, stall_after_s=0.5),
         )
         assert len(run.skipped) == 1
@@ -515,7 +515,7 @@ class TestStallDisposition:
         run = parallel_sweep(
             "CPU-A", TINY, {"scheduler": ["visa"]},
             jobs=2, checkpoint=str(tmp_path / "die.jsonl"), bus=bus,
-            retries=1, backoff=0.0,
+            retries=1,
             monitor=MonitorConfig(heartbeat_s=0.05, stall_after_s=5.0),
         )
         assert len(run.skipped) == 1
@@ -546,7 +546,7 @@ class TestStallDisposition:
         run = parallel_sweep(
             "CPU-A", TINY, {"scheduler": ["oldest"]},
             jobs=2, checkpoint=str(tmp_path / "slow-warmup.jsonl"), bus=bus,
-            retries=0, backoff=0.0, timeout=None,
+            retries=0, timeout=None,
             monitor=MonitorConfig(heartbeat_s=0.05, stall_after_s=2.0),
         )
         assert run.skipped == []

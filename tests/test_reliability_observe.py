@@ -1,5 +1,5 @@
 """Reliability observability: the streaming observer, the vulnerability
-report, the drift gate, and the online-vs-oracle convergence property."""
+report, and the online-vs-oracle convergence property."""
 
 import json
 import math
@@ -11,19 +11,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.config import MachineConfig
 from repro.isa.instruction import DynInst, DynState, OpClass, StaticInst
-from repro.perf.history import entries_of_kind, load_history
 from repro.reliability.avf import AVFAccount, Structure
-from repro.reliability.gate import (
-    KIND_RELIABILITY,
-    STATUS_DRIFT,
-    STATUS_INVALID,
-    STATUS_NEW,
-    STATUS_OK,
-    baseline_value,
-    compare_reliability,
-    headline_numbers,
-    record_reliability,
-)
 from repro.reliability.observe import SLOT_BIN, ReliabilityObserver
 from repro.telemetry.bus import EventBus
 from tests.stage_reference import pred_bits
@@ -296,159 +284,9 @@ class TestOnlineOracleConvergence:
 
 
 # ----------------------------------------------------------------------
-# Drift gate
-# ----------------------------------------------------------------------
-class TestDriftGate:
-    def _history(self, tmp_path, values_list):
-        path = str(tmp_path / "BENCH_reliability.json")
-        for values in values_list:
-            record_reliability(path, values, context={"test": True})
-        return load_history(path)
-
-    def test_empty_history_all_new_and_passes(self):
-        report = compare_reliability({}, {"baseline_iq_avf": 0.2})
-        assert report.ok
-        assert report.cases[0].status == STATUS_NEW
-        assert report.cases[0].drift is None
-
-    def test_within_band_passes(self, tmp_path):
-        hist = self._history(tmp_path, [{"baseline_iq_avf": 0.20}] * 3)
-        report = compare_reliability(
-            hist, {"baseline_iq_avf": 0.207}, tolerance=0.05
-        )
-        assert report.ok and report.cases[0].status == STATUS_OK
-
-    def test_drift_is_two_sided(self, tmp_path):
-        hist = self._history(tmp_path, [{"avf_reduction": 0.40}] * 3)
-        for current in (0.30, 0.50):  # both directions are suspicious
-            report = compare_reliability(
-                hist, {"avf_reduction": current}, tolerance=0.05
-            )
-            assert not report.ok
-            assert report.cases[0].status == STATUS_DRIFT
-        assert "FAIL" in report.format()
-
-    def test_baseline_is_median_of_window(self, tmp_path):
-        values = [0.10, 0.20, 0.30, 0.40, 0.50, 0.60]
-        hist = self._history(tmp_path, [{"x": v} for v in values])
-        # window 5 -> entries 0.20..0.60 -> median 0.40.
-        assert baseline_value(hist, "x", window=5) == pytest.approx(0.40)
-        assert baseline_value(hist, "x", window=2) == pytest.approx(0.55)
-        assert baseline_value(hist, "missing") is None
-        with pytest.raises(ValueError):
-            baseline_value(hist, "x", window=0)
-
-    def test_nan_current_is_invalid(self, tmp_path):
-        hist = self._history(tmp_path, [{"x": 0.2}])
-        report = compare_reliability(hist, {"x": float("nan")})
-        assert not report.ok
-        assert report.cases[0].status == STATUS_INVALID
-
-    def test_record_wraps_values(self, tmp_path):
-        path = str(tmp_path / "hist.json")
-        entry = record_reliability(path, {"baseline_iq_avf": 0.25},
-                                   context={"mix": "MEM-A"})
-        assert entry["kind"] == KIND_RELIABILITY
-        assert entry["results"]["baseline_iq_avf"] == {"value": 0.25}
-        loaded = entries_of_kind(load_history(path), KIND_RELIABILITY)
-        assert len(loaded) == 1
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            compare_reliability({}, {"x": 1.0}, tolerance=-0.1)
-
-    def test_headline_numbers_smoke(self):
-        from repro.harness.runner import BenchScale
-
-        scale = BenchScale(
-            max_cycles=3_000, warmup_cycles=600, interval_cycles=1_000,
-            ace_window=1_000, profile_instructions=10_000,
-            profile_window=2_000,
-        )
-        numbers = headline_numbers(scale)
-        assert set(numbers) == {
-            "baseline_iq_avf", "visa_dvm_iq_avf", "avf_reduction",
-            "baseline_ipc", "visa_dvm_ipc",
-        }
-        assert numbers["baseline_iq_avf"] > 0
-        assert numbers["avf_reduction"] <= 1.0
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 class TestAvfCli:
-    def test_compare_against_saved_results(self, tmp_path, capsys):
-        hist = tmp_path / "BENCH_reliability.json"
-        record_reliability(str(hist), {"baseline_iq_avf": 0.2},
-                           context={})
-        saved = tmp_path / "current.json"
-        saved.write_text(json.dumps(
-            {"results": {"baseline_iq_avf": {"value": 0.201}}}
-        ))
-        rc = main(["avf", "compare", "--history", str(hist),
-                   "--results", str(saved), "--tolerance", "0.05"])
-        assert rc == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_compare_detects_drift(self, tmp_path, capsys):
-        hist = tmp_path / "BENCH_reliability.json"
-        record_reliability(str(hist), {"baseline_iq_avf": 0.2}, context={})
-        saved = tmp_path / "current.json"
-        saved.write_text(json.dumps({"results": {"baseline_iq_avf": 0.4}}))
-        rc = main(["avf", "compare", "--history", str(hist),
-                   "--results", str(saved)])
-        assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_compare_malformed_history_is_usage_error(self, tmp_path):
-        hist = tmp_path / "broken.json"
-        hist.write_text("{not json")
-        saved = tmp_path / "current.json"
-        saved.write_text(json.dumps({"results": {"x": 1.0}}))
-        rc = main(["avf", "compare", "--history", str(hist),
-                   "--results", str(saved)])
-        assert rc == 2
-
-    @pytest.mark.parametrize("option,value,message", [
-        ("--tolerance", "nan", "argument --tolerance: must be >= 0.0, got nan"),
-        ("--tolerance", "-1", "argument --tolerance: must be >= 0.0, got -1"),
-        ("--window", "0", "argument --window: must be >= 1, got 0"),
-        ("--results", "not-json", "not valid JSON"),
-    ])
-    def test_compare_bad_argument_is_usage_error(self, tmp_path, capsys,
-                                                 option, value, message):
-        # Regression: nan passed the drift gate (exit 0); -1 and 0 ended
-        # in a ValueError traceback and a non-JSON --results file in a
-        # JSONDecodeError traceback (exit 1).
-        hist = tmp_path / "BENCH_reliability.json"
-        record_reliability(str(hist), {"baseline_iq_avf": 0.2}, context={})
-        saved = tmp_path / "current.json"
-        saved.write_text(json.dumps({"results": {"baseline_iq_avf": 0.2}}))
-        (tmp_path / "not-json").write_text("{not json")
-        if option == "--results":
-            value = str(tmp_path / value)
-        argv = ["avf", "compare", "--history", str(hist), "--results", str(saved),
-                option, value]
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = exc.code
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert message in err.strip().splitlines()[-1]
-
-    def test_run_appends_history_entry(self, tmp_path, capsys):
-        hist = tmp_path / "BENCH_reliability.json"
-        rc = main(["avf", "run", "--cycles", "3000",
-                   "--history", str(hist)])
-        assert rc == 0
-        assert "appended" in capsys.readouterr().out
-        (entry,) = load_history(str(hist))["entries"]
-        assert entry["kind"] == KIND_RELIABILITY
-        assert entry["results"]["baseline_iq_avf"]["value"] > 0
-
     def test_report_json_and_trace(self, tmp_path, capsys):
         from repro.perf.chrome_trace import read_trace, validate_trace
 
